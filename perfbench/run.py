@@ -1,6 +1,6 @@
 """warpcmc benchmark: runs one workload and prints its metrics.
 
-    python3 perfbench/run.py --workload cmc_corpus --seed 1 --seconds 35 --trace 0
+    python3 perfbench/run.py --workload cmc_corpus --seed 1 --seconds 42 --trace 0
 
 Run from the root of a source checkout; the library is imported from
 ``src/``.  One client sends one case at a time (closed loop) to one worker
@@ -124,29 +124,44 @@ def main() -> int:
     base = [sys.executable, worker_py, "--workload", args.workload, "--seed", str(args.seed),
             "--outdir", outdir]
 
+    probe_walls: list[float] = []
+
     def probe() -> float:
+        t = time.perf_counter()
         out = subprocess.run(base[:2] + ["probe"] + base[2:], env=env, stdout=subprocess.PIPE,
                              text=True, timeout=120, check=True).stdout
+        probe_walls.append(time.perf_counter() - t)
         return json.loads(out.splitlines()[-1])["setup_s"]
 
     started = time.perf_counter()
     setups: list[float] = []
-    if not args.trace:
-        probe()  # compiles bytecode and warms the file cache; not counted
+    # the worker's own set-up, which is not counted, compiles the bytecode
+    # and warms the file cache before the first probe
     worker = Worker(base[:2] + ["serve"] + base[2:] + ["--trace", str(args.trace)], env)
     try:
         ready = worker.read()
+        probe_walls.append(time.perf_counter() - started)  # a first estimate
+        t = time.perf_counter()
         batches = [worker.batch(False) for _ in range(WARMUP_BATCHES)]
+        # wall of each batch round trip, oracles and IPC included
+        batch_walls = [(time.perf_counter() - t) / WARMUP_BATCHES]
         measured: list[dict] = []
         traced: list[dict] = []
         loop_start = time.perf_counter()
+        budget = max(args.seconds - (loop_start - started), 1e-9)
         while True:
-            elapsed = time.perf_counter() - started
+            now = time.perf_counter()
             if args.trace:
                 enough = min(len(measured), len(traced)) >= MIN_TRACED
+                owed = 0.0
             else:
                 enough = len(measured) >= MIN_BATCHES
-            if (enough and elapsed >= args.seconds) or elapsed > RUN_LIMIT_S:
+                owed = (SETUP_PROBES - len(setups)) * max(probe_walls)
+            # end near --seconds: start a batch only if it and the probes
+            # still owed fit
+            if enough and now - started + max(batch_walls) + owed > args.seconds:
+                break
+            if now - started > RUN_LIMIT_S:
                 break
             if args.trace:
                 # alternate so that drift in machine speed hits both sides
@@ -154,8 +169,10 @@ def main() -> int:
                 (traced if "trace" in result else measured).append(result)
             else:
                 measured.append(worker.batch(False))
+            batch_walls.append(time.perf_counter() - now)
+            if not args.trace:
                 # spread the set-up probes over the run, between batches
-                share = (time.perf_counter() - loop_start) / max(args.seconds, 1e-9)
+                share = (time.perf_counter() - loop_start) / budget
                 while len(setups) < min(SETUP_PROBES, math.ceil(SETUP_PROBES * share)):
                     setups.append(probe())
         while not args.trace and len(setups) < SETUP_PROBES:
@@ -200,22 +217,24 @@ def main() -> int:
 
 
 def end_to_end(measured, setups, final, cases_per_batch) -> dict:
-    latencies = [t for b in measured for t in b["latencies"]]
+    """End-to-end metrics; case and batch times at reference host speed (calibrate.py)."""
+    scaled = [b["scaled"] for b in measured]
     tail = tail_percentile(cases_per_batch)
-    print(f"setup_s: median of {len(setups)} fresh interpreters: "
+    kernels = [k for b in measured for k in b["kernels"]]
+    print(f"host: kernel median {statistics.median(kernels) * 1e3:.3f} ms over {len(kernels)} kernels")
+    print(f"setup_s: median of {len(setups)} fresh interpreters, not scaled: "
           + " ".join(f"{s:.3f}" for s in setups))
-    print(f"batch_s: median of {len(measured)} batches after {WARMUP_BATCHES} warm-up: "
+    print(f"batch_s: median of {len(measured)} batches after {WARMUP_BATCHES} warm-up, raw: "
           + " ".join(f"{b['wall_s']:.3f}" for b in measured))
-    print(f"case_s.tail: p{tail} over {len(latencies)} cases")
+    print(f"case_s.tail: p{tail} over {sum(map(len, scaled))} cases")
     return {
         "setup_s": {"value": statistics.median(setups), "unit": "s"},
-        "batch_s": {"value": statistics.median(b["wall_s"] for b in measured), "unit": "s"},
+        "batch_s": {"value": statistics.median(sum(c) for c in scaled), "unit": "s"},
         # median over batches of each batch's median case: every batch holds the
         # same cases, so machine-speed drift between batches cannot pull the
         # pooled order statistic across a gap between case clusters
-        "case_s.p50": {"value": statistics.median(statistics.median(b["latencies"])
-                                                  for b in measured), "unit": "s"},
-        "case_s.tail": {"value": percentile(latencies, tail), "unit": "s"},
+        "case_s.p50": {"value": statistics.median(statistics.median(c) for c in scaled), "unit": "s"},
+        "case_s.tail": {"value": percentile([t for c in scaled for t in c], tail), "unit": "s"},
         "peak_rss_mb": {"value": final["peak_rss_mb"], "unit": "MB"},
     }
 
@@ -265,6 +284,7 @@ def per_layer(ready, untraced, traced):
     put("trace.overhead_share", (traced_wall - plain_wall) / plain_wall, "ratio")
     unattributed = [b["wall_s"] - t["roots_s"] for b, t in zip(traced, batches)]
     put("trace.unattributed_s", statistics.median(unattributed), "s")
+    put("host.kernel_s", statistics.median(k for b in untraced for k in b["kernels"]), "s")
 
     # self times plus unattributed time must rebuild each traced batch's wall
     closure = max(abs(sum(l["self_s"] for l in t["layers"].values()) + u - b["wall_s"])

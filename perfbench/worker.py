@@ -47,9 +47,16 @@ def probe(workload: str, seed: int, outdir: str) -> None:
 
 
 def run_batch(wc, ctx, tracer) -> dict:
-    """Run every case once; oracles run after the timed loop."""
+    """Run every case once; oracles run after the timed loop.
+
+    An untraced batch times the host-speed kernel before each case and
+    after the last, so that every case lies between two kernels; the kernel
+    time is left out of the batch's wall time.
+    """
+    import calibrate
+
     cases = ctx["spec"]["cases"]
-    latencies, outcomes = [], []
+    latencies, outcomes, kernels = [], [], []
     clock = time.perf_counter
     if tracer is not None:
         tracer.reset()
@@ -59,6 +66,8 @@ def run_batch(wc, ctx, tracer) -> dict:
         for index, case in enumerate(cases):
             if tracer is not None:
                 tracer.case = case["id"]
+            else:
+                kernels.append(calibrate.time_kernel())
             t = clock()
             try:
                 outcome = workloads.run_case(wc, ctx, index)
@@ -66,7 +75,9 @@ def run_batch(wc, ctx, tracer) -> dict:
                 outcome = exc
             latencies.append(clock() - t)
             outcomes.append(outcome)
-        wall = clock() - start
+        if tracer is None:
+            kernels.append(calibrate.time_kernel())
+        wall = clock() - start - sum(kernels)
     finally:
         if tracer is not None:
             tracer.uninstall()
@@ -79,7 +90,10 @@ def run_batch(wc, ctx, tracer) -> dict:
         if reason is not None:
             failures.append([cases[index]["id"], reason, workloads.ledger_item(ctx, index, reason)])
     result = {"wall_s": wall, "latencies": latencies, "failures": failures}
-    if tracer is not None:
+    if tracer is None:
+        result["kernels"] = kernels
+        result["scaled"] = calibrate.scale_cases(latencies, kernels)
+    else:
         from tracer import aggregate
 
         result["trace"] = aggregate(tracer.spans)
