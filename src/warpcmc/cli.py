@@ -568,7 +568,7 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--curvature", type=float, help="space-form curvature")
     parser.add_argument("--r-bar", dest="r_bar", type=float, help="chart radius")
     parser.add_argument("--s-max", dest="s_max", type=float, help="outer area radius")
-    parser.add_argument("--knots", type=int, help="warp spline knots")
+    parser.add_argument("--knots", type=int, help="arc-length samples of h")
     parser.add_argument("--path", help="omega table path")
     parser.add_argument("--variant", choices=("boundary", "ball"), help="expected variant")
     parser.add_argument("--out", help="output directory")

@@ -54,26 +54,32 @@ class CmcResult:
     residual_history: np.ndarray
 
 
-def _weighted_volume(warping, engine, rho):
-    n = warping.dim
-    h0 = warping.jet(0.0)[0]
-    h = warping.jet(rho)[0]
-    return float(np.sum(engine.area_weights * (h**n - h0**n) / n))
+def _mean_radius(engine, radii) -> float:
+    """Area-weighted mean of the graph radii over the unit sphere."""
+    return float(np.sum(engine.area_weights * radii)) / float(
+        np.sum(engine.area_weights * np.ones_like(radii))
+    )
 
 
 def _project_volume(warping, engine, rho, target):
-    """Shift the graph uniformly until it encloses the target weighted volume."""
+    """Shift the graph uniformly until it encloses the target weighted volume.
+
+    Returns the shifted radii, or None when 8 Newton steps do not reach
+    the target.
+    """
+    n = warping.dim
+    h0n = warping.jet(0.0)[0] ** n
     shift = 0.0
     for _ in range(8):
         r = np.clip(rho + shift, 1e-12, warping.r_bar * (1.0 - 1e-12))
         h, hp, _, _ = warping.jet(r)
-        val = float(np.sum(engine.area_weights * (h**warping.dim - warping.jet(0.0)[0] ** warping.dim) / warping.dim))
-        grad = float(np.sum(engine.area_weights * h ** (warping.dim - 1) * hp))
+        val = float(np.sum(engine.area_weights * (h**n - h0n) / n))
+        grad = float(np.sum(engine.area_weights * h ** (n - 1) * hp))
         err = val - target
         if abs(err) <= 1e-13 * max(abs(target), 1.0):
-            break
+            return rho + shift
         shift -= err / grad
-    return rho + shift
+    return None
 
 
 def find_cmc(
@@ -119,10 +125,7 @@ def find_cmc(
             reason = "converged"
             break
 
-        mean_r = float(np.sum(engine.area_weights * rep.radii)) / float(
-            np.sum(engine.area_weights * np.ones_like(rep.radii))
-        )
-        h_scale = warping.jet(mean_r)[0]
+        h_scale = warping.jet(_mean_radius(engine, rep.radii))[0]
         if dt is None:
             dt_eff = 0.05 * h_scale * h_scale
         else:
@@ -136,6 +139,9 @@ def find_cmc(
             reason = "update diverged"
             break
         rho = _project_volume(warping, engine, rho, target)
+        if rho is None:
+            reason = "volume projection did not converge"
+            break
         try:
             current = GraphSurface(warping, engine, rho)
         except DomainError:
@@ -147,16 +153,8 @@ def find_cmc(
         h_bar = float(current.integrate(rep.mean_curvature) / rep.area)
         residual = float(np.max(np.abs(rep.mean_curvature - h_bar)))
 
-    if max_iter == 0:
-        rep = current.geometry()
-        h_bar = float(current.integrate(rep.mean_curvature) / rep.area)
-        residual = float(np.max(np.abs(rep.mean_curvature - h_bar)))
-        iterations = 0
-
     rep = current.geometry()
-    mean_rho = float(np.sum(engine.area_weights * rep.radii)) / float(
-        np.sum(engine.area_weights * np.ones_like(rep.radii))
-    )
+    mean_rho = _mean_radius(engine, rep.radii)
     is_slice = bool(
         np.max(np.abs(rep.radii - mean_rho)) < SLICE_TOL_FACTOR * warping.r_bar
     )
@@ -203,10 +201,7 @@ def umbilicity_verdict(
     if not result.converged:
         raise ParameterError("the rigidity verdict needs a converged result")
     rep = result.surface.geometry()
-    engine = result.surface.engine
-    mean_r = float(np.sum(engine.area_weights * rep.radii)) / float(
-        np.sum(engine.area_weights * np.ones_like(rep.radii))
-    )
+    mean_r = _mean_radius(result.surface.engine, rep.radii)
     margin = float(ricci_gap_margin(ambient, mean_r))
     effective = margin if ambient.variant == "boundary" else abs(margin)
     radial, tangential = ricci_eigenvalues(ambient, mean_r)

@@ -26,7 +26,7 @@ from .errors import (
     ParameterError,
     WarpcmcError,
 )
-from .surface import GeometryReport, GraphSurface
+from .surface import GeometryReport, GraphSurface, shape_trace_deficit
 from .warping import WarpingFunction
 
 __all__ = [
@@ -190,22 +190,7 @@ def _full_geometry(warping, engine, points, orient=None):
 
     mean = (gam22 * ii11 - 2.0 * gam12 * ii12 + gam11 * ii22) / det
 
-    # shape operator in an orthonormal surface frame via the Cholesky
-    # congruence of the induced metric, as in the graph pipeline
-    l11 = np.sqrt(gam11)
-    l21 = gam12 / l11
-    l22 = np.sqrt(gam22 - l21 * l21)
-    ratio = l21 / l11
-    a11 = ii11 / l11
-    a12 = ii12 / l11
-    b11 = (ii12 - l21 * a11) / l22
-    b12 = (ii22 - l21 * a12) / l22
-    s11 = a11 / l11
-    s12 = (a12 - a11 * ratio) / l22
-    s21 = b11 / l11
-    s22 = (b12 - b11 * ratio) / l22
-    s12 = 0.5 * (s12 + s21)
-    deficit = np.sqrt(2.0 * (0.25 * (s11 - s22) ** 2 + s12 * s12))
+    _, deficit = shape_trace_deficit((gam11, gam12, gam22), (ii11, ii12, ii22))
 
     density = np.sqrt(det)
     report = GeometryReport(

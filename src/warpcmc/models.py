@@ -14,6 +14,12 @@ from omega by the chain rule:
 F has a square-root singularity at the horizon; the substitution
 s = s_floor + xi^2 removes it, leaving the smooth integrand
 2 xi / sqrt(omega(s_floor + xi^2)).
+
+F is tabulated once, at knots equally spaced in xi, and h is stored as a
+single quintic spline through the samples (F(xi_k), s_floor + xi_k^2).  That
+spline is the only representation of h: the jet evaluates it for s and takes
+the derivatives from omega.  ``distance_of_area_radius`` integrates F afresh
+and serves as an independent check of the spline.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator, make_interp_spline
+from scipy.interpolate import make_interp_spline
 from scipy.optimize import brentq
 from scipy.special import roots_legendre
 
@@ -280,15 +286,35 @@ def load_omega_table(path, n: int, s_max: float | None = None) -> OmegaProfile:
 # omega -> warping transformation
 
 
-def _panel_nodes(a: float, b: float, panels: int, points: int):
-    """Composite Gauss-Legendre nodes/weights on [a, b]."""
-    x, wts = roots_legendre(points)
-    edges = np.linspace(a, b, panels + 1)
+# Gauss-Legendre points per arc-length panel
+PANEL_POINTS = 32
+# knot intervals per omega call while F is tabulated; bounds the size of the
+# temporaries a single omega evaluation allocates
+PANEL_BLOCK = 64
+
+
+def _panel_nodes(edges):
+    """Gauss-Legendre nodes/weights between consecutive edges, one row per panel."""
+    x, wts = roots_legendre(PANEL_POINTS)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
-    nodes = mid[:, None] + half[:, None] * x[None, :]
-    weights = half[:, None] * wts[None, :]
-    return nodes.ravel(), weights.ravel()
+    return mid[:, None] + half[:, None] * x, half[:, None] * wts
+
+
+def _xi_integrand(profile: OmegaProfile, xi):
+    """Integrand 2 xi / sqrt(omega(s_floor + xi^2)) of F in the variable xi.
+
+    The stored floor is declared to be the horizon; subtracting the roundoff
+    residual of omega there keeps the square root from going through zero a
+    hair early or late.  At xi = 0 the integrand takes its limit
+    2 / sqrt(omega'(s_floor)).
+    """
+    w0, w1, _ = profile.omega(np.asarray(profile.s_floor))
+    xi = np.asarray(xi, dtype=float)
+    om = np.maximum(profile.omega(profile.s_floor + xi * xi)[0] - float(w0), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = 2.0 * xi / np.sqrt(om)
+    return np.where(xi == 0.0, 2.0 / math.sqrt(float(w1)), out)
 
 
 @dataclass(frozen=True)
@@ -296,131 +322,81 @@ class OmegaBackedWarping(WarpingFunction):
     """Warping profile obtained from a horizon profile by arc-length change.
 
     Adds the two directions of the coordinate change: ``distance_of_area_radius``
-    is the arc-length integral F, accurate to quadrature precision, and
-    ``area_radius_of_distance`` inverts it through the spline plus Newton
-    refinement (this inverse is what ``jet`` uses internally).
+    is the arc-length integral F by direct quadrature, independent of the
+    stored spline, and ``area_radius_of_distance`` is the stored quintic
+    spline of s = h(r), the same lookup ``jet`` makes.
     """
 
     profile: OmegaProfile = None
-    _panel_points: int = 32
+    _h_spline: Callable[[np.ndarray], np.ndarray] = None
 
     def distance_of_area_radius(self, s):
         """F(s): arc length from the horizon to area radius s, by direct quadrature."""
+        prof = self.profile
         arr = np.asarray(s, dtype=float)
-        if arr.size and (arr.min() < self.profile.s_floor * (1 - 1e-12) or arr.max() > self.profile.s_max * (1 + 1e-12)):
+        if arr.size and (arr.min() < prof.s_floor * (1 - 1e-12) or arr.max() > prof.s_max * (1 + 1e-12)):
             raise DomainError("area radius outside [s_floor, s_max]")
-        out = np.empty(arr.shape, dtype=float)
-        flat = arr.ravel()
+        xi_panel = max(math.sqrt(prof.s_max - prof.s_floor) / 256.0, 1e-12)
+        out = np.zeros(arr.shape, dtype=float)
         res = out.ravel()
-        for i, si in enumerate(flat):
-            xi = math.sqrt(max(si - self.profile.s_floor, 0.0))
-            res[i] = self._integral_to(xi)
+        for i, si in enumerate(arr.ravel()):
+            xi = math.sqrt(max(si - prof.s_floor, 0.0))
+            if xi > 0.0:
+                panels = max(4, int(math.ceil(xi / xi_panel)))
+                nodes, weights = _panel_nodes(np.linspace(0.0, xi, panels + 1))
+                res[i] = np.sum(weights * _xi_integrand(prof, nodes))
         return float(out) if np.ndim(s) == 0 else out
 
-    def _integrand(self, xi):
-        s = self.profile.s_floor + xi * xi
-        # the stored floor is declared to be the horizon; subtracting the
-        # roundoff residual of omega there keeps the square root from going
-        # through zero a hair early or late
-        om = np.maximum(self.profile.omega(s)[0] - self._omega_shift, 0.0)
-        val = 2.0 * xi / np.sqrt(om)
-        if np.ndim(val):
-            at_zero = xi == 0.0
-            if np.any(at_zero):
-                w1 = self.profile.omega(np.asarray(self.profile.s_floor))[1]
-                val = np.where(at_zero, 2.0 / math.sqrt(float(w1)), val)
-        return val
-
-    def _integral_to(self, xi_top):
-        if xi_top <= 0.0:
-            return 0.0
-        panels = max(4, int(math.ceil(xi_top / self._xi_panel)))
-        nodes, weights = _panel_nodes(0.0, xi_top, panels, self._panel_points)
-        return float(np.sum(weights * self._integrand(nodes)))
-
     def area_radius_of_distance(self, r):
-        """Inverse of F, via the stored spline with Newton refinement."""
+        """Inverse of F: the stored spline of s = h(r)."""
         arr = np.asarray(r, dtype=float)
         if arr.size and (arr.min() < -1e-14 or arr.max() > self.r_bar * (1 + 1e-12)):
             raise DomainError(f"distance outside [0, {self.r_bar}]")
-        xi = np.clip(self._xi_guess(np.clip(arr, 0.0, self.r_bar)), 0.0, self._xi_top)
-        for _ in range(6):
-            val = self._f_spline(xi) - np.clip(arr, 0.0, self.r_bar)
-            der = self._f_deriv(xi)
-            step = val / np.where(der > 0, der, 1.0)
-            xi = np.clip(xi - step, 0.0, self._xi_top)
-            if np.max(np.abs(val)) < 1e-14 * max(self.r_bar, 1.0):
-                break
-        s = self.profile.s_floor + xi * xi
+        s = self._h_spline(np.clip(arr, 0.0, self.r_bar))
         return float(s) if np.ndim(r) == 0 else s
 
 
-def omega_to_warping(
-    profile: OmegaProfile, knots: int = 2048, panel_points: int = 32
-) -> OmegaBackedWarping:
+def omega_to_warping(profile: OmegaProfile, knots: int = 2048) -> OmegaBackedWarping:
     """Build the warped-form profile h from a horizon profile omega.
 
-    The arc length F is accumulated over the desingularized variable
-    xi = sqrt(s - s_floor) with composite Gauss-Legendre panels, stored as a
-    clamped cubic spline on ``knots`` points, and inverted by Newton steps on
-    that spline.  Jets then come from the exact chain-rule relations, so the
-    spline only ever enters through the r -> s lookup.
+    The arc length F is tabulated on ``knots`` points equally spaced in the
+    desingularized variable xi = sqrt(s - s_floor), one composite
+    Gauss-Legendre panel per knot interval.  The pairs (F(xi_k), s_floor +
+    xi_k^2) are samples of s = h(r), and a quintic spline through them is the
+    one stored representation of h.  Jets then come from the exact
+    chain-rule relations, so the spline only ever enters through the r -> s
+    lookup.
     """
     if knots < 64:
         raise ParameterError("need at least 64 knots")
-    xi_top = math.sqrt(profile.s_max - profile.s_floor)
-    xi_knots = np.linspace(0.0, xi_top, knots)
+    xi_knots = np.linspace(0.0, math.sqrt(profile.s_max - profile.s_floor), knots)
+    panel_sums = []
+    for lo in range(0, knots - 1, PANEL_BLOCK):
+        nodes, weights = _panel_nodes(xi_knots[lo : lo + PANEL_BLOCK + 1])
+        panel_sums.append(np.sum(weights * _xi_integrand(profile, nodes), axis=1))
+    f_vals = np.concatenate(([0.0], np.cumsum(np.concatenate(panel_sums))))
+    h_spline = make_interp_spline(f_vals, profile.s_floor + xi_knots * xi_knots, k=5)
     # roundoff residual of omega at the declared horizon; absorbing it makes
     # h'(0) exactly zero instead of sqrt(residual) ~ 1e-8
     omega_shift = float(np.asarray(profile.omega(np.asarray(profile.s_floor))[0]))
 
-    # integrand of F in the xi variable
-    def g(xi):
-        s = profile.s_floor + xi * xi
-        om = np.maximum(profile.omega(s)[0] - omega_shift, 0.0)
-        xi_arr = np.asarray(xi, dtype=float)
-        zero = xi_arr == 0.0
-        w1_floor = float(np.asarray(profile.omega(np.asarray(profile.s_floor))[1]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = 2.0 * xi_arr / np.sqrt(om)
-        out = np.where(zero, 2.0 / math.sqrt(w1_floor), out)
-        return out
-
-    x_gl, w_gl = roots_legendre(panel_points)
-    f_vals = np.zeros(knots)
-    for k in range(knots - 1):
-        a, b = xi_knots[k], xi_knots[k + 1]
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        f_vals[k + 1] = f_vals[k] + half * np.sum(w_gl * g(mid + half * x_gl))
-
-    f_spline = CubicSpline(xi_knots, f_vals, bc_type=((1, float(g(0.0))), (1, float(g(xi_top)))))
-    f_deriv = f_spline.derivative()
-    inverse_guess = PchipInterpolator(f_vals, xi_knots)
-
-    r_bar = float(f_vals[-1])
-
-    def omega_jet(s):
+    def jet(r):
+        s = h_spline(r)
         om, om1, om2 = profile.omega(s)
         sq = np.sqrt(np.maximum(om - omega_shift, 0.0))
         return s, sq, 0.5 * om1, 0.5 * om2 * sq
-
-    holder = {}
-
-    def jet(r):
-        s = holder["self"].area_radius_of_distance(r)
-        return omega_jet(np.asarray(s, dtype=float))
 
     defect = None
     if profile.one_minus_omega is not None:
 
         def defect(r):
-            s = np.asarray(holder["self"].area_radius_of_distance(r), dtype=float)
+            s = h_spline(r)
             return profile.one_minus_omega(s) / (s * s)
 
-    w = OmegaBackedWarping(
+    return OmegaBackedWarping(
         name=profile.name,
         dim=profile.dim,
-        r_bar=r_bar,
+        r_bar=float(f_vals[-1]),
         rho=1.0,
         variant="boundary",
         kind=profile.kind,
@@ -428,18 +404,8 @@ def omega_to_warping(
         params=dict(profile.params),
         _defect=defect,
         profile=profile,
-        _panel_points=panel_points,
+        _h_spline=h_spline,
     )
-    holder["self"] = w
-    # spline machinery is attached after construction; the dataclass is
-    # frozen, so go through object.__setattr__ once here
-    object.__setattr__(w, "_f_spline", f_spline)
-    object.__setattr__(w, "_f_deriv", f_deriv)
-    object.__setattr__(w, "_xi_guess", inverse_guess)
-    object.__setattr__(w, "_xi_top", xi_top)
-    object.__setattr__(w, "_xi_panel", max(xi_top / 256.0, 1e-12))
-    object.__setattr__(w, "_omega_shift", omega_shift)
-    return w
 
 
 # ---------------------------------------------------------------------------

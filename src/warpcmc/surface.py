@@ -64,6 +64,32 @@ class GeometryReport:
     second_form: tuple
 
 
+def shape_trace_deficit(metric, second_form):
+    """Trace and umbilicity deficit of the shape operator of a 2-surface.
+
+    ``metric`` and ``second_form`` are the (11, 12, 22) components in any
+    parametrization.  The shape operator is taken to an orthonormal frame of
+    the induced metric through the Cholesky factor of the 2x2 metric; the
+    deficit is the Frobenius norm of its trace-free part.
+    """
+    g11, g12, g22 = metric
+    ii11, ii12, ii22 = second_form
+    l11 = np.sqrt(g11)
+    l21 = g12 / l11
+    l22 = np.sqrt(g22 - l21 * l21)
+    ratio = l21 / l11
+    a11 = ii11 / l11
+    a12 = ii12 / l11
+    b11 = (ii12 - l21 * a11) / l22
+    b12 = (ii22 - l21 * a12) / l22
+    s11 = a11 / l11
+    s12 = (a12 - a11 * ratio) / l22
+    s21 = b11 / l11
+    s22 = (b12 - b11 * ratio) / l22
+    s12 = 0.5 * (s12 + s21)
+    return s11 + s22, np.sqrt(2.0 * (0.25 * (s11 - s22) ** 2 + s12 * s12))
+
+
 class GraphSurface:
     """Radial graph rho over the parameter sphere of a warped ambient."""
 
@@ -113,23 +139,7 @@ class GraphSurface:
         g11 = r1 * r1 + h * h
         g12 = r1 * r2
         g22 = r2 * r2 + h * h
-        # shape operator in an orthonormal frame of the induced metric,
-        # via the Cholesky factor of the 2x2 metric
-        l11 = np.sqrt(g11)
-        l21 = g12 / l11
-        l22 = np.sqrt(g22 - l21 * l21)
-        ratio = l21 / l11
-        a11 = ii11 / l11
-        a12 = ii12 / l11
-        b11 = (ii12 - l21 * a11) / l22
-        b12 = (ii22 - l21 * a12) / l22
-        s11 = a11 / l11
-        s12 = (a12 - a11 * ratio) / l22
-        s21 = b11 / l11
-        s22 = (b12 - b11 * ratio) / l22
-        s12 = 0.5 * (s12 + s21)
-        mean = s11 + s22
-        deficit = np.sqrt(2.0 * (0.25 * (s11 - s22) ** 2 + s12 * s12))
+        mean, deficit = shape_trace_deficit((g11, g12, g22), (ii11, ii12, ii22))
         density = h * h * w
         return GeometryReport(
             mode="full",

@@ -139,3 +139,18 @@ def test_smaller_step_still_converges(schw3):
     assert slow.converged
     assert slow.iterations > fast.iterations
     assert slow.mean_H == pytest.approx(fast.mean_H, rel=1e-6)
+
+
+def test_unreachable_volume_stops_the_solve(schw3):
+    # a target above the weighted volume of the whole chart leaves the
+    # uniform-shift Newton projection nothing to converge to
+    surface = perturb_slice(schw3, axisym_grid(3, 32), 2.0, [(2, 0, 0.05)])
+    n = schw3.dim
+    h0, h_top = schw3.jet(0.0)[0], schw3.jet(schw3.r_bar)[0]
+    chart_volume = float(np.sum(surface.engine.area_weights)) * (h_top**n - h0**n) / n
+    surface.enclosed_weighted_volume = lambda: 2.0 * chart_volume
+    result = find_cmc(surface)
+    assert not result.converged
+    assert result.reason == "volume projection did not converge"
+    assert result.iterations == 1
+    assert result.surface is surface
