@@ -122,17 +122,10 @@ def _full_geometry(warping, engine, points, orient=None):
     orientation consistent once the surface is no longer a graph.
     Returns the report plus the normal components needed by callers.
     """
-    r_nodes = points[..., 0]
-    y_nodes = points[..., 1:4]
-
-    rr, r1, r2, dr11, dr12, dr22 = engine.on_frame_jet(r_nodes)
-    comp = [engine.on_frame_jet(y_nodes[..., c]) for c in range(3)]
-    y = np.stack([c[0] for c in comp], axis=-1)
-    y1 = np.stack([c[1] for c in comp], axis=-1)
-    y2 = np.stack([c[2] for c in comp], axis=-1)
-    d11 = np.stack([c[3] for c in comp], axis=-1)
-    d12 = np.stack([c[4] for c in comp], axis=-1)
-    d22 = np.stack([c[5] for c in comp], axis=-1)
+    # one frame jet of the stack (r, y0, y1, y2); y components stay on the last axis
+    jet = engine.on_frame_jet(np.moveaxis(points, -1, 0))
+    rr, r1, r2, dr11, dr12, dr22 = (out[0] for out in jet)
+    y, y1, y2, d11, d12, d22 = (np.moveaxis(out[1:], 0, -1) for out in jet)
 
     h, hp, _, _ = warping.jet(rr)
 
@@ -213,13 +206,10 @@ def _full_geometry(warping, engine, points, orient=None):
 def _axisym_geometry(warping, engine, points, orient=None):
     """Geometry of a meridian-parametrized axisymmetric surface (r, beta)."""
     n = warping.dim
-    r_nodes = points[..., 0]
-    beta = points[..., 1]
-
-    rr, r1, r11, _ = engine.on_frame_jet(r_nodes)
     # beta itself is not smooth across the poles in the polynomial basis,
     # but cos(beta) is, and the angle derivatives recover from it exactly
-    cc, c1, c11, _ = engine.on_frame_jet(np.cos(beta))
+    fields = np.stack([points[..., 0], np.cos(points[..., 1])])
+    (rr, cc), (r1, c1), (r11, c11), _ = engine.on_frame_jet(fields)
     cc = np.clip(cc, -1.0, 1.0)
     sin_b = np.sqrt(np.maximum(1.0 - cc * cc, 1e-300))
     b1 = -c1 / sin_b

@@ -10,6 +10,10 @@ Both expose the same small surface: analysis and synthesis, quadrature
 that integrates over the whole round sphere, per-degree spectral
 filtering, and the orthonormal-frame jet (values, first derivatives,
 covariant Hessian) that the surface geometry assembles curvature from.
+Each engine keeps one real table of the basis functions and their first
+two theta-derivatives, and every transform takes a stack of fields on a
+leading axis, so a frame jet of several fields is one real matrix
+product per order m (full) or per field (axisymmetric).
 """
 
 from __future__ import annotations
@@ -27,13 +31,26 @@ __all__ = [
     "AxisymEngine",
     "get_engine",
     "COEFFICIENT_FLOOR",
+    "TABLE_BUDGET_BYTES",
 ]
 
 # Analysis coefficients below this fraction of the spectral peak are
 # quadrature roundoff, not signal.  The second-derivative tables grow like
 # degree^4 near the poles and would amplify that roundoff by up to 1e6, so
-# the frame-jet transforms drop such coefficients before synthesis.
+# the frame-jet transforms drop such coefficients before synthesis.  Each
+# field of a stack is floored against its own peak.
 COEFFICIENT_FLOOR = 1e-12
+
+# get_engine refuses larger tables before allocating: this admits the
+# axisymmetric engine at every CLI grid size, the full one to ~280 latitudes.
+TABLE_BUDGET_BYTES = 512 * 2**20
+
+
+def _floor_coefficients(coeff: np.ndarray, axes) -> np.ndarray:
+    """Zero each field's coefficients below COEFFICIENT_FLOOR of its own peak."""
+    magnitude = np.abs(coeff)
+    peak = magnitude.max(axis=axes, keepdims=True)
+    return np.where(magnitude < COEFFICIENT_FLOOR * peak, 0.0, coeff)
 
 
 class SphericalHarmonicEngine:
@@ -45,6 +62,9 @@ class SphericalHarmonicEngine:
     (no Condon-Shortley phase), and the associated Legendre tables carry
     first and second theta-derivatives so covariant Hessians need no
     finite differencing.
+
+    Grids are (nlat, nlon) and coefficients a[l, m] (lmax+1, lmax+1),
+    or stacks of them on one leading axis.
     """
 
     kind = "full"
@@ -68,51 +88,66 @@ class SphericalHarmonicEngine:
         self._build_tables()
 
     def _build_tables(self):
+        """T[k, m, l, i]: k-th theta-derivative of P_l^m at latitude i (0 for l < m)."""
         L = self.lmax
-        nlat = self.nlat
         x, s = self.x, self.sin_theta
-        P = np.zeros((L + 1, L + 1, nlat))
-        P[0, 0] = math.sqrt(1.0 / (4.0 * math.pi))
-        for m in range(1, L + 1):
-            P[m, m] = math.sqrt((2 * m + 1) / (2.0 * m)) * s * P[m - 1, m - 1]
+        T = np.zeros((3, L + 1, L + 1, self.nlat))
+        l = np.arange(L + 1)
+        pmm = np.full(self.nlat, math.sqrt(1.0 / (4.0 * math.pi)))
         for m in range(L + 1):
+            P, dP, d2P = T[:, m]
+            if m > 0:
+                pmm = math.sqrt((2 * m + 1) / (2.0 * m)) * s * pmm
+            P[m] = pmm
             if m + 1 <= L:
-                P[m + 1, m] = math.sqrt(2 * m + 3) * x * P[m, m]
-            for l in range(m + 2, L + 1):
-                a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-                b = math.sqrt(
-                    (2.0 * l + 1.0)
-                    / (2.0 * l - 3.0)
-                    * ((l - 1.0) ** 2 - m * m)
-                    / (l * l - m * m)
-                )
-                P[l, m] = a * x * P[l - 1, m] - b * P[l - 2, m]
-        dP = np.zeros_like(P)
-        for m in range(L + 1):
-            for l in range(m, L + 1):
-                c = math.sqrt((2.0 * l + 1.0) * (l * l - m * m) / (2.0 * l - 1.0)) if l > 0 else 0.0
-                low = P[l - 1, m] if l - 1 >= m else 0.0
-                dP[l, m] = (l * x * P[l, m] - c * low) / s
-        ll = np.arange(L + 1, dtype=float)[:, None, None]
-        mm = np.arange(L + 1, dtype=float)[None, :, None]
-        # second derivative from the defining ODE
-        d2P = -self.cot_theta * dP - (ll * (ll + 1.0) - mm * mm / (s * s)) * P
-        tri = mm[0] <= ll[:, :, 0][..., None]  # enforce m <= l
-        self._tables = (P, dP, d2P * tri)
+                P[m + 1] = math.sqrt(2 * m + 3) * x * P[m]
+            for k in range(m + 2, L + 1):
+                a = math.sqrt((4.0 * k * k - 1.0) / (k * k - m * m))
+                b = (2.0 * k + 1.0) / (2.0 * k - 3.0) * ((k - 1.0) ** 2 - m * m)
+                b = math.sqrt(b / (k * k - m * m))
+                P[k] = a * x * P[k - 1] - b * P[k - 2]
+            lm = l[m:, None]
+            c = np.sqrt((2.0 * lm + 1.0) * (lm * lm - m * m) / (2.0 * lm - 1.0))
+            below = np.vstack([np.zeros(self.nlat), P[m:L]])  # P_{l-1}^m, zero at l = m
+            dP[m:] = (lm * x * P[m:] - c * below) / s
+            # second derivative from the defining ODE
+            d2P[m:] = -self.cot_theta * dP[m:] - (lm * (lm + 1.0) - m * m / (s * s)) * P[m:]
+        self._tables = T
         self.degrees = np.arange(L + 1)
 
     # -- transforms ----------------------------------------------------
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
-        """Expansion coefficients a[l, m] of a real grid function."""
+        """Expansion coefficients a[l, m] of a real grid function or a stack of them."""
         values = np.asarray(values, dtype=float)
-        if values.shape != (self.nlat, self.nlon):
-            raise ParameterError(f"grid shape must be {(self.nlat, self.nlon)}")
-        fm = np.fft.rfft(values, axis=1)[:, : self.lmax + 1]
-        P = self._tables[0]
-        return (2.0 * math.pi / self.nlon) * np.einsum(
-            "lmi,im->lm", P, self.w[:, None] * fm
-        )
+        if values.ndim not in (2, 3) or values.shape[-2:] != (self.nlat, self.nlon):
+            raise ParameterError(f"grid shape must be {(self.nlat, self.nlon)} or a stack of it")
+        stack = values.reshape(-1, self.nlat, self.nlon)
+        fm = self.w[:, None] * np.fft.rfft(stack, axis=-1)[..., : self.lmax + 1]
+        # columns (m, latitude, re of every field then im of every field)
+        X = np.ascontiguousarray(np.concatenate([fm.real, fm.imag]).transpose(2, 1, 0))
+        a = (2.0 * math.pi / self.nlon) * np.matmul(self._tables[0], X)
+        K = stack.shape[0]
+        alm = (a[..., :K] + 1j * a[..., K:]).transpose(2, 1, 0)
+        return alm.reshape(values.shape[:-2] + alm.shape[1:])
+
+    def _legendre_sums(self, alm: np.ndarray, tables: np.ndarray) -> np.ndarray:
+        """nlon * sum_l T[m, l, i] a[l, m] per table, as (..., m, i, re of each field | im)."""
+        stack = np.asarray(alm, dtype=complex).reshape(-1, self.lmax + 1, self.lmax + 1)
+        B = np.ascontiguousarray(np.concatenate([stack.real, stack.imag]).transpose(2, 1, 0))
+        g = np.matmul(np.swapaxes(tables, -1, -2), B)
+        g *= self.nlon
+        return g
+
+    def _grid(self, g: np.ndarray, dphi: int) -> np.ndarray:
+        """Grid values (K, nlat, nlon) from Legendre sums, times (i m)^dphi."""
+        K = g.shape[-1] // 2
+        gm = g[..., :K] + 1j * g[..., K:]
+        if dphi:
+            gm = gm * (1j * np.arange(self.lmax + 1)[:, None, None]) ** dphi
+        spec = np.zeros((K, self.nlat, self.nlon // 2 + 1), dtype=complex)
+        spec[..., : self.lmax + 1] = gm.transpose(2, 1, 0)
+        return np.fft.irfft(spec, n=self.nlon, axis=-1)
 
     def synthesize(self, alm: np.ndarray, dtheta: int = 0, dphi: int = 0) -> np.ndarray:
         """Grid values of sum a_lm Y_lm, optionally differentiated.
@@ -120,14 +155,10 @@ class SphericalHarmonicEngine:
         ``dtheta`` selects the Legendre table (0, 1, or 2 derivatives in
         theta); ``dphi`` multiplies coefficients by (i m)^dphi.
         """
-        table = self._tables[dtheta]
-        coeff = np.asarray(alm, dtype=complex)
-        if dphi:
-            coeff = coeff * (1j * np.arange(self.lmax + 1)[None, :]) ** dphi
-        gm = np.einsum("lmi,lm->im", table, coeff)
-        spec = np.zeros((self.nlat, self.nlon // 2 + 1), dtype=complex)
-        spec[:, : self.lmax + 1] = gm * self.nlon
-        return np.fft.irfft(spec, n=self.nlon, axis=1)
+        if dtheta not in (0, 1, 2):
+            raise ParameterError("dtheta must be 0, 1 or 2")
+        grid = self._grid(self._legendre_sums(alm, self._tables[dtheta]), dphi)
+        return grid.reshape(np.shape(alm)[:-2] + grid.shape[1:])
 
     def filter_degrees(self, values: np.ndarray, factor: np.ndarray) -> np.ndarray:
         """Apply a per-degree multiplier in coefficient space."""
@@ -164,25 +195,23 @@ class SphericalHarmonicEngine:
 
         Returns (f, f1, f2, h11, h12, h22) where the frame is the unit
         theta and phi directions and h is the covariant Hessian of the
-        round metric in that frame.  Coefficients below the floor are
-        dropped (see COEFFICIENT_FLOOR).
+        round metric in that frame.  ``values`` is one grid (nlat, nlon)
+        or a stack (K, nlat, nlon) on a leading axis, and each output has
+        its shape.  Each field drops the coefficients below the floor of
+        its own peak (see COEFFICIENT_FLOOR).  One product covers the
+        three theta tables; phi derivatives scale by (i m)^k after it.
         """
-        alm = self.analyze(values)
-        alm = np.where(np.abs(alm) < COEFFICIENT_FLOOR * np.max(np.abs(alm)), 0.0, alm)
-        f = self.synthesize(alm)
-        ft = self.synthesize(alm, dtheta=1)
-        fp = self.synthesize(alm, dphi=1)
-        ftt = self.synthesize(alm, dtheta=2)
-        ftp = self.synthesize(alm, dtheta=1, dphi=1)
-        fpp = self.synthesize(alm, dphi=2)
+        alm = _floor_coefficients(self.analyze(values), (-2, -1))
+        g, gt, gtt = self._legendre_sums(alm, self._tables)
+        f, ft, fp, ftt, ftp, fpp = (
+            self._grid(sums, dphi)
+            for sums, dphi in ((g, 0), (gt, 0), (g, 1), (gtt, 0), (gt, 1), (g, 2))
+        )
         s = self.sin_theta[:, None]
         cot = self.cot_theta[:, None]
-        f1 = ft
-        f2 = fp / s
-        h11 = ftt
         h12 = (ftp - cot * fp) / s
         h22 = fpp / (s * s) + cot * ft
-        return f, f1, f2, h11, h12, h22
+        return tuple(out.reshape(np.shape(values)) for out in (f, ft, fp / s, ftt, h12, h22))
 
 
 class AxisymEngine:
@@ -194,6 +223,9 @@ class AxisymEngine:
     round measure.  Basis functions are Gegenbauer polynomials in
     cos(theta) normalized against that measure; in ambient dimension 3
     they reduce to the zonal spherical harmonics.
+
+    Grids are (npoints,) and coefficients (lmax + 1,), or stacks of
+    them on one leading axis.
     """
 
     kind = "axisym"
@@ -220,11 +252,9 @@ class AxisymEngine:
 
     def _gegenbauer_rows(self, lam: float, count: int) -> np.ndarray:
         """Unnormalized C_l^lam(x) for l = 0..count-1 by recurrence."""
-        rows = np.zeros((max(count, 1), self.npoints))
-        if count >= 1:
-            rows[0] = 1.0
-        if count >= 2:
-            rows[1] = 2.0 * lam * self.x
+        rows = np.zeros((count, self.npoints))  # count >= 6 at 8 or more nodes
+        rows[0] = 1.0
+        rows[1] = 2.0 * lam * self.x
         for l in range(2, count):
             rows[l] = (
                 2.0 * self.x * (l + lam - 1.0) * rows[l - 1]
@@ -233,16 +263,13 @@ class AxisymEngine:
         return rows
 
     def _build_tables(self):
+        """T[k, l, i]: k-th derivative in x = cos(theta) of G_l at node i."""
         L = self.lmax
         lam = 0.5 * (self.dim - 2)
-        C0 = self._gegenbauer_rows(lam, L + 1)
-        C1 = self._gegenbauer_rows(lam + 1.0, L)
-        C2 = self._gegenbauer_rows(lam + 2.0, max(L - 1, 0))
-        dC = np.zeros_like(C0)
-        d2C = np.zeros_like(C0)
-        dC[1:] = 2.0 * lam * C1[: L]
-        if L >= 2:
-            d2C[2:] = 4.0 * lam * (lam + 1.0) * C2[: L - 1]
+        T = np.zeros((3, L + 1, self.npoints))
+        T[0] = self._gegenbauer_rows(lam, L + 1)
+        T[1, 1:] = 2.0 * lam * self._gegenbauer_rows(lam + 1.0, L)
+        T[2, 2:] = 4.0 * lam * (lam + 1.0) * self._gegenbauer_rows(lam + 2.0, L - 1)
         l = np.arange(L + 1, dtype=float)
         log_norm = (
             math.log(math.pi)
@@ -252,29 +279,39 @@ class AxisymEngine:
             - np.log(l + lam)
             - 2.0 * gammaln(lam)
         )
-        scale = 1.0 / np.sqrt(self.transverse_volume * np.exp(log_norm))
-        self._tables = (scale[:, None] * C0, scale[:, None] * dC, scale[:, None] * d2C)
+        T *= 1.0 / np.sqrt(self.transverse_volume * np.exp(log_norm))[:, None]
+        self._tables = T
         self.degrees = np.arange(L + 1)
 
     # -- transforms ----------------------------------------------------
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)
-        if values.shape != (self.npoints,):
-            raise ParameterError(f"grid shape must be {(self.npoints,)}")
-        return self._tables[0] @ (self.area_weights * values)
+        if values.ndim not in (1, 2) or values.shape[-1] != self.npoints:
+            raise ParameterError(f"grid shape must be {(self.npoints,)} or a stack of it")
+        return np.matmul(self._tables[0], (self.area_weights * values)[..., None])[..., 0]
+
+    def _theta_jet(self, coeff: np.ndarray, order: int) -> list:
+        """f and its theta-derivatives up to ``order`` from one product with the table.
+
+        Each field is its own vector-matrix product, so it gives the same
+        bits alone as inside a stack.
+        """
+        coeff = np.asarray(coeff, dtype=float)
+        sums = np.matmul(coeff[..., None, None, :], self._tables[: order + 1])
+        sums = sums[..., 0, :].swapaxes(0, -2)  # (derivative, [field,] node)
+        jet = [sums[0]]
+        if order >= 1:
+            jet.append(-self.sin_theta * sums[1])
+        if order >= 2:
+            jet.append(-self.x * sums[1] + self.sin_theta**2 * sums[2])
+        return jet
 
     def synthesize(self, coeff: np.ndarray, dtheta: int = 0) -> np.ndarray:
         """Grid values of sum c_l G_l(cos theta), optionally d/dtheta."""
-        G, dG, d2G = self._tables
-        coeff = np.asarray(coeff, dtype=float)
-        if dtheta == 0:
-            return coeff @ G
-        if dtheta == 1:
-            return -self.sin_theta * (coeff @ dG)
-        if dtheta == 2:
-            return -self.x * (coeff @ dG) + self.sin_theta**2 * (coeff @ d2G)
-        raise ParameterError("dtheta must be 0, 1 or 2")
+        if dtheta not in (0, 1, 2):
+            raise ParameterError("dtheta must be 0, 1 or 2")
+        return self._theta_jet(coeff, dtheta)[dtheta]
 
     def filter_degrees(self, values: np.ndarray, factor: np.ndarray) -> np.ndarray:
         return self.synthesize(self.analyze(values) * np.asarray(factor, dtype=float))
@@ -299,16 +336,13 @@ class AxisymEngine:
 
         Returns (f, f1, h11, htr) where f1 = df/dtheta, h11 is the
         meridian Hessian component and htr = cot(theta) df/dtheta the
-        common transverse component.  Coefficients below the floor are
-        dropped (see COEFFICIENT_FLOOR).
+        common transverse component.  ``values`` is one grid (npoints,)
+        or a stack (K, npoints) on a leading axis, and each output has
+        its shape.  Each field drops the coefficients below the floor of
+        its own peak (see COEFFICIENT_FLOOR).
         """
-        coeff = self.analyze(values)
-        coeff = np.where(
-            np.abs(coeff) < COEFFICIENT_FLOOR * np.max(np.abs(coeff)), 0.0, coeff
-        )
-        f = self.synthesize(coeff)
-        ft = self.synthesize(coeff, dtheta=1)
-        ftt = self.synthesize(coeff, dtheta=2)
+        coeff = _floor_coefficients(self.analyze(values), -1)
+        f, ft, ftt = self._theta_jet(coeff, 2)
         return f, ft, ftt, self.cot_theta * ft
 
 
@@ -316,15 +350,25 @@ _ENGINES: dict = {}
 
 
 def get_engine(kind: str, dim: int, size: int):
-    """Shared engine cache; tables are reused across surfaces."""
+    """Shared engine cache; tables are reused across surfaces.
+
+    Tables take 3 size^3 (full) or 3 size^2 (axisym) doubles; sizes over
+    TABLE_BUDGET_BYTES are refused before anything is allocated.
+    """
     key = (kind, int(dim), int(size))
     if key not in _ENGINES:
-        if kind == "full":
-            if dim != 3:
-                raise ParameterError("the full engine is implemented for ambient dimension 3")
-            _ENGINES[key] = SphericalHarmonicEngine(size)
-        elif kind == "axisym":
-            _ENGINES[key] = AxisymEngine(dim, size)
-        else:
+        if kind not in ("full", "axisym"):
             raise ParameterError(f"unknown engine kind {kind!r}")
+        if kind == "full" and dim != 3:
+            raise ParameterError("the full engine is implemented for ambient dimension 3")
+        need = 3 * int(size) ** (3 if kind == "full" else 2) * 8
+        if need > TABLE_BUDGET_BYTES:
+            raise ParameterError(
+                f"{kind} engine of size {size} needs {need} bytes of tables "
+                f"({need / 2**20:.0f} MiB), over the {TABLE_BUDGET_BYTES // 2**20} MiB budget"
+            )
+        if kind == "full":
+            _ENGINES[key] = SphericalHarmonicEngine(size)
+        else:
+            _ENGINES[key] = AxisymEngine(dim, size)
     return _ENGINES[key]

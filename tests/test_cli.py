@@ -59,6 +59,23 @@ def test_inadmissible_parameters_exit_2(tmp_path, capsys):
     assert "m > 2q > 0" in err
 
 
+def test_oversized_full_grid_exits_2_before_allocating(tmp_path, capsys, monkeypatch):
+    # full tables take 3 N^3 doubles: 1.6 TB at N = 4096; refused, never built
+    import warpcmc.spectral as spectral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("tables were allocated")
+
+    monkeypatch.setattr(spectral, "SphericalHarmonicEngine", refuse)
+    code, _, err = run(
+        ["flow", "--model", "schwarzschild", "--m", "1", "--grid-mode", "full",
+         "--grid-size", "4096", "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 2
+    assert str(3 * 4096**3 * 8) in err
+
+
 def test_failed_condition_exits_3(tmp_path, capsys):
     code, _, _ = run(
         ["check", "--model", "sphere", "--curvature", "1.0", "--r-bar", "2.5",

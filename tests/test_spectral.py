@@ -164,3 +164,62 @@ def test_engine_guards():
 def test_analyze_shape_guard(full):
     with pytest.raises(ParameterError):
         full.analyze(np.ones(full.nlat))
+
+
+# Magnitudes 1e-6 .. 1e6 on one stack: a coefficient floor taken over the
+# whole stack instead of per field would wipe out the small fields.
+STACK_SCALES = np.logspace(-6.0, 6.0, 5)
+
+
+def _assert_stack_matches_single_fields(engine, fields):
+    stacked = engine.on_frame_jet(fields)
+    for k, field in enumerate(fields):
+        for many, one in zip(stacked, engine.on_frame_jet(field)):
+            assert many[k].shape == one.shape
+            assert np.max(np.abs(many[k] - one)) <= 1e-13 * np.max(np.abs(one))
+
+
+def test_full_stacked_frame_jet_matches_single_fields(full):
+    rng = np.random.default_rng(41)
+    modes = ((0, 0), (2, 1), (5, -3), (9, 4), (14, -7))
+    fields = np.array([
+        scale * sum(rng.normal() * full.mode(l, m) for l, m in modes) for scale in STACK_SCALES
+    ])
+    _assert_stack_matches_single_fields(full, fields)
+
+
+def test_axisym_stacked_frame_jet_matches_single_fields(axi):
+    rng = np.random.default_rng(42)
+    fields = np.array([
+        scale * sum(rng.normal() * axi.mode(l) for l in (0, 2, 5, 11, 19)) for scale in STACK_SCALES
+    ])
+    _assert_stack_matches_single_fields(axi, fields)
+
+
+def test_stacked_transforms_keep_the_stack_axis(full, axi):
+    rng = np.random.default_rng(43)
+    grids = rng.normal(size=(3, full.nlat, full.nlon))
+    alm = full.analyze(grids)
+    assert alm.shape == (3, full.lmax + 1, full.lmax + 1)
+    for k in range(3):
+        one = full.analyze(grids[k])
+        assert np.max(np.abs(alm[k] - one)) <= 1e-13 * np.max(np.abs(one))
+    assert full.synthesize(alm, dtheta=1, dphi=1).shape == grids.shape
+    nodes = rng.normal(size=(2, axi.npoints))
+    coeff = axi.analyze(nodes)
+    assert coeff.shape == (2, axi.lmax + 1)
+    assert axi.synthesize(coeff, dtheta=2).shape == nodes.shape
+
+
+def test_table_budget_refuses_before_allocating(monkeypatch):
+    import warpcmc.spectral as spectral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("tables were allocated")
+
+    monkeypatch.setattr(spectral, "SphericalHarmonicEngine", refuse)
+    monkeypatch.setattr(spectral, "AxisymEngine", refuse)
+    for kind, dim, size, need in (("full", 3, 512, 3 * 512**3 * 8), ("axisym", 3, 8192, 3 * 8192**2 * 8)):
+        assert need > spectral.TABLE_BUDGET_BYTES
+        with pytest.raises(ParameterError, match=str(need)):
+            get_engine(kind, dim, size)
