@@ -57,7 +57,6 @@ DEFAULTS = {
     "cmc": {
         "tol": 1e-7,
         "max_iter": 2000,
-        "dt": None,
         "corpus": {"count": 0, "seed": 1, "amplitude": 0.05, "max_degree": 4},
     },
     "tolerances": {"condition": 1e-9, "minkowski": 1e-8, "heintze_karcher": 1e-6},
@@ -498,7 +497,6 @@ def cmd_cmc(cfg: dict) -> int:
             surface,
             cmc_tol=float(cfg["cmc"]["tol"]),
             max_iter=int(cfg["cmc"]["max_iter"]),
-            dt=None if cfg["cmc"]["dt"] is None else float(cfg["cmc"]["dt"]),
         )
         if result.converged:
             verdict = umbilicity_verdict(result, w)

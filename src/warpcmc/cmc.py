@@ -1,13 +1,18 @@
-"""Constant mean curvature surfaces by volume-preserving curvature flow.
+"""Constant mean curvature surfaces at fixed enclosed weighted volume.
 
-The solver drives a radial graph with normal speed H_bar - H, the
-area-weighted mean against the pointwise mean curvature.  Stationary
-points are exactly the CMC graphs.  Two ingredients keep the march
-desk-scale reliable: the update is damped per spectral degree, which
-removes the parabolic step-size ceiling without moving any fixed
-point, and a Newton line search along uniform radial shifts restores
-the enclosed weighted volume after every step, so the converged
-surface is comparable to the slice enclosing the same weighted volume.
+The solver moves a radial graph by a Newton step on H = H_bar, with the
+area-weighted mean H_bar as the Lagrange multiplier of the volume
+constraint.  Its Jacobian is the Jacobi operator of the slice at the
+current mean radius, which is diagonal in spherical degree:
+
+    h^2 lambda_l = l(l+n-2) - (n-1) h'^2 + (n-1) h h''
+                 = l(l+n-2) - (n-1) + (n-1) h^2 ricci_gap_margin.
+
+Degree 0 is left to a Newton line search along uniform radial shifts,
+which restores the enclosed weighted volume after every step.  Degree 1
+carries (n-1) h^2 times the Ricci gap margin, the quantity of the
+paper's rigidity argument; where that dimensionless gap vanishes (the
+translations of a space form) the step leaves degree 1 alone.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 from .surface import GraphSurface
-from .warping import WarpingFunction, ricci_eigenvalues, ricci_gap_margin
+from .warping import WarpingFunction, ricci_eigenvalues
 
 __all__ = [
     "CmcResult",
@@ -28,6 +33,10 @@ __all__ = [
 ]
 
 SLICE_TOL_FACTOR = 1e-5
+# a dimensionless Ricci gap h^2 * ricci_gap_margin at or below this is
+# degenerate: the slice Jacobi operator has the degree-1 kernel of the
+# space-form translations, and no umbilic solve certifies a slice
+GAP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,6 +70,16 @@ def _mean_radius(engine, radii) -> float:
     )
 
 
+def _scaled_gap(warping, r):
+    """h(r) and the dimensionless Ricci gap h(r)^2 ricci_gap_margin(r).
+
+    One jet call; the gap is assembled from h h'' and the family's
+    cancellation-free curvature defect, so it is exactly 0 in flat space.
+    """
+    h, _, hpp, _ = warping.jet(r)
+    return h, h * hpp + h * h * warping.curvature_defect(r)
+
+
 def _project_volume(warping, engine, rho, target):
     """Shift the graph uniformly until it encloses the target weighted volume.
 
@@ -86,15 +105,17 @@ def find_cmc(
     surface: GraphSurface,
     cmc_tol: float = 1e-7,
     max_iter: int = 2000,
-    dt: float | None = None,
 ) -> CmcResult:
-    """Flow a graph to a CMC surface at fixed enclosed weighted volume.
+    """Solve for a CMC graph enclosing the same weighted volume as ``surface``.
 
-    Stops when sup|H - H_bar| < cmc_tol or after max_iter iterations;
-    a graph that leaves the chart ends the run with converged = False
-    and the reason recorded.  The default step is 0.05 times the
-    squared mean warp radius, the scale on which the damped update is
-    a contraction for every built-in family.
+    Each iteration takes the Newton step delta_l = h^2 (H_bar - H)_l / mu_l
+    with the slice Jacobi eigenvalues mu_l at the area-weighted mean
+    radius (module docstring), degrees 0 and (for a degenerate gap) 1
+    excluded, and then restores the volume by a uniform shift.  Stops
+    when sup|H - H_bar| < cmc_tol or after max_iter iterations; a graph
+    that leaves the chart, a non-finite update or a failed volume
+    projection ends the run with converged = False and the reason
+    recorded.
     """
     if cmc_tol <= 0.0:
         raise ParameterError("cmc_tol must be positive")
@@ -113,7 +134,6 @@ def find_cmc(
     iterations = 0
 
     degrees = np.arange(engine.lmax + 1, dtype=float)
-    eigen = degrees * (degrees + n - 2)
 
     for iterations in range(1, max_iter + 1):
         rep = current.geometry()
@@ -125,15 +145,16 @@ def find_cmc(
             reason = "converged"
             break
 
-        h_scale = warping.jet(_mean_radius(engine, rep.radii))[0]
-        if dt is None:
-            dt_eff = 0.05 * h_scale * h_scale
-        else:
-            dt_eff = dt
+        h, gap = _scaled_gap(warping, _mean_radius(engine, rep.radii))
+        mu = degrees * (degrees + n - 2) - (n - 1) * (1.0 - gap)
+        # degree 0 is the volume projection's; degree 1 is left alone where
+        # a degenerate gap makes it the kernel of translations
+        factor = np.zeros_like(mu)
+        first = 1 if abs(gap) > GAP_TOL else 2
+        factor[first:] = h * h / mu[first:]
         # graph speed of a surface moving with normal speed H_bar - H
         w_factor = rep.area_density / rep.warp ** (n - 1)
-        delta = dt_eff * (h_bar - rep.mean_curvature) * w_factor
-        delta = engine.filter_degrees(delta, 1.0 / (1.0 + dt_eff * eigen / (h_scale * h_scale)))
+        delta = engine.filter_degrees((h_bar - rep.mean_curvature) * w_factor, factor)
         rho = rep.radii + delta
         if not np.all(np.isfinite(rho)):
             reason = "update diverged"
@@ -195,15 +216,19 @@ def umbilicity_verdict(
     result: CmcResult,
     ambient: WarpingFunction,
     deficit_tol: float = 1e-5,
-    gap_tol: float = 1e-9,
+    gap_tol: float = GAP_TOL,
 ) -> RigidityVerdict:
-    """Classify a converged CMC solve by the eigenvalue-gap dichotomy."""
+    """Classify a converged CMC solve by the eigenvalue-gap dichotomy.
+
+    The gap is judged scale-free, by h^2 ricci_gap_margin at the mean
+    radius against ``gap_tol``; ``gap_margin`` reports the raw margin.
+    """
     if not result.converged:
         raise ParameterError("the rigidity verdict needs a converged result")
     rep = result.surface.geometry()
     mean_r = _mean_radius(result.surface.engine, rep.radii)
-    margin = float(ricci_gap_margin(ambient, mean_r))
-    effective = margin if ambient.variant == "boundary" else abs(margin)
+    h, gap = _scaled_gap(ambient, mean_r)
+    effective = gap if ambient.variant == "boundary" else abs(gap)
     radial, tangential = ricci_eigenvalues(ambient, mean_r)
 
     umbilic = result.umbilicity_deficit < deficit_tol
@@ -220,7 +245,7 @@ def umbilicity_verdict(
         mean_radius=mean_r,
         deficit=result.umbilicity_deficit,
         is_slice=result.is_slice,
-        gap_margin=margin,
+        gap_margin=float(gap / (h * h)),
         ricci_radial=float(radial),
         ricci_tangential=float(tangential),
         alarm=alarm,

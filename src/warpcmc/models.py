@@ -306,15 +306,16 @@ def _xi_integrand(profile: OmegaProfile, xi):
 
     The stored floor is declared to be the horizon; subtracting the roundoff
     residual of omega there keeps the square root from going through zero a
-    hair early or late.  At xi = 0 the integrand takes its limit
-    2 / sqrt(omega'(s_floor)).
+    hair early or late.  At xi = 0, and wherever s_floor + xi^2 rounds so
+    close to s_floor that the shifted omega is 0, the integrand takes its
+    limit 2 / sqrt(omega'(s_floor)).
     """
     w0, w1, _ = profile.omega(np.asarray(profile.s_floor))
     xi = np.asarray(xi, dtype=float)
     om = np.maximum(profile.omega(profile.s_floor + xi * xi)[0] - float(w0), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = 2.0 * xi / np.sqrt(om)
-    return np.where(xi == 0.0, 2.0 / math.sqrt(float(w1)), out)
+    return np.where(om > 0.0, out, 2.0 / math.sqrt(float(w1)))
 
 
 @dataclass(frozen=True)

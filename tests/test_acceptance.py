@@ -364,6 +364,7 @@ def test_criterion_9_cmc_corpus():
         alarms = 0
         worst_resid = 0.0
         worst_deficit = 0.0
+        most_iterations = 0
         for w in ambients:
             for _ in range(3):
                 radius = float(rng.uniform(0.35, 0.7)) * w.r_bar
@@ -380,6 +381,7 @@ def test_criterion_9_cmc_corpus():
                 alarms += int(umbilicity_verdict(result, w).alarm)
                 worst_resid = max(worst_resid, result.cmc_residual)
                 worst_deficit = max(worst_deficit, result.umbilicity_deficit)
+                most_iterations = max(most_iterations, result.iterations)
                 solves += 1
         flat = euclidean_warping(3, r_bar=5.0)
         for modes in ([(1, 0, 0.04), (2, 0, 0.05)], [(2, 0, 0.06), (3, 0, 0.02)]):
@@ -387,12 +389,15 @@ def test_criterion_9_cmc_corpus():
             assert result.converged
             assert result.umbilicity_deficit < 1e-5
             alarms += int(umbilicity_verdict(result, flat).alarm)
+            most_iterations = max(most_iterations, result.iterations)
             solves += 1
         assert solves >= 20
         assert alarms == 0
+        assert most_iterations <= 10
         detail.append(f"{solves} solves converged")
         detail.append(f"worst residual {worst_resid:.1e}")
         detail.append(f"worst deficit {worst_deficit:.1e}")
+        detail.append(f"at most {most_iterations} iterations")
         detail.append("no alarms")
 
 

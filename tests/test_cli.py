@@ -153,6 +153,31 @@ def test_cmc_corpus(tmp_path, capsys):
     assert "alarm" not in out
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        # a small l = 1 Jacobi eigenvalue in curvature units: the residual
+        # fell below cmc_tol while an off-center offset was still there
+        ["--m", "100", "--corpus-count", "6"],
+        ["--m", "1", "--n", "5", "--corpus-count", "6"],
+        # h^2 times the Ricci gap margin is 0.6, the raw margin 2e-10
+        ["--m", "1e4"],
+    ],
+)
+def test_cmc_newton_step_converges_to_slices(tmp_path, capsys, params):
+    code, _, _ = run(
+        ["cmc", "--model", "schwarzschild", *params, "--out", str(tmp_path)], capsys
+    )
+    assert code == 0
+    lines = (tmp_path / "cmc_results_schwarzschild.csv").read_text().splitlines()
+    rows = [l.split(",") for l in lines if not l.startswith("#")]
+    assert rows
+    for row in rows:
+        assert row[1] == "true" and row[2] == "converged", row
+        assert int(row[3]) <= 10, row
+        assert row[-1] == "slice-rigidity-confirmed", row
+
+
 def test_cmc_corpus_amplitude_guard(tmp_path, capsys):
     code, _, err = run(
         ["cmc", "--model", "euclidean", "--radius", "1.0", "--corpus-count", "2",

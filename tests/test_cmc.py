@@ -1,4 +1,4 @@
-"""Volume-preserving CMC relaxation and the rigidity verdict.
+"""Volume-preserving Newton CMC solves and the rigidity verdict.
 
 In the flat ambient every CMC sphere is round but need not be
 centered, so the solver must reach machine-level umbilicity while
@@ -132,13 +132,21 @@ def test_synthetic_alarm_record(schw_solve, schw3):
     assert verdict.conclusion == "alarm"
 
 
-def test_smaller_step_still_converges(schw3):
-    surface = perturb_slice(schw3, axisym_grid(3, 32), 2.0, [(2, 0, 0.05)])
-    fast = find_cmc(surface)
-    slow = find_cmc(surface, dt=0.4 * 0.05 * 4.0)
-    assert slow.converged
-    assert slow.iterations > fast.iterations
-    assert slow.mean_H == pytest.approx(fast.mean_H, rel=1e-6)
+def test_degree_one_gap_mode_converges_in_few_iterations(schw3):
+    # a pure l = 1 offset is the mode whose Jacobi eigenvalue is (n-1) h^2
+    # times the Ricci gap margin, the slowest one for a Laplacian-only step
+    surface = perturb_slice(schw3, axisym_grid(3, 48), 2.0, [(1, 0, 0.05)])
+    result = find_cmc(surface)
+    assert result.converged
+    assert result.iterations <= 10
+    assert result.is_slice
+    # the slice enclosing the same weighted volume, at area radius s
+    n = schw3.dim
+    volume = surface.enclosed_weighted_volume()
+    sphere = float(np.sum(surface.engine.area_weights))
+    s = (schw3.jet(0.0)[0] ** n + n * volume / sphere) ** (1.0 / n)
+    omega = float(schw3.profile.omega(np.asarray(s))[0])
+    assert result.mean_H == pytest.approx((n - 1) * np.sqrt(omega) / s, rel=1e-9)
 
 
 def test_unreachable_volume_stops_the_solve(schw3):

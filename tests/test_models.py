@@ -88,6 +88,21 @@ def test_arc_length_oracle(schw3):
     assert abs(schw3.distance_of_area_radius(2.0) - oracle) < 1e-10
 
 
+def test_arc_length_oracle_next_to_the_horizon(schw3):
+    # s_floor + xi^2 rounds to s_floor at the innermost Gauss nodes; there
+    # the integrand takes its horizon limit 2 / sqrt(omega'(s_floor)).  At
+    # the other inner nodes the omega difference is mostly roundoff (the sum
+    # is off by 1.5e-3 here), so the match is to 1e-2, not to the 1e-12
+    # curvature correction.
+    prof = schw3.profile
+    s = prof.s_floor * (1.0 + 1e-12)
+    xi = math.sqrt(s - prof.s_floor)
+    limit = 2.0 * xi / math.sqrt(float(prof.omega(np.asarray(prof.s_floor))[1]))
+    r = schw3.distance_of_area_radius(s)
+    assert math.isfinite(r)
+    assert r == pytest.approx(limit, rel=1e-2)
+
+
 def test_area_radius_roundtrip(schw3):
     for s in np.linspace(1.05, 5.5, 17):
         r = schw3.distance_of_area_radius(s)
