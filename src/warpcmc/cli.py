@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import os
 import sys
@@ -581,7 +582,9 @@ def _add_surface(parser: argparse.ArgumentParser):
     parser.add_argument("--modes", help="perturbation list degree,order,amp;...")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="warpcmc",
         description="curvature conditions, identities, flows and CMC experiments "

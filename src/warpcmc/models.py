@@ -13,13 +13,21 @@ from omega by the chain rule:
 
 F has a square-root singularity at the horizon; the substitution
 s = s_floor + xi^2 removes it, leaving the smooth integrand
-2 xi / sqrt(omega(s_floor + xi^2)).
+2 xi / sqrt(omega(s_floor + xi^2)).  When omega has a second root s_upper
+just above the chart (deSitter-Schwarzschild with kappa > 0), the part of
+the chart above the midpoint substitutes s = s_upper - eta^2 the same way.
+The built-in families evaluate omega(root + d) - omega(root) without
+cancellation, so the integrand keeps full precision next to either root.
 
-F is tabulated once, at knots equally spaced in xi, and h is stored as a
-single quintic spline through the samples (F(xi_k), s_floor + xi_k^2).  That
-spline is the only representation of h: the jet evaluates it for s and takes
-the derivatives from omega.  ``distance_of_area_radius`` integrates F afresh
-and serves as an independent check of the spline.
+F is tabulated once, by composite Gauss-Legendre panels between knots
+equally spaced in xi (and eta).  A quintic Hermite interpolant through the
+knots (F(s_k), s_k), with the exact h' and h'' there, is resampled on a
+uniform r grid, and that ``HermiteTable`` is the only representation of h:
+a lookup is one index floor(r/dr) and Horner's rule, and the jet takes the
+derivatives from omega.  ``distance_of_area_radius`` integrates F afresh on
+its own panels and serves as an independent check of the table.
+
+The module needs numpy alone; only ``load_omega_table`` imports scipy.
 """
 
 from __future__ import annotations
@@ -29,14 +37,13 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
-from scipy.optimize import brentq
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, ParameterError
 from .warping import (
     WarpingFunction,
     euclidean_warping,
+    find_root,
     hyperbolic_warping,
     spherical_warping,
 )
@@ -77,10 +84,19 @@ class OmegaProfile:
     # cancels wherever omega is close to 1, and (1 - omega)/s^2 feeds the
     # curvature-defect quantity that several margins need to high accuracy
     one_minus_omega: Callable[[np.ndarray], np.ndarray] | None = None
+    # optional evaluator of omega(root + d) - omega(root) for a root of omega;
+    # next to a root the plain difference is mostly roundoff, and the
+    # arc-length integrand divides by its square root
+    omega_difference: Callable[[float, np.ndarray], np.ndarray] | None = None
+    # second root of omega above s_max (a cosmological horizon), if any; the
+    # arc length is then integrated from it on the upper half of the chart
+    s_upper: float | None = None
 
     def __post_init__(self):
         if not (self.s_max > self.s_floor > 0.0):
             raise ParameterError("need 0 < s_floor < s_max")
+        if self.s_upper is not None and not self.s_upper > self.s_max:
+            raise ParameterError("need s_max < s_upper")
         w0 = float(np.asarray(self.omega(np.asarray(self.s_floor))[0]))
         if abs(w0) > 1e-10 * max(1.0, abs(self.s_floor)):
             raise ParameterError(f"omega(s_floor) = {w0}, expected 0")
@@ -114,6 +130,22 @@ def _poly_one_minus_omega(dim, mass, kappa, charge2):
     p = 2 - dim
     q = 4 - 2 * dim
     return lambda s: mass * s**p + kappa * s**2 - charge2 * s**q
+
+
+def _poly_omega_difference(dim, mass, kappa, charge2):
+    """omega(r + d) - omega(r), each power difference as r^p expm1(p log1p(d/r))."""
+    p = 2 - dim
+    q = 4 - 2 * dim
+
+    def difference(r, d):
+        grow = np.log1p(d / r)
+        return (
+            charge2 * r**q * np.expm1(q * grow)
+            - mass * r**p * np.expm1(p * grow)
+            - kappa * d * (2.0 * r + d)
+        )
+
+    return difference
 
 
 def admissibility(family: str, n: int, params: dict) -> tuple[bool, str]:
@@ -153,7 +185,11 @@ def admissibility(family: str, n: int, params: dict) -> tuple[bool, str]:
 
 
 def horizon_radius(family: str, n: int, params: dict) -> float:
-    """Largest root of omega for a built-in family, to 1e-12 relative."""
+    """Largest root of omega for a built-in family, to 1e-12 relative.
+
+    For deSitter-Schwarzschild with kappa > 0 this is the lower of the two
+    roots (see ``_desitter_horizons``).
+    """
     ok, msg = admissibility(family, n, params)
     if not ok:
         raise ParameterError(msg)
@@ -169,35 +205,47 @@ def horizon_radius(family: str, n: int, params: dict) -> float:
         return u_small ** (-1.0 / (n - 2))
     if family == "desitter-schwarzschild":
         kappa = params.get("kappa", 0.0)
+        if kappa > 0:
+            return _desitter_horizons(n, m, kappa)[0]
+        # omega increases with s when kappa <= 0, and the mass term makes it
+        # negative for small s: widen from the Schwarzschild radius both ways
         omega = _poly_omega(n, m, kappa, 0.0)
-        f = lambda s: float(omega(np.asarray(s))[0])
-        s_guess = m ** (1.0 / (n - 2))
-        if kappa <= 0:
-            lo, hi = s_guess * 1e-3, s_guess
-            while f(hi) <= 0:
-                hi *= 2.0
-        else:
-            s_peak = ((n - 2) * m / (2.0 * kappa)) ** (1.0 / n)
-            if f(s_peak) <= 0:
-                raise ParameterError("omega never becomes positive")
-            lo, hi = s_peak * 1e-6, s_peak
-        root = brentq(f, lo, hi, xtol=1e-300, rtol=1e-15)
-        return float(root)
+        f = lambda s: float(omega(s)[0])
+        lo = hi = m ** (1.0 / (n - 2))
+        while f(lo) >= 0:
+            lo *= 0.5
+        while f(hi) <= 0:
+            hi *= 2.0
+        return float(find_root(f, lo, hi))
     raise ParameterError(f"family {family!r} has no horizon")
 
 
-def _upper_horizon(omega_fn, s_floor) -> float | None:
-    """Root of omega above the positive bulk, if any (cosmological horizon)."""
-    f = lambda s: float(omega_fn(np.asarray(s))[0])
-    s = s_floor
-    step = s_floor
-    for _ in range(200):
-        nxt = s + step
-        if f(nxt) <= 0.0:
-            return float(brentq(f, s, nxt, xtol=1e-300, rtol=1e-15))
-        s = nxt
-        step *= 1.5
-    return None
+def _desitter_horizons(n, m, kappa):
+    """Event and cosmological horizon of deSitter-Schwarzschild with kappa > 0.
+
+    omega peaks at s_peak = ((n-2) m / (2 kappa))^(1/n), where it is positive
+    for every admissible kappa, so each root is bracketed on its own side:
+    omega < 1 - m s^(2-n) <= -1 at half the Schwarzschild radius below, and
+    omega < 1 - kappa s^2 = -3 at s = 2 kappa^(-1/2) above.
+    """
+    omega = _poly_omega(n, m, kappa, 0.0)
+    f = lambda s: float(omega(s)[0])
+    s_peak = ((n - 2) * m / (2.0 * kappa)) ** (1.0 / n)
+    if f(s_peak) <= 0:
+        raise ParameterError("omega never becomes positive")
+    lower = find_root(f, 0.5 * m ** (1.0 / (n - 2)), s_peak)
+    return float(lower), float(find_root(f, s_peak, 2.0 / math.sqrt(kappa)))
+
+
+def _poly_profile(name, n, s_floor, s_max, params, mass, kappa=0.0, charge2=0.0, s_upper=None):
+    """Profile of omega = 1 - mass s^(2-n) - kappa s^2 + charge2 s^(4-2n), with its evaluators."""
+    return OmegaProfile(
+        name, n, s_floor, s_max, _poly_omega(n, mass, kappa, charge2),
+        params=params,
+        one_minus_omega=_poly_one_minus_omega(n, mass, kappa, charge2),
+        omega_difference=_poly_omega_difference(n, mass, kappa, charge2),
+        s_upper=s_upper,
+    )
 
 
 def schwarzschild_profile(n: int, m: float = 1.0, s_max: float | None = None) -> OmegaProfile:
@@ -207,10 +255,7 @@ def schwarzschild_profile(n: int, m: float = 1.0, s_max: float | None = None) ->
     s_floor = horizon_radius("schwarzschild", n, {"m": m})
     if s_max is None:
         s_max = 10.0 * s_floor
-    return OmegaProfile(
-        "schwarzschild", n, s_floor, s_max, _poly_omega(n, m, 0.0, 0.0),
-        params={"m": m}, one_minus_omega=_poly_one_minus_omega(n, m, 0.0, 0.0),
-    )
+    return _poly_profile("schwarzschild", n, s_floor, s_max, {"m": m}, m)
 
 
 def desitter_schwarzschild_profile(
@@ -219,18 +264,18 @@ def desitter_schwarzschild_profile(
     ok, msg = admissibility("desitter-schwarzschild", n, {"m": m, "kappa": kappa})
     if not ok:
         raise ParameterError(msg)
-    omega = _poly_omega(n, m, kappa, 0.0)
-    s_floor = horizon_radius("desitter-schwarzschild", n, {"m": m, "kappa": kappa})
+    s_upper = None
     if kappa > 0:
-        upper = _upper_horizon(omega, s_floor)
-        ceiling = upper * (1.0 - 1e-9)
+        s_floor, s_upper = _desitter_horizons(n, m, kappa)
+        ceiling = s_upper * (1.0 - 1e-9)
         s_max = ceiling if s_max is None else min(s_max, ceiling)
-    elif s_max is None:
-        s_max = 10.0 * s_floor
-    return OmegaProfile(
-        "desitter-schwarzschild", n, s_floor, s_max, omega,
-        params={"m": m, "kappa": kappa},
-        one_minus_omega=_poly_one_minus_omega(n, m, kappa, 0.0),
+    else:
+        s_floor = horizon_radius("desitter-schwarzschild", n, {"m": m, "kappa": kappa})
+        if s_max is None:
+            s_max = 10.0 * s_floor
+    params = {"m": m, "kappa": kappa}
+    return _poly_profile(
+        "desitter-schwarzschild", n, s_floor, s_max, params, m, kappa, s_upper=s_upper
     )
 
 
@@ -243,15 +288,8 @@ def reissner_nordstrom_profile(
     s_floor = horizon_radius("reissner-nordstrom", n, {"m": m, "q": q})
     if s_max is None:
         s_max = 10.0 * s_floor
-    return OmegaProfile(
-        "reissner-nordstrom",
-        n,
-        s_floor,
-        s_max,
-        _poly_omega(n, m, 0.0, q * q),
-        params={"m": m, "q": q},
-        one_minus_omega=_poly_one_minus_omega(n, m, 0.0, q * q),
-    )
+    params = {"m": m, "q": q}
+    return _poly_profile("reissner-nordstrom", n, s_floor, s_max, params, m, charge2=q * q)
 
 
 def load_omega_table(path, n: int, s_max: float | None = None) -> OmegaProfile:
@@ -259,7 +297,8 @@ def load_omega_table(path, n: int, s_max: float | None = None) -> OmegaProfile:
 
     Lines starting with '#' are comments.  The first row must be the horizon,
     omega = 0; s must be strictly increasing.  Derivatives come from a
-    quintic spline of the samples.
+    quintic spline of the samples (scipy's ``make_interp_spline``, imported
+    on first use).
     """
     data = np.loadtxt(path, comments="#", dtype=float)
     if data.ndim != 2 or data.shape[1] != 2:
@@ -271,6 +310,8 @@ def load_omega_table(path, n: int, s_max: float | None = None) -> OmegaProfile:
         raise ParameterError(f"{path}: s must be strictly increasing")
     if abs(om[0]) > 1e-10 * max(1.0, s[0]):
         raise ParameterError(f"{path}: first row must sit on the horizon (omega = 0)")
+    from scipy.interpolate import make_interp_spline
+
     spline = make_interp_spline(s, om, k=5)
     d1 = spline.derivative(1)
     d2 = spline.derivative(2)
@@ -286,8 +327,9 @@ def load_omega_table(path, n: int, s_max: float | None = None) -> OmegaProfile:
 # omega -> warping transformation
 
 
-# Gauss-Legendre points per arc-length panel
+# Gauss-Legendre rule of every arc-length panel, on [-1, 1]
 PANEL_POINTS = 32
+_PANEL_X, _PANEL_W = leggauss(PANEL_POINTS)
 # knot intervals per omega call while F is tabulated; bounds the size of the
 # temporaries a single omega evaluation allocates
 PANEL_BLOCK = 64
@@ -295,27 +337,142 @@ PANEL_BLOCK = 64
 
 def _panel_nodes(edges):
     """Gauss-Legendre nodes/weights between consecutive edges, one row per panel."""
-    x, wts = roots_legendre(PANEL_POINTS)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
-    return mid[:, None] + half[:, None] * x, half[:, None] * wts
+    return mid[:, None] + half[:, None] * _PANEL_X, half[:, None] * _PANEL_W
 
 
-def _xi_integrand(profile: OmegaProfile, xi):
-    """Integrand 2 xi / sqrt(omega(s_floor + xi^2)) of F in the variable xi.
+def _root_integrand(profile: OmegaProfile, root, sign, x):
+    """Integrand 2 x / sqrt(omega(root + sign x^2)) of F in x = sqrt(|s - root|).
 
-    The stored floor is declared to be the horizon; subtracting the roundoff
-    residual of omega there keeps the square root from going through zero a
-    hair early or late.  At xi = 0, and wherever s_floor + xi^2 rounds so
-    close to s_floor that the shifted omega is 0, the integrand takes its
-    limit 2 / sqrt(omega'(s_floor)).
+    ``root`` is the horizon s_floor (sign +1) or the cosmological horizon
+    s_upper (sign -1); the substitution removes the square-root singularity
+    of 1/sqrt(omega) there.  The stored root is declared to be a zero of
+    omega, so the integrand takes omega(root + sign x^2) - omega(root):
+    from the profile's ``omega_difference`` when it has one, otherwise as a
+    difference, which keeps the square root from going through zero a hair
+    early or late.  At x = 0, and wherever that difference is 0, the
+    integrand takes its limit 2 / sqrt(|omega'(root)|).
     """
-    w0, w1, _ = profile.omega(np.asarray(profile.s_floor))
-    xi = np.asarray(xi, dtype=float)
-    om = np.maximum(profile.omega(profile.s_floor + xi * xi)[0] - float(w0), 0.0)
+    w0, w1, _ = profile.omega(np.asarray(root))
+    x = np.asarray(x, dtype=float)
+    if profile.omega_difference is not None:
+        om = profile.omega_difference(root, sign * x * x)
+    else:
+        om = profile.omega(root + sign * x * x)[0] - float(w0)
+    om = np.maximum(om, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = 2.0 * xi / np.sqrt(om)
-    return np.where(om > 0.0, out, 2.0 / math.sqrt(float(w1)))
+        out = 2.0 * x / np.sqrt(om)
+    return np.where(om > 0.0, out, 2.0 / math.sqrt(sign * float(w1)))
+
+
+def _split_radius(profile: OmegaProfile):
+    """Midpoint (s_floor + s_upper)/2 when the chart reaches past it, else None.
+
+    Above it F is integrated from the upper root s_upper in eta = sqrt(s_upper - s).
+    """
+    if profile.s_upper is None:
+        return None
+    mid = 0.5 * (profile.s_floor + profile.s_upper)
+    return mid if profile.s_max > mid else None
+
+
+def _cumulative_arc_length(profile: OmegaProfile, root, sign, x):
+    """F(root + sign x_k^2) - F(root + sign x_0^2) for every k, one panel per interval of x."""
+    panel_sums = []
+    for lo in range(0, x.size - 1, PANEL_BLOCK):
+        nodes, weights = _panel_nodes(x[lo : lo + PANEL_BLOCK + 1])
+        panel_sums.append(np.sum(weights * _root_integrand(profile, root, sign, nodes), axis=1))
+    return sign * np.concatenate(([0.0], np.cumsum(np.concatenate(panel_sums))))
+
+
+def _arc_length_knots(profile: OmegaProfile, knots: int):
+    """Samples (F(s_k), s_k) of s = h(r), ``knots`` of them from s_floor to s_max.
+
+    The s_k are equally spaced in xi = sqrt(s - s_floor).  When the chart
+    reaches past the midpoint toward an upper root, the knots above the
+    midpoint are equally spaced in eta = sqrt(s_upper - s) instead, and F
+    there is integrated in eta, so neither root leaves a singular integrand.
+    """
+    s_floor, s_max = profile.s_floor, profile.s_max
+    split = _split_radius(profile)
+    if split is None:
+        xi = np.linspace(0.0, math.sqrt(s_max - s_floor), knots)
+        return _cumulative_arc_length(profile, s_floor, 1.0, xi), s_floor + xi * xi
+    lower = (knots + 1) // 2
+    xi = np.linspace(0.0, math.sqrt(split - s_floor), lower)
+    s_upper = profile.s_upper
+    eta = np.linspace(math.sqrt(s_upper - split), math.sqrt(s_upper - s_max), knots - lower + 1)
+    f_lower = _cumulative_arc_length(profile, s_floor, 1.0, xi)
+    f_upper = f_lower[-1] + _cumulative_arc_length(profile, s_upper, -1.0, eta)
+    s = np.concatenate((s_floor + xi * xi, s_upper - eta[1:] * eta[1:]))
+    s[-1] = s_max
+    return np.concatenate((f_lower, f_upper[1:])), s
+
+
+def _panel_integral(profile: OmegaProfile, root, sign, a, b, width):
+    """F(root + sign b^2) - F(root + sign a^2) on at least 4 panels no wider than width."""
+    if a == b:
+        return 0.0
+    panels = max(4, int(math.ceil(abs(b - a) / width)))
+    nodes, weights = _panel_nodes(np.linspace(a, b, panels + 1))
+    return sign * np.sum(weights * _root_integrand(profile, root, sign, nodes))
+
+
+def _quintic_hermite(dx, y, dy, d2y):
+    """Power-basis coefficients of the quintic Hermite interpolant, one column per interval.
+
+    Column k holds, from degree 0 to 5, the polynomial in t = (x - x_k)/dx_k,
+    t in [0, 1], that matches y, y' and y'' at both ends of [x_k, x_k + dx_k].
+    """
+    a0, a1, a2 = y[:-1], dx * dy[:-1], 0.5 * dx * dx * d2y[:-1]
+    A = y[1:] - a0 - a1 - a2
+    B = dx * dy[1:] - a1 - 2.0 * a2
+    C = dx * dx * d2y[1:] - 2.0 * a2
+    a3 = 10.0 * A - 4.0 * B + 0.5 * C
+    a4 = 7.0 * B - 15.0 * A - C
+    a5 = 6.0 * A - 3.0 * B + 0.5 * C
+    return np.stack((a0, a1, a2, a3, a4, a5))
+
+
+def _horner(coef, t):
+    """Evaluate power-basis coefficients (leading axis, degree 0 to 5) at t, one set per point."""
+    s = coef[5] * t
+    for k in (4, 3, 2, 1):
+        s += coef[k]
+        s *= t
+    s += coef[0]
+    return s
+
+
+class HermiteTable:
+    """s = h(r) as a quintic Hermite table on the uniform grid r_j = j dr.
+
+    Column j < N holds the power-basis coefficients of the interpolant on
+    [r_j, r_j + dr] in t = r/dr - j, and column N the Taylor polynomial at
+    r_N = r_bar, so j = floor(r/dr) needs no clamp inside the chart; each
+    degree is one contiguous row, and a lookup gathers six of them and runs
+    Horner's rule: no search.  Indices outside [0, N] are clipped to it.  A
+    scalar runs the same operations in plain Python and returns the same
+    bits as inside an array.
+    """
+
+    def __init__(self, dr, s, ds, d2s):
+        self.inv_dr = 1.0 / dr
+        self.last = s.size - 1
+        tail = [[s[-1]], [dr * ds[-1]], [0.5 * dr * dr * d2s[-1]], [0.0], [0.0], [0.0]]
+        self.coef = np.hstack((_quintic_hermite(dr, s, ds, d2s), tail))
+
+    def __call__(self, r):
+        if np.ndim(r) == 0:
+            u = float(r) * self.inv_dr
+            j = int(u)
+            t = u - j
+            c0, c1, c2, c3, c4, c5 = self.coef[:, min(max(j, 0), self.last)].tolist()
+            return ((((c5 * t + c4) * t + c3) * t + c2) * t + c1) * t + c0
+        u = r * self.inv_dr
+        j = u.astype(np.intp)
+        return _horner(self.coef.take(j, axis=1, mode="clip"), u - j)
 
 
 @dataclass(frozen=True)
@@ -324,80 +481,101 @@ class OmegaBackedWarping(WarpingFunction):
 
     Adds the two directions of the coordinate change: ``distance_of_area_radius``
     is the arc-length integral F by direct quadrature, independent of the
-    stored spline, and ``area_radius_of_distance`` is the stored quintic
-    spline of s = h(r), the same lookup ``jet`` makes.
+    stored table, and ``area_radius_of_distance`` is the stored table of
+    s = h(r), the same lookup ``jet`` makes.
     """
 
     profile: OmegaProfile = None
-    _h_spline: Callable[[np.ndarray], np.ndarray] = None
+    _h_table: HermiteTable = None
 
     def distance_of_area_radius(self, s):
-        """F(s): arc length from the horizon to area radius s, by direct quadrature."""
+        """F(s): arc length from the horizon to area radius s, by direct quadrature.
+
+        Panels no wider than sqrt(s_max - s_floor)/256, at least 4, in
+        xi = sqrt(s - s_floor); above the midpoint toward an upper root the
+        part past the midpoint is integrated in eta = sqrt(s_upper - s).
+        """
         prof = self.profile
         arr = np.asarray(s, dtype=float)
         if arr.size and (arr.min() < prof.s_floor * (1 - 1e-12) or arr.max() > prof.s_max * (1 + 1e-12)):
             raise DomainError("area radius outside [s_floor, s_max]")
-        xi_panel = max(math.sqrt(prof.s_max - prof.s_floor) / 256.0, 1e-12)
+        width = max(math.sqrt(prof.s_max - prof.s_floor) / 256.0, 1e-12)
+        split = _split_radius(prof)
         out = np.zeros(arr.shape, dtype=float)
         res = out.ravel()
         for i, si in enumerate(arr.ravel()):
-            xi = math.sqrt(max(si - prof.s_floor, 0.0))
-            if xi > 0.0:
-                panels = max(4, int(math.ceil(xi / xi_panel)))
-                nodes, weights = _panel_nodes(np.linspace(0.0, xi, panels + 1))
-                res[i] = np.sum(weights * _xi_integrand(prof, nodes))
+            top = si if split is None else min(si, split)
+            xi = math.sqrt(max(top - prof.s_floor, 0.0))
+            res[i] = _panel_integral(prof, prof.s_floor, 1.0, 0.0, xi, width)
+            if top < si:
+                eta_split = math.sqrt(prof.s_upper - split)
+                eta = math.sqrt(max(prof.s_upper - si, 0.0))
+                res[i] += _panel_integral(prof, prof.s_upper, -1.0, eta_split, eta, width)
         return float(out) if np.ndim(s) == 0 else out
 
     def area_radius_of_distance(self, r):
-        """Inverse of F: the stored spline of s = h(r)."""
+        """Inverse of F: the stored table of s = h(r)."""
         arr = np.asarray(r, dtype=float)
         if arr.size and (arr.min() < -1e-14 or arr.max() > self.r_bar * (1 + 1e-12)):
             raise DomainError(f"distance outside [0, {self.r_bar}]")
-        s = self._h_spline(np.clip(arr, 0.0, self.r_bar))
+        s = self._h_table(np.clip(arr, 0.0, self.r_bar))
         return float(s) if np.ndim(r) == 0 else s
 
 
 def omega_to_warping(profile: OmegaProfile, knots: int = 2048) -> OmegaBackedWarping:
     """Build the warped-form profile h from a horizon profile omega.
 
-    The arc length F is tabulated on ``knots`` points equally spaced in the
-    desingularized variable xi = sqrt(s - s_floor), one composite
-    Gauss-Legendre panel per knot interval.  The pairs (F(xi_k), s_floor +
-    xi_k^2) are samples of s = h(r), and a quintic spline through them is the
-    one stored representation of h.  Jets then come from the exact
-    chain-rule relations, so the spline only ever enters through the r -> s
-    lookup.
+    The arc length F is tabulated at ``knots`` area radii s_k, one composite
+    Gauss-Legendre panel per knot interval in a variable that removes the
+    square-root singularity at the nearer root of omega
+    (``_arc_length_knots``).  A quintic Hermite interpolant through
+    (F(s_k), s_k) with the exact h' = sqrt(omega) and h'' = omega'/2 is
+    resampled on a uniform r grid of knots - 1 intervals, and the
+    ``HermiteTable`` on that grid is the one stored representation of h.
+    Jets then come from the exact chain-rule relations, so the table only
+    ever enters through the r -> s lookup.
     """
     if knots < 64:
         raise ParameterError("need at least 64 knots")
-    xi_knots = np.linspace(0.0, math.sqrt(profile.s_max - profile.s_floor), knots)
-    panel_sums = []
-    for lo in range(0, knots - 1, PANEL_BLOCK):
-        nodes, weights = _panel_nodes(xi_knots[lo : lo + PANEL_BLOCK + 1])
-        panel_sums.append(np.sum(weights * _xi_integrand(profile, nodes), axis=1))
-    f_vals = np.concatenate(([0.0], np.cumsum(np.concatenate(panel_sums))))
-    h_spline = make_interp_spline(f_vals, profile.s_floor + xi_knots * xi_knots, k=5)
+    f_knots, s_knots = _arc_length_knots(profile, knots)
     # roundoff residual of omega at the declared horizon; absorbing it makes
-    # h'(0) exactly zero instead of sqrt(residual) ~ 1e-8
+    # h'(0) exactly zero instead of sqrt(residual) ~ 1e-8.  omega may round
+    # differently on a float than on an array (Python's pow is not numpy's),
+    # so scalar lookups, which return floats, subtract a float's residual
     omega_shift = float(np.asarray(profile.omega(np.asarray(profile.s_floor))[0]))
+    float_shift = float(np.asarray(profile.omega(float(profile.s_floor))[0]))
+
+    def slopes(s):
+        om, om1, _ = profile.omega(s)
+        return np.sqrt(np.maximum(om - omega_shift, 0.0)), 0.5 * om1
+
+    knot_dr = np.diff(f_knots)
+    knot_coef = _quintic_hermite(knot_dr, s_knots, *slopes(s_knots))
+    r_bar = float(f_knots[-1])
+    dr = r_bar / (knots - 1)
+    r = np.arange(knots) * dr
+    k = np.clip(np.searchsorted(f_knots, r, side="right") - 1, 0, knots - 2)
+    s = _horner(knot_coef[:, k], (r - f_knots[k]) / knot_dr[k])
+    s[0], s[-1] = profile.s_floor, profile.s_max
+    table = HermiteTable(dr, s, *slopes(s))
 
     def jet(r):
-        s = h_spline(r)
+        s = table(r)
         om, om1, om2 = profile.omega(s)
-        sq = np.sqrt(np.maximum(om - omega_shift, 0.0))
+        sq = np.sqrt(np.maximum(om - (float_shift if isinstance(s, float) else omega_shift), 0.0))
         return s, sq, 0.5 * om1, 0.5 * om2 * sq
 
     defect = None
     if profile.one_minus_omega is not None:
 
         def defect(r):
-            s = h_spline(r)
+            s = table(r)
             return profile.one_minus_omega(s) / (s * s)
 
     return OmegaBackedWarping(
         name=profile.name,
         dim=profile.dim,
-        r_bar=float(f_vals[-1]),
+        r_bar=r_bar,
         rho=1.0,
         variant="boundary",
         kind=profile.kind,
@@ -405,7 +583,7 @@ def omega_to_warping(profile: OmegaProfile, knots: int = 2048) -> OmegaBackedWar
         params=dict(profile.params),
         _defect=defect,
         profile=profile,
-        _h_spline=h_spline,
+        _h_table=table,
     )
 
 

@@ -4,7 +4,9 @@ Two engines cover the two symmetry modes.  The full engine works on
 S^2 (ambient dimension 3) with a Gauss-Legendre latitude grid, uniform
 longitudes, and normalized associated Legendre tables; the axisymmetric
 engine works in any dimension on functions of the polar angle alone,
-with Gauss-Jacobi nodes and normalized Gegenbauer polynomials.
+with Gauss-Jacobi nodes and normalized Gegenbauer polynomials.  The
+Gauss-Legendre rule is numpy's ``leggauss``; the Gauss-Jacobi rule is
+computed here by Golub-Welsch.
 
 Both expose the same small surface: analysis and synthesis, quadrature
 that integrates over the whole round sphere, per-degree spectral
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln, roots_jacobi, roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .errors import ParameterError
 from .warping import sphere_volume
@@ -44,6 +46,25 @@ COEFFICIENT_FLOOR = 1e-12
 # get_engine refuses larger tables before allocating: this admits the
 # axisymmetric engine at every CLI grid size, the full one to ~280 latitudes.
 TABLE_BUDGET_BYTES = 512 * 2**20
+
+
+def _gauss_jacobi(count: int, alpha: float):
+    """Gauss-Jacobi rule for the weight (1 - x^2)^alpha on [-1, 1], ascending.
+
+    Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
+    the symmetric tridiagonal Jacobi matrix of the orthonormal polynomials,
+    and each weight is the integral of the weight function times the
+    squared first component of its eigenvector.  The rule is symmetrized
+    about x = 0, as the weight is.
+    """
+    k = np.arange(1.0, count)
+    a2 = 2.0 * alpha
+    offdiag = np.sqrt(k * (k + a2) / ((2.0 * k + a2 + 1.0) * (2.0 * k + a2 - 1.0)))
+    x, vectors = np.linalg.eigh(np.diag(offdiag, 1) + np.diag(offdiag, -1))
+    # log of the integral of the weight, 2^(2 alpha + 1) Gamma(alpha + 1)^2 / Gamma(2 alpha + 2)
+    log_mu0 = (a2 + 1.0) * math.log(2.0) + 2.0 * math.lgamma(alpha + 1.0) - math.lgamma(a2 + 2.0)
+    w = math.exp(log_mu0) * vectors[0] ** 2
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
 
 
 def _floor_coefficients(coeff: np.ndarray, axes) -> np.ndarray:
@@ -75,7 +96,7 @@ class SphericalHarmonicEngine:
         self.nlat = int(nlat)
         self.nlon = 2 * self.nlat
         self.lmax = self.nlat - 1
-        x, w = roots_legendre(self.nlat)
+        x, w = leggauss(self.nlat)
         order = np.argsort(-x)  # theta ascending from the north pole
         self.x = x[order]
         self.w = w[order]
@@ -239,7 +260,7 @@ class AxisymEngine:
         self.npoints = int(points)
         self.lmax = self.npoints - 1
         alpha = 0.5 * (dim - 3)
-        x, w = roots_jacobi(self.npoints, alpha, alpha)
+        x, w = _gauss_jacobi(self.npoints, alpha)
         order = np.argsort(-x)
         self.x = x[order]
         self.w = w[order]
@@ -274,10 +295,9 @@ class AxisymEngine:
         log_norm = (
             math.log(math.pi)
             + (1.0 - 2.0 * lam) * math.log(2.0)
-            + gammaln(l + 2.0 * lam)
-            - gammaln(l + 1.0)
+            + np.array([math.lgamma(k + 2.0 * lam) - math.lgamma(k + 1.0) for k in range(L + 1)])
             - np.log(l + lam)
-            - 2.0 * gammaln(lam)
+            - 2.0 * math.lgamma(lam)
         )
         T *= 1.0 / np.sqrt(self.transverse_volume * np.exp(log_norm))[:, None]
         self._tables = T

@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
-from scipy.optimize import brentq
 
 from .errors import DomainError, HypothesisError, NotApplicableError, ParameterError
 
@@ -47,6 +45,7 @@ __all__ = [
     "scan_monotonicity_extrema",
     "potential_monotone_radius",
     "chebyshev_radii",
+    "find_root",
 ]
 
 TOL_CONDITION = 1e-9
@@ -57,6 +56,51 @@ CONDITION_NAMES = ("regularity", "monotonicity", "scalar_monotonicity", "ricci_g
 def sphere_volume(k: int) -> float:
     """Volume of the unit round sphere S^k."""
     return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
+
+
+def find_root(f: Callable[[float], float], a: float, b: float, xtol: float = 1e-300) -> float:
+    """Root of the scalar function f in [a, b] by Brent's method.
+
+    Inverse quadratic interpolation, secant steps and bisection as in
+    Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 4;
+    the root is located to xtol + 1e-15 |root|.  f(a) and f(b) must differ
+    in sign, otherwise ``HypothesisError`` is raised.
+    """
+    fpre, fcur = f(a), f(b)
+    if fpre == 0.0 or fcur == 0.0:
+        return a if fpre == 0.0 else b
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise HypothesisError(f"no sign change on [{a!r}, {b!r}]: f = {fpre!r}, {fcur!r}")
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = 0.5 * (xtol + 1e-15 * abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:  # the step does not shrink fast enough: bisect
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = f(xcur)
+    raise HypothesisError(f"root search on [{a!r}, {b!r}] did not converge")
 
 
 @dataclass(frozen=True)
@@ -216,7 +260,8 @@ def tabulated_warping(
     """Warping profile from sampled (r, h) data via a quintic spline.
 
     The spline is C^4 between knots, so third derivatives stay continuous;
-    that is what the curvature-monotonicity slope needs.
+    that is what the curvature-monotonicity slope needs.  It is scipy's
+    ``make_interp_spline``, imported on first use.
     """
     radii = np.asarray(radii, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -226,6 +271,8 @@ def tabulated_warping(
         raise ParameterError("radii must be strictly increasing")
     if radii[0] > 1e-12 * radii[-1]:
         raise ParameterError("table must start at r = 0")
+    from scipy.interpolate import make_interp_spline
+
     spline = make_interp_spline(radii, values, k=5)
     d1 = spline.derivative(1)
     d2 = spline.derivative(2)
@@ -489,7 +536,7 @@ def scan_monotonicity_extrema(
         if max(abs(sa), abs(sb)) <= slope_floor:
             continue
         fun = lambda r: monotonicity_quantity(w, r)[1]
-        root = brentq(fun, a, b, xtol=1e-8 * w.r_bar, rtol=1e-15)
+        root = find_root(fun, a, b, xtol=1e-8 * w.r_bar)
         kind = "max" if sa > 0 else "min"
         value = monotonicity_quantity(w, root)[0]
         radial, tangential = ricci_eigenvalues(w, root)
@@ -525,5 +572,5 @@ def potential_monotone_radius(w: WarpingFunction, grid_size: int = 2048) -> floa
     if j == 0:
         return 0.0
     fun = lambda r: w.jet(r)[2]
-    root = brentq(fun, radii[j - 1], radii[j], xtol=1e-12 * w.r_bar, rtol=1e-15)
+    root = find_root(fun, radii[j - 1], radii[j], xtol=1e-12 * w.r_bar)
     return float(root)

@@ -14,6 +14,11 @@ from scipy.integrate import solve_ivp
 from warpcmc import WarpingFunction, make_model, tabulated_warping
 
 
+def kappa_max(n, m):
+    """Upper end of the admissible positive kappa for deSitter-Schwarzschild."""
+    return (4.0 * (n - 2) ** (n - 2) / (n**n * m * m)) ** (1.0 / (n - 2))
+
+
 def bump_quantity(r):
     """Monotonicity-quantity profile used to manufacture a tabulated ambient."""
     return 0.4 * np.exp(-(((r - 0.6) / 0.18) ** 2))

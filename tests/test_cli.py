@@ -12,6 +12,7 @@ import sys
 import pytest
 
 from warpcmc.cli import main
+from conftest import kappa_max
 
 
 def run(args, capsys):
@@ -255,3 +256,35 @@ def test_module_entry_smoke(tmp_path):
     )
     assert proc.returncode == 0
     assert "schwarzschild" in proc.stdout
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("frac", [0.95, 0.99, 0.9999])
+def test_kappa_near_its_bound_keeps_slice_rigidity(tmp_path, capsys, n, frac):
+    """Each horizon root is bracketed on its own side of the peak of omega."""
+    kappa = frac * kappa_max(n, 1.0)
+    code, out, err = run(
+        ["check", "--model", "desitter-schwarzschild", "--n", str(n), "--m", "1",
+         "--kappa", repr(kappa), "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0, err
+    assert "conclusion: slice-rigidity" in out
+
+
+def test_scipy_stays_off_the_import_path(tmp_path):
+    """Neither importing the CLI nor checking a built-in family loads scipy."""
+    script = (
+        "import sys\n"
+        "import warpcmc.cli\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy')], 'import'\n"
+        "from warpcmc.cli import main\n"
+        "for argv in (['check', '--model', 'desitter-schwarzschild', '--kappa', '0.05'],\n"
+        "             ['verify', '--model', 'reissner-nordstrom', '--s', '2',\n"
+        "              '--modes', '2,0,0.05']):\n"
+        f"    assert main(argv + ['--out', {str(tmp_path)!r}]) == 0\n"
+        "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

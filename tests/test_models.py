@@ -47,6 +47,17 @@ def test_reissner_nordstrom_horizon_is_outer_root():
     assert 1.0 - m / s_h + q * q / s_h**2 == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("kappa", [-1e10, -1e3, -0.5, 0.0])
+def test_desitter_horizon_for_any_nonpositive_kappa(n, kappa):
+    # admissibility accepts every kappa <= 0; the bracket widens from the
+    # Schwarzschild radius until omega changes sign
+    s = horizon_radius("desitter-schwarzschild", n, {"m": 1.0, "kappa": kappa})
+    assert 0.0 < s <= 1.0
+    omega = 1.0 - s ** (2 - n) - kappa * s * s
+    assert abs(omega) < 1e-12 * max(1.0, abs(kappa) * s * s)
+
+
 def test_admissibility_messages():
     ok, msg = admissibility("reissner-nordstrom", 3, {"m": 1.0, "q": 0.6})
     assert not ok
@@ -89,18 +100,17 @@ def test_arc_length_oracle(schw3):
 
 
 def test_arc_length_oracle_next_to_the_horizon(schw3):
-    # s_floor + xi^2 rounds to s_floor at the innermost Gauss nodes; there
-    # the integrand takes its horizon limit 2 / sqrt(omega'(s_floor)).  At
-    # the other inner nodes the omega difference is mostly roundoff (the sum
-    # is off by 1.5e-3 here), so the match is to 1e-2, not to the 1e-12
-    # curvature correction.
+    # omega(s_floor + xi^2) - omega(s_floor) comes from the profile's
+    # cancellation-free difference, so F matches its leading term up to the
+    # O(xi^2) = 1e-12 curvature correction; as a plain difference of omega
+    # values it would be mostly roundoff here and the sum 1.5e-3 off.
     prof = schw3.profile
     s = prof.s_floor * (1.0 + 1e-12)
     xi = math.sqrt(s - prof.s_floor)
     limit = 2.0 * xi / math.sqrt(float(prof.omega(np.asarray(prof.s_floor))[1]))
     r = schw3.distance_of_area_radius(s)
     assert math.isfinite(r)
-    assert r == pytest.approx(limit, rel=1e-2)
+    assert r == pytest.approx(limit, rel=1e-10)
 
 
 def test_area_radius_roundtrip(schw3):
@@ -109,12 +119,48 @@ def test_area_radius_roundtrip(schw3):
         assert schw3.area_radius_of_distance(r) == pytest.approx(s, rel=5e-10)
 
 
+def test_table_lookup_gives_the_same_bits_for_scalars_and_arrays(schw3):
+    r = np.concatenate(([0.0], np.linspace(0.0, schw3.r_bar, 203)[1:-1], [schw3.r_bar]))
+    batch = schw3.area_radius_of_distance(r)
+    assert [schw3.area_radius_of_distance(x) for x in r] == batch.tolist()
+    assert batch[0] == schw3.profile.s_floor
+    assert batch[-1] == pytest.approx(schw3.profile.s_max, rel=1e-15)
+    # omega itself may round differently on floats and on arrays
+    jets = schw3.jet(r.reshape(7, 29))
+    for k, x in enumerate(r):
+        expected = [part.ravel()[k] for part in jets]
+        assert schw3.jet(x) == pytest.approx(expected, rel=1e-15, abs=1e-300)
+
+
 def test_horizon_jet_is_regular(schw3, rn3):
     for w in (schw3, rn3):
         h, hp, hpp, _ = w.jet(0.0)
         assert h == pytest.approx(w.profile.s_floor, rel=1e-12)
         assert hp == 0.0
         assert hpp > 0.0
+
+
+HORIZON_FAMILIES = ["schwarzschild", "reissner-nordstrom", "desitter-schwarzschild"]
+
+
+@pytest.mark.parametrize("family", HORIZON_FAMILIES)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_horizon_jet_is_regular_across_parameters(family, n):
+    # omega rounds differently on floats and on arrays; h'(0) must be exactly
+    # 0 either way, or the regularity condition fails (it did for the
+    # Reissner-Nordstrom n = 5 case m = 0.028.., q = 0.0126.. below)
+    masses = list(np.geomspace(1e-3, 1e3, 7))
+    cases = [{"m": m} for m in masses]
+    if family == "reissner-nordstrom":
+        cases = [{"m": m, "q": 0.3 * m} for m in masses]
+        cases.append({"m": 0.028031790039348786, "q": 0.012646814740033126})
+    if family == "desitter-schwarzschild":
+        cases = [{"m": m, "kappa": k * m ** (-2.0 / (n - 2))} for m in masses for k in (-0.3, 0.1)]
+    for params in cases:
+        w = make_model(family, n, **params)
+        assert w.jet(0.0)[1] == 0.0
+        assert not np.any(w.jet(np.zeros(3))[1])
+        assert check_conditions(w, grid_size=16).status["regularity"] == "pass"
 
 
 def test_omega_form_margins_match_warp_form(schw3, rn3):

@@ -223,3 +223,23 @@ def test_table_budget_refuses_before_allocating(monkeypatch):
         assert need > spectral.TABLE_BUDGET_BYTES
         with pytest.raises(ParameterError, match=str(need)):
             get_engine(kind, dim, size)
+
+
+@pytest.mark.parametrize("count", [8, 48, 64, 129])
+def test_quadrature_rules_match_scipy(count):
+    """Engine nodes and weights against scipy's Gauss-Legendre/Jacobi rules.
+
+    Nodes to 1e-14, weights to 1e-14 of their sum (the measure of [-1, 1]).
+    """
+    from scipy.special import roots_jacobi, roots_legendre
+
+    x, w = roots_legendre(count)
+    engine = SphericalHarmonicEngine(count)
+    assert np.max(np.abs(engine.x[::-1] - x)) < 1e-14
+    assert np.max(np.abs(engine.w[::-1] - w)) < 1e-14 * w.sum()
+    for dim in range(3, 8):
+        alpha = 0.5 * (dim - 3)
+        x, w = roots_jacobi(count, alpha, alpha)
+        engine = AxisymEngine(dim, count)
+        assert np.max(np.abs(engine.x[::-1] - x)) < 1e-14
+        assert np.max(np.abs(engine.w[::-1] - w)) < 1e-14 * w.sum()

@@ -35,6 +35,8 @@ from warpcmc import (
     static_tensor,
     tabulated_warping,
 )
+from warpcmc.errors import WarpcmcError
+from warpcmc.warping import find_root
 from conftest import bump_quantity
 
 
@@ -234,3 +236,37 @@ def test_tabulated_requires_zero_start():
     radii = np.linspace(0.1, 1.0, 64)
     with pytest.raises(ParameterError):
         tabulated_warping("late", 3, radii, radii, "ball")
+
+
+@pytest.mark.parametrize(
+    "fun, a, b, root",
+    [
+        (lambda x: x**3 - 2.0, 0.0, 3.0, 2.0 ** (1.0 / 3.0)),
+        (lambda x: math.exp(x) - 1e5, 0.0, 20.0, math.log(1e5)),
+        (lambda x: math.tanh(100.0 * (x - 0.3)), -1.0, 1.0, 0.3),
+        (lambda x: 1.0 - x * x, -1.0, 0.5, -1.0),
+    ],
+)
+def test_find_root_accuracy(fun, a, b, root):
+    assert find_root(fun, a, b) == pytest.approx(root, rel=2e-15)
+    assert find_root(fun, b, a) == pytest.approx(root, rel=2e-15)
+
+
+def test_find_root_honours_xtol():
+    calls = []
+
+    def fun(x):
+        calls.append(x)
+        return math.cos(x) - x
+
+    loose = find_root(fun, 0.0, 1.0, xtol=1e-3)
+    loose_calls = len(calls)
+    tight = find_root(fun, 0.0, 1.0)
+    assert abs(loose - tight) < 1e-3
+    assert loose_calls < len(calls) - loose_calls
+
+
+def test_find_root_needs_a_sign_change():
+    with pytest.raises(HypothesisError, match="no sign change") as info:
+        find_root(lambda x: x * x + 1.0, -1.0, 1.0)
+    assert isinstance(info.value, WarpcmcError)
