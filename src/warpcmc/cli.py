@@ -38,7 +38,7 @@ from .errors import (
 )
 from .flow import area_floor_check, monotonicity_audit, run_flow
 from .identities import hk_check, minkowski_check, minkowski_weighted_check
-from .models import OmegaBackedWarping, make_model
+from .models import MODEL_FAMILIES, OmegaBackedWarping, make_model
 from .surface import (
     GraphSurface,
     axisym_grid,
@@ -67,13 +67,8 @@ DEFAULTS = {
 MODEL_PARAM_KEYS = ("m", "q", "kappa", "curvature", "r_bar", "s_max", "knots", "path")
 
 FAMILY_TABLE = [
-    ("euclidean", "ball", "r_bar"),
-    ("sphere", "ball", "curvature, r_bar"),
-    ("hyperbolic", "ball", "curvature, r_bar"),
-    ("schwarzschild", "boundary", "m, s_max, knots"),
-    ("desitter-schwarzschild", "boundary", "m, kappa, s_max, knots"),
-    ("reissner-nordstrom", "boundary", "m, q, s_max, knots"),
-    ("omega-table", "boundary", "path, s_max, knots"),
+    (family, spec["variant"], ", ".join(spec["params"]))
+    for family, spec in MODEL_FAMILIES.items()
 ]
 
 
@@ -470,7 +465,7 @@ def _corpus_surfaces(cfg: dict, w, engine):
     rng = np.random.default_rng(int(corpus["seed"]))
     for index in range(count):
         nmodes = int(rng.integers(1, 4))
-        field = np.zeros(engine.theta.shape if engine.kind == "axisym" else (engine.nlat, engine.nlon))
+        field = np.zeros(engine.grid_shape)
         for _ in range(nmodes):
             l = int(rng.integers(1, max_degree + 1))
             m = int(rng.integers(-l, l + 1)) if engine.kind == "full" else 0

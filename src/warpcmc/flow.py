@@ -4,9 +4,11 @@ Rescaling the ambient metric g by the inverse square of the potential
 f = h' turns the inward normal flow with speed f into a flow by
 unit-speed geodesics of the rescaled metric.  Each surface node
 therefore obeys a fixed second-order ODE in the ambient coordinates;
-no normal vector has to be rebuilt between steps, and the surface
-geometry is recovered from spectral derivatives of the transported
-parametrization whenever a report is needed.
+no normal vector has to be rebuilt between steps.  The surface is the
+parametrization (r, y) that the nodes transport, and its geometry comes
+from the same kernel as a graph's (``surface.parametrized_geometry``):
+one frame jet of the radius and the sphere map, starting from the
+identity map of the graph the flow begins on.
 
 The payoff is a family of audited monotone quantities: the weighted
 curvature integral Q = (n-1) int f/H, the swept weighted volume it
@@ -26,7 +28,7 @@ from .errors import (
     ParameterError,
     WarpcmcError,
 )
-from .surface import GeometryReport, GraphSurface, shape_trace_deficit
+from .surface import GeometryReport, GraphSurface, parametrized_geometry
 from .warping import WarpingFunction
 
 __all__ = [
@@ -69,6 +71,8 @@ class FlowState:
     the current to the initial area element, and ``active`` the mask
     of nodes still inside the smooth regime.  Deactivation is
     permanent; integral quantities only ever sum over active nodes.
+    ``speed_ratio`` is the rescaled-metric speed |v|_g / f at the current
+    points, except at frozen nodes, where it is never read.
     """
 
     warping: WarpingFunction
@@ -82,6 +86,7 @@ class FlowState:
     active: np.ndarray
     frozen: np.ndarray
     initial_density: np.ndarray
+    speed_ratio: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -114,151 +119,28 @@ class FlowTrace:
 # transported-parametrization geometry
 
 
-def _full_geometry(warping, engine, points, orient=None):
-    """Geometry of a parametrized surface (r, y): S^2 -> ambient.
+def _transported_geometry(warping, engine, points, velocities):
+    """Geometry of the flowed surface; its velocity orients the normal.
 
-    ``orient`` optionally supplies the flow velocity; the normal sign
-    is then chosen so the surface moves against it, which keeps the
-    orientation consistent once the surface is no longer a graph.
-    Returns the report plus the normal components needed by callers.
+    One frame jet of the stack (r, y) in full mode or (r, cos beta) in
+    axisymmetric mode feeds the surface kernel.  beta itself is not
+    smooth across the poles in the polynomial basis, but cos(beta) is,
+    and the meridian data recover from it exactly.
     """
-    # one frame jet of the stack (r, y0, y1, y2); y components stay on the last axis
-    jet = engine.on_frame_jet(np.moveaxis(points, -1, 0))
-    rr, r1, r2, dr11, dr12, dr22 = (out[0] for out in jet)
-    y, y1, y2, d11, d12, d22 = (np.moveaxis(out[1:], 0, -1) for out in jet)
-
-    h, hp, _, _ = warping.jet(rr)
-
-    g_y11 = np.einsum("...c,...c->...", y1, y1)
-    g_y12 = np.einsum("...c,...c->...", y1, y2)
-    g_y22 = np.einsum("...c,...c->...", y2, y2)
-    gam11 = r1 * r1 + h * h * g_y11
-    gam12 = r1 * r2 + h * h * g_y12
-    gam22 = r2 * r2 + h * h * g_y22
-    det = gam11 * gam22 - gam12 * gam12
-    if np.min(det) <= 0.0:
-        raise WarpcmcError("degenerate parametrization: induced metric not positive")
-
-    # orthonormal frame of the tangent plane of S^2 at y; the seed axis is
-    # the coordinate direction least aligned with y at each node
-    seed = np.argmin(np.abs(y), axis=-1)
-    axis = np.zeros_like(y)
-    np.put_along_axis(axis, seed[..., None], 1.0, axis=-1)
-    u = axis - np.einsum("...c,...c->...", axis, y)[..., None] * y
-    u = u / np.linalg.norm(u, axis=-1, keepdims=True)
-    v = np.cross(y, u)
-
-    # ambient orthonormal components of the two tangent vectors
-    t1 = (r1, h * np.einsum("...c,...c->...", u, y1), h * np.einsum("...c,...c->...", v, y1))
-    t2 = (r2, h * np.einsum("...c,...c->...", u, y2), h * np.einsum("...c,...c->...", v, y2))
-    n_r = t1[1] * t2[2] - t1[2] * t2[1]
-    n_u = t1[2] * t2[0] - t1[0] * t2[2]
-    n_v = t1[0] * t2[1] - t1[1] * t2[0]
-    norm = np.sqrt(n_r * n_r + n_u * n_u + n_v * n_v)
-    n_r, n_u, n_v = n_r / norm, n_u / norm, n_v / norm
-
-    if orient is None:
-        flip = n_r < 0.0
-    else:
-        vr = orient[..., 0]
-        vy = orient[..., 1:4]
-        v_u = np.einsum("...c,...c->...", u, vy)
-        v_v = np.einsum("...c,...c->...", v, vy)
-        # the flow moves along -f nu, so g(nu, v) must come out negative
-        flip = n_r * vr + h * (n_u * v_u + n_v * v_v) > 0.0
-    sign = np.where(flip, -1.0, 1.0)
-    n_r, n_u, n_v = sign * n_r, sign * n_u, sign * n_v
-    nu_y = (n_u[..., None] * u + n_v[..., None] * v) / h[..., None]
-
-    def second(dab, ga, rda, rdb, ya, yb):
-        tang = np.einsum("...c,...c->...", nu_y, dab)
-        mix = rda * np.einsum("...c,...c->...", yb, nu_y) + rdb * np.einsum(
-            "...c,...c->...", ya, nu_y
-        )
-        return -(n_r * (ga) + h * h * tang + h * hp * mix)
-
-    ii11 = second(d11, dr11 - h * hp * g_y11, r1, r1, y1, y1)
-    ii12 = second(d12, dr12 - h * hp * g_y12, r1, r2, y1, y2)
-    ii22 = second(d22, dr22 - h * hp * g_y22, r2, r2, y2, y2)
-
-    mean = (gam22 * ii11 - 2.0 * gam12 * ii12 + gam11 * ii22) / det
-
-    _, deficit = shape_trace_deficit((gam11, gam12, gam22), (ii11, ii12, ii22))
-
-    density = np.sqrt(det)
-    report = GeometryReport(
-        mode="full",
-        area=float(np.sum(engine.area_weights * density)),
-        radii=rr,
-        warp=h,
-        potential=hp,
-        mean_curvature=mean,
-        shape_deficit=deficit,
-        nu_radial=n_r,
-        support=h * n_r,
-        area_density=density,
-        metric=(gam11, gam12, gam22),
-        second_form=(ii11, ii12, ii22),
-    )
-    return report, nu_y
-
-
-def _axisym_geometry(warping, engine, points, orient=None):
-    """Geometry of a meridian-parametrized axisymmetric surface (r, beta)."""
-    n = warping.dim
-    # beta itself is not smooth across the poles in the polynomial basis,
-    # but cos(beta) is, and the angle derivatives recover from it exactly
-    fields = np.stack([points[..., 0], np.cos(points[..., 1])])
-    (rr, cc), (r1, c1), (r11, c11), _ = engine.on_frame_jet(fields)
-    cc = np.clip(cc, -1.0, 1.0)
-    sin_b = np.sqrt(np.maximum(1.0 - cc * cc, 1e-300))
-    b1 = -c1 / sin_b
-    b11 = -(c11 + cc * b1 * b1) / sin_b
-
-    h, hp, _, _ = warping.jet(rr)
-    gam11 = r1 * r1 + h * h * b1 * b1
-    if np.min(gam11) <= 0.0:
-        raise WarpcmcError("degenerate parametrization: induced metric not positive")
-    sq = np.sqrt(gam11)
-    n_r = h * b1 / sq
-    n_b = -r1 / sq
-    if orient is None:
-        flip = n_r < 0.0
-    else:
-        flip = n_r * orient[..., 0] + n_b * h * orient[..., 1] > 0.0
-    sign = np.where(flip, -1.0, 1.0)
-    n_r, n_b = sign * n_r, sign * n_b
-
-    ii_m = -(n_r * (r11 - h * hp * b1 * b1) + h * n_b * b11 + 2.0 * hp * r1 * b1 * n_b)
-    s_m = ii_m / gam11
-    s_t = (hp / h) * n_r + (cc / sin_b) * (n_b / h)
-    mean = s_m + (n - 2) * s_t
-    deficit = math.sqrt((n - 2) / (n - 1)) * np.abs(s_m - s_t)
-
-    trans = (h * sin_b / engine.sin_theta) ** (n - 2)
-    density = sq * trans
-    gam_t = h * h * sin_b * sin_b / engine.sin_theta**2
-    report = GeometryReport(
-        mode="axisym",
-        area=float(np.sum(engine.area_weights * density)),
-        radii=rr,
-        warp=h,
-        potential=hp,
-        mean_curvature=mean,
-        shape_deficit=deficit,
-        nu_radial=n_r,
-        support=h * n_r,
-        area_density=density,
-        metric=(gam11, gam_t),
-        second_form=(ii_m, s_t * gam_t),
-    )
-    return report, n_b / h
-
-
-def _geometry(warping, engine, points, orient=None):
+    fields = np.moveaxis(points, -1, 0)
     if engine.kind == "full":
-        return _full_geometry(warping, engine, points, orient)
-    return _axisym_geometry(warping, engine, points, orient)
+        jet = engine.on_frame_jet(fields)
+        sphere_jet = tuple(out[1:] for out in jet)
+    else:
+        jet = engine.on_frame_jet(np.stack([fields[0], np.cos(fields[1])]))
+        cc, c1, c11, _ = (out[1] for out in jet)
+        cc = np.clip(cc, -1.0, 1.0)
+        sin_b = np.sqrt(np.maximum(1.0 - cc * cc, 1e-300))
+        b1 = -c1 / sin_b
+        sphere_jet = (cc / sin_b, sin_b / engine.sin_theta, b1, -(c11 + cc * b1 * b1) / sin_b)
+    radius_jet = tuple(out[0] for out in jet)
+    velocity = np.moveaxis(velocities, -1, 0)
+    return parametrized_geometry(warping, engine, radius_jet, sphere_jet, velocity)[0]
 
 
 def _masked_sum(engine, values, mask) -> float:
@@ -279,35 +161,19 @@ def init_flow(surface: GraphSurface) -> FlowState:
     """
     warping = surface.warping
     engine = surface.engine
-    rep0 = surface.geometry()
-    if float(np.min(rep0.mean_curvature)) <= 0.0:
+    report, nu_sphere = parametrized_geometry(
+        warping, engine, engine.on_frame_jet(surface.radii), engine.identity_jet
+    )
+    if float(np.min(report.mean_curvature)) <= 0.0:
         raise HypothesisError(
             "conformal flow needs strictly positive mean curvature at the start"
         )
-    if engine.kind == "full":
-        sin_t = engine.sin_theta[:, None]
-        cos_t = engine.x[:, None]
-        phi = engine.phi[None, :]
-        y = np.stack(
-            [
-                sin_t * np.cos(phi),
-                sin_t * np.sin(phi),
-                np.broadcast_to(cos_t, (engine.nlat, engine.nlon)).copy(),
-            ],
-            axis=-1,
-        )
-        points = np.concatenate([surface.radii[..., None], y], axis=-1)
-    else:
-        points = np.stack([surface.radii, engine.theta], axis=-1)
-
-    report, nu_extra = _geometry(warping, engine, points)
+    # the sphere coordinates of the identity map: y in full mode, beta = theta
+    sphere = engine.identity_jet[0] if engine.kind == "full" else engine.theta[None]
     f = report.potential
-    if engine.kind == "full":
-        vel = np.concatenate(
-            [(-f * report.nu_radial)[..., None], -f[..., None] * nu_extra], axis=-1
-        )
-    else:
-        vel = np.stack([-f * report.nu_radial, -f * nu_extra], axis=-1)
+    points = np.moveaxis(np.concatenate([surface.radii[None], sphere]), 0, -1)
+    vel = np.concatenate([(-f * report.nu_radial)[None], np.reshape(-f * nu_sphere, sphere.shape)])
+    vel = np.moveaxis(vel, 0, -1)
 
     active = np.ones(report.radii.shape, dtype=bool)
     frozen = np.zeros_like(active)
@@ -325,47 +191,43 @@ def init_flow(surface: GraphSurface) -> FlowState:
         active=active,
         frozen=frozen,
         initial_density=report.area_density,
+        speed_ratio=_speed_ratio(warping, points, vel),
     )
 
 
-def _rhs(warping, points, velocities, full: bool, low_clip: float):
-    """Geodesic right-hand side of the rescaled metric in g coordinates.
+def _clipped_jet(warping, points):
+    """Warp jet at the node radii, clipped into the open chart.
 
-    Radii are clipped into the open chart before jet evaluation so that
-    intermediate integrator stages of runaway nodes stay finite; runaway
-    nodes themselves are frozen by the caller right after the step.
+    Clipping keeps intermediate integrator stages of runaway nodes
+    finite; runaway nodes themselves are frozen by the caller right
+    after the step.
     """
-    r = np.clip(points[..., 0], low_clip, warping.r_bar * (1.0 - 1e-15))
-    h, hp, hpp, _ = warping.jet(r)
+    return warping.jet(np.clip(points[..., 0], 1e-4 * warping.r_bar, warping.r_bar * (1.0 - 1e-15)))
+
+
+def _rhs(warping, points, velocities, full: bool):
+    """Geodesic right-hand side of the rescaled metric in g coordinates."""
+    h, hp, hpp, _ = _clipped_jet(warping, points)
     hp_safe = np.where(np.abs(hp) > 1e-300, hp, 1e-300)
     psi = -hpp / hp_safe
-    vr = velocities[..., 0]
+    vr, vy = velocities[..., 0], velocities[..., 1:]
+    yy = np.einsum("...c,...c->...", vy, vy)
+    ar = h * hp * yy + psi * (h * h * yy - vr * vr)
+    ay = -(2.0 * (hp / h + psi) * vr)[..., None] * vy
     if full:
-        y = points[..., 1:4]
-        vy = velocities[..., 1:4]
-        yy = np.einsum("...c,...c->...", vy, vy)
-        ar = h * hp * yy + psi * (h * h * yy - vr * vr)
-        ay = -yy[..., None] * y - (2.0 * (hp / h + psi) * vr)[..., None] * vy
-        dp = np.concatenate([vr[..., None], vy], axis=-1)
-        dv = np.concatenate([ar[..., None], ay], axis=-1)
-    else:
-        vb = velocities[..., 1]
-        yy = vb * vb
-        ar = h * hp * yy + psi * (h * h * yy - vr * vr)
-        ab = -2.0 * (hp / h + psi) * vr * vb
-        dp = np.stack([vr, vb], axis=-1)
-        dv = np.stack([ar, ab], axis=-1)
-    return dp, dv
+        # the acceleration that keeps y on the unit sphere
+        ay = ay - yy[..., None] * points[..., 1:]
+    return velocities, np.concatenate([ar[..., None], ay], axis=-1)
 
 
-def _integrate(warping, points, velocities, dt, nsub, full, low_clip):
+def _integrate(warping, points, velocities, dt, nsub, full):
     p, v = points, velocities
     for _ in range(nsub):
         hdt = dt / nsub
-        k1p, k1v = _rhs(warping, p, v, full, low_clip)
-        k2p, k2v = _rhs(warping, p + 0.5 * hdt * k1p, v + 0.5 * hdt * k1v, full, low_clip)
-        k3p, k3v = _rhs(warping, p + 0.5 * hdt * k2p, v + 0.5 * hdt * k2v, full, low_clip)
-        k4p, k4v = _rhs(warping, p + hdt * k3p, v + hdt * k3v, full, low_clip)
+        k1p, k1v = _rhs(warping, p, v, full)
+        k2p, k2v = _rhs(warping, p + 0.5 * hdt * k1p, v + 0.5 * hdt * k1v, full)
+        k3p, k3v = _rhs(warping, p + 0.5 * hdt * k2p, v + 0.5 * hdt * k2v, full)
+        k4p, k4v = _rhs(warping, p + hdt * k3p, v + hdt * k3v, full)
         p = p + (hdt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         v = v + (hdt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         if full:
@@ -378,14 +240,11 @@ def _integrate(warping, points, velocities, dt, nsub, full, low_clip):
     return p, v
 
 
-def _speed_ratio(warping, points, velocities, full, low_clip):
-    r = np.clip(points[..., 0], low_clip, warping.r_bar * (1.0 - 1e-15))
-    h, hp, _, _ = warping.jet(r)
+def _speed_ratio(warping, points, velocities):
+    """|v|_g / f per node, exactly 1 along the flow up to integration error."""
+    h, hp, _, _ = _clipped_jet(warping, points)
     vr = velocities[..., 0]
-    if full:
-        yy = np.einsum("...c,...c->...", velocities[..., 1:4], velocities[..., 1:4])
-    else:
-        yy = velocities[..., 1] ** 2
+    yy = np.einsum("...c,...c->...", velocities[..., 1:], velocities[..., 1:])
     return np.sqrt(vr * vr + h * h * yy) / np.where(hp > 1e-300, hp, 1e-300)
 
 
@@ -408,17 +267,13 @@ def step(state: FlowState, dt: float, jacobian_cut: float = FLOW_JACOBIAN_CUT) -
 
     warping, engine = state.warping, state.engine
     full = engine.kind == "full"
-    low_clip = 1e-4 * warping.r_bar
     move = ~state.frozen
 
-    ratio0 = _speed_ratio(warping, state.points, state.velocities, full, low_clip)
     nsub = 1
     while True:
-        p_new, v_new = _integrate(
-            warping, state.points, state.velocities, dt, nsub, full, low_clip
-        )
-        ratio1 = _speed_ratio(warping, p_new, v_new, full, low_clip)
-        drift = np.abs(ratio1 - ratio0)[state.active & move]
+        p_new, v_new = _integrate(warping, state.points, state.velocities, dt, nsub, full)
+        ratio1 = _speed_ratio(warping, p_new, v_new)
+        drift = np.abs(ratio1 - state.speed_ratio)[state.active & move]
         if drift.size == 0 or float(np.max(drift)) <= SPEED_DRIFT_STEP:
             break
         nsub *= 2
@@ -433,7 +288,7 @@ def step(state: FlowState, dt: float, jacobian_cut: float = FLOW_JACOBIAN_CUT) -
     velocities = np.where((state.frozen | freeze_now)[..., None], state.velocities, v_new)
     frozen = state.frozen | freeze_now
 
-    report, _ = _geometry(warping, engine, points, orient=velocities)
+    report = _transported_geometry(warping, engine, points, velocities)
     jac = report.area_density / state.initial_density
     active = (
         state.active
@@ -457,6 +312,7 @@ def step(state: FlowState, dt: float, jacobian_cut: float = FLOW_JACOBIAN_CUT) -
         active=active,
         frozen=frozen,
         initial_density=state.initial_density,
+        speed_ratio=ratio1,
     )
 
 

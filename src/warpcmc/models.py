@@ -597,7 +597,7 @@ MODEL_FAMILIES = {
         "notes": "flat ball, h = r",
     },
     "sphere": {
-        "params": {"curvature": 1.0},
+        "params": {"curvature": 1.0, "r_bar": None},
         "variant": "ball",
         "notes": "round sphere up to the equator, h = sin(sqrt(c) r)/sqrt(c)",
     },
@@ -607,22 +607,22 @@ MODEL_FAMILIES = {
         "notes": "hyperbolic ball, h = sinh(sqrt(c) r)/sqrt(c)",
     },
     "schwarzschild": {
-        "params": {"m": 1.0, "s_max": None},
+        "params": {"m": 1.0, "s_max": None, "knots": 2048},
         "variant": "boundary",
         "notes": "omega = 1 - m s^(2-n); scalar-flat exterior",
     },
     "desitter-schwarzschild": {
-        "params": {"m": 1.0, "kappa": 0.0, "s_max": None},
+        "params": {"m": 1.0, "kappa": 0.0, "s_max": None, "knots": 2048},
         "variant": "boundary",
         "notes": "omega = 1 - m s^(2-n) - kappa s^2; constant scalar curvature n(n-1) kappa",
     },
     "reissner-nordstrom": {
-        "params": {"m": 1.0, "q": 0.25, "s_max": None},
+        "params": {"m": 1.0, "q": 0.25, "s_max": None, "knots": 2048},
         "variant": "boundary",
         "notes": "omega = 1 - m s^(2-n) + q^2 s^(4-2n); needs m > 2q > 0",
     },
     "omega-table": {
-        "params": {"path": None, "s_max": None},
+        "params": {"path": None, "s_max": None, "knots": 2048},
         "variant": "boundary",
         "notes": "two-column (s, omega) text table, '#' comments, horizon on the first row",
     },

@@ -104,9 +104,18 @@ class SphericalHarmonicEngine:
         self.sin_theta = np.sqrt(1.0 - self.x * self.x)
         self.cot_theta = self.x / self.sin_theta
         self.phi = 2.0 * math.pi * np.arange(self.nlon) / self.nlon
+        self.grid_shape = (self.nlat, self.nlon)
         # quadrature weights over the whole sphere, shape (nlat, 1)
         self.area_weights = (self.w * (2.0 * math.pi / self.nlon))[:, None]
         self._build_tables()
+        # frame jet of the identity map y: S^2 -> R^3, components on the leading
+        # axis: (y, e_theta, e_phi) and the covariant Hessians (-y, 0, -y)
+        sin_t, cos_t = self.sin_theta[:, None], self.x[:, None]
+        cos_p, sin_p = np.cos(self.phi), np.sin(self.phi)
+        y = np.stack(np.broadcast_arrays(sin_t * cos_p, sin_t * sin_p, cos_t))
+        e_theta = np.stack(np.broadcast_arrays(cos_t * cos_p, cos_t * sin_p, -sin_t))
+        e_phi = np.stack(np.broadcast_arrays(-sin_p, cos_p, 0.0 * sin_t))
+        self.identity_jet = (y, e_theta, e_phi, -y, np.zeros_like(y), -y)
 
     def _build_tables(self):
         """T[k, m, l, i]: k-th theta-derivative of P_l^m at latitude i (0 for l < m)."""
@@ -134,7 +143,6 @@ class SphericalHarmonicEngine:
             # second derivative from the defining ODE
             d2P[m:] = -self.cot_theta * dP[m:] - (lm * (lm + 1.0) - m * m / (s * s)) * P[m:]
         self._tables = T
-        self.degrees = np.arange(L + 1)
 
     # -- transforms ----------------------------------------------------
 
@@ -258,6 +266,7 @@ class AxisymEngine:
             raise ParameterError("need at least 8 nodes")
         self.dim = int(dim)
         self.npoints = int(points)
+        self.grid_shape = (self.npoints,)
         self.lmax = self.npoints - 1
         alpha = 0.5 * (dim - 3)
         x, w = _gauss_jacobi(self.npoints, alpha)
@@ -270,6 +279,9 @@ class AxisymEngine:
         self.transverse_volume = sphere_volume(dim - 2)
         self.area_weights = self.transverse_volume * self.w
         self._build_tables()
+        # meridian data of the identity map beta = theta: cot(beta),
+        # sin(beta)/sin(theta), beta' and beta''
+        self.identity_jet = (self.cot_theta, 1.0, 1.0, 0.0)
 
     def _gegenbauer_rows(self, lam: float, count: int) -> np.ndarray:
         """Unnormalized C_l^lam(x) for l = 0..count-1 by recurrence."""
@@ -301,7 +313,6 @@ class AxisymEngine:
         )
         T *= 1.0 / np.sqrt(self.transverse_volume * np.exp(log_norm))[:, None]
         self._tables = T
-        self.degrees = np.arange(L + 1)
 
     # -- transforms ----------------------------------------------------
 

@@ -1,25 +1,30 @@
-"""Hypersurfaces written as radial graphs over the parameter sphere.
+"""Hypersurfaces of a warped ambient and their pointwise geometry.
 
-A graph assigns a radius rho(y) to every direction y; the induced
-metric, second fundamental form, and the scalars every check needs
-(mean curvature, umbilicity deficit, support function, area measure)
-all come out of the warp jet at rho together with spectral derivatives
-of rho on the round sphere.  No finite differences anywhere.
+One kernel, ``parametrized_geometry``, serves every surface: it takes
+the frame jet of the radius and the jet of the sphere map of a
+parametrized surface over the parameter sphere and returns mean
+curvature, umbilicity deficit, support function and area measure,
+plus the sphere part of the unit normal.  A radial graph rho(y) is the
+parametrization whose sphere map is the identity, a constant jet each
+engine keeps; the conformal flow feeds the kernel the sphere map it
+transports.  Derivatives are spectral; no finite differences anywhere.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, WarpcmcError
 from .spectral import get_engine
 from .warping import WarpingFunction
 
 __all__ = [
     "GeometryReport",
     "GraphSurface",
+    "parametrized_geometry",
     "full_sphere_grid",
     "axisym_grid",
     "slice_surface",
@@ -39,15 +44,16 @@ def axisym_grid(dim: int, points: int = 256):
 
 @dataclass(frozen=True)
 class GeometryReport:
-    """Pointwise geometry of a graph surface.
+    """Pointwise geometry of a surface on the parameter grid.
 
-    ``metric`` and ``second_form`` hold the independent components in
-    the orthonormal frame of the round sphere: (11, 12, 22) in full
-    mode, (meridian, transverse) in axisymmetric mode, the transverse
-    entry carrying multiplicity n-2.  ``area`` integrates the measure
-    density against the grid weights; ``shape_deficit`` is the
-    Frobenius norm of the trace-free shape operator, the pointwise
-    umbilicity defect.
+    Every array has the engine's grid shape.  ``radii``, ``warp`` and
+    ``potential`` are r, h(r) and f = h'(r) at each node;
+    ``nu_radial`` is the radial component of the unit normal and
+    ``support`` = h nu_radial the support function g(h d/dr, nu).
+    ``area_density`` is the surface measure against the round one, and
+    ``area`` integrates it against the grid weights; ``shape_deficit``
+    is the Frobenius norm of the trace-free shape operator, the
+    pointwise umbilicity defect.
     """
 
     mode: str
@@ -60,8 +66,6 @@ class GeometryReport:
     nu_radial: np.ndarray
     support: np.ndarray
     area_density: np.ndarray
-    metric: tuple
-    second_form: tuple
 
 
 def shape_trace_deficit(metric, second_form):
@@ -90,16 +94,118 @@ def shape_trace_deficit(metric, second_form):
     return s11 + s22, np.sqrt(2.0 * (0.25 * (s11 - s22) ** 2 + s12 * s12))
 
 
+def _dot(a, b):
+    """Euclidean inner product of 3-vector fields stacked on the leading axis."""
+    return np.einsum("c...,c...->...", a, b)
+
+
+def parametrized_geometry(warping, engine, radius_jet, sphere_jet, orient=None):
+    """Geometry of a surface p -> (r(p), y(p)) over the parameter sphere.
+
+    ``radius_jet`` is the engine's frame jet of r.  ``sphere_jet`` is, in
+    full mode, the frame jet (y, y1, y2, y11, y12, y22) of the sphere map
+    with 3-vectors on the leading axis; in axisymmetric mode it is the
+    meridian data (cot beta, sin beta / sin theta, beta', beta'') of the
+    polar angle beta(theta).  The identity map (``engine.identity_jet``)
+    makes the surface a radial graph, whose normal points outward.
+    ``orient`` optionally supplies the flow velocity with its components
+    on the leading axis; the normal then points against it, which keeps
+    the orientation once the surface is no longer a graph.
+
+    Returns the report and the sphere part of the unit normal in the
+    coordinates of the sphere map: a 3-vector field in full mode, the
+    beta component in axisymmetric mode.
+    """
+    h, hp, _, _ = warping.jet(radius_jet[0])
+    hh = h * h
+    full = engine.kind == "full"
+    if full:
+        rr, r1, r2, dr11, dr12, dr22 = radius_jet
+        y, y1, y2, d11, d12, d22 = sphere_jet
+        g_y11, g_y12, g_y22 = _dot(y1, y1), _dot(y1, y2), _dot(y2, y2)
+        gam11 = r1 * r1 + hh * g_y11
+        gam12 = r1 * r2 + hh * g_y12
+        gam22 = r2 * r2 + hh * g_y22
+        det = gam11 * gam22 - gam12 * gam12
+        if np.min(det) <= 0.0:
+            raise WarpcmcError("degenerate parametrization: induced metric not positive")
+
+        # orthonormal frame (u, v = y x u) of the tangent plane of S^2 at y; the
+        # seed axis is the coordinate direction least aligned with y at each node
+        axis = (np.argmin(np.abs(y), axis=0) == np.arange(3)[:, None, None]) * 1.0
+        u = axis - _dot(axis, y) * y
+        u = u / np.linalg.norm(u, axis=0)
+        v = np.stack(
+            [y[1] * u[2] - y[2] * u[1], y[2] * u[0] - y[0] * u[2], y[0] * u[1] - y[1] * u[0]]
+        )
+
+        # ambient orthonormal (r, u, v) components of the two tangent vectors
+        t1 = (r1, h * _dot(u, y1), h * _dot(v, y1))
+        t2 = (r2, h * _dot(u, y2), h * _dot(v, y2))
+        n_r = t1[1] * t2[2] - t1[2] * t2[1]
+        n_u = t1[2] * t2[0] - t1[0] * t2[2]
+        n_v = t1[0] * t2[1] - t1[1] * t2[0]
+        norm = np.sqrt(n_r * n_r + n_u * n_u + n_v * n_v)
+        n_r = n_r / norm
+        nu_sphere = ((n_u / norm) * u + (n_v / norm) * v) / h
+
+        hhp = h * hp
+        p1, p2 = _dot(y1, nu_sphere), _dot(y2, nu_sphere)
+
+        def second(dab, rab, gab, mix):
+            return -(n_r * (rab - hhp * gab) + hh * _dot(nu_sphere, dab) + hhp * mix)
+
+        ii11 = second(d11, dr11, g_y11, r1 * p1 + r1 * p1)
+        ii12 = second(d12, dr12, g_y12, r1 * p2 + r2 * p1)
+        ii22 = second(d22, dr22, g_y22, r2 * p2 + r2 * p2)
+        mean, deficit = shape_trace_deficit((gam11, gam12, gam22), (ii11, ii12, ii22))
+        density = np.sqrt(det)
+    else:
+        n = warping.dim
+        rr, r1, r11 = radius_jet[:3]
+        cot_b, sin_ratio, b1, b11 = sphere_jet
+        hb = h * b1
+        r1sq = r1 * r1
+        gam11 = r1sq + hb * hb
+        if np.min(gam11) <= 0.0:
+            raise WarpcmcError("degenerate parametrization: induced metric not positive")
+        sq = np.sqrt(gam11)
+        n_r = hb / sq
+        nu_sphere = -r1 / (h * sq)
+        # meridian and transverse principal curvatures
+        hpb1 = hp * b1
+        s_m = (hpb1 * (gam11 + r1sq) - h * (b1 * r11 - r1 * b11)) / (sq * gam11)
+        s_t = hpb1 / sq + cot_b * nu_sphere
+        mean = s_m + (n - 2) * s_t
+        deficit = math.sqrt((n - 2) / (n - 1)) * np.abs(s_m - s_t)
+        density = sq * (h * sin_ratio) ** (n - 2)
+    if orient is not None:
+        # the flow moves along -f nu, so g(nu, v) must come out negative
+        sphere_part = _dot(nu_sphere, orient[1:]) if full else nu_sphere * orient[1]
+        sign = np.where(n_r * orient[0] + hh * sphere_part > 0.0, -1.0, 1.0)
+        n_r, nu_sphere, mean = sign * n_r, sign * nu_sphere, sign * mean
+    report = GeometryReport(
+        mode=engine.kind,
+        area=engine.integrate(density),
+        radii=rr,
+        warp=h,
+        potential=hp,
+        mean_curvature=mean,
+        shape_deficit=deficit,
+        nu_radial=n_r,
+        support=h * n_r,
+        area_density=density,
+    )
+    return report, nu_sphere
+
+
 class GraphSurface:
     """Radial graph rho over the parameter sphere of a warped ambient."""
 
     def __init__(self, warping: WarpingFunction, engine, radii):
         radii = np.asarray(radii, dtype=float)
-        expected = (
-            (engine.nlat, engine.nlon) if engine.kind == "full" else (engine.npoints,)
-        )
-        if radii.shape != expected:
-            raise ParameterError(f"radius grid must have shape {expected}")
+        if radii.shape != engine.grid_shape:
+            raise ParameterError(f"radius grid must have shape {engine.grid_shape}")
         if engine.kind == "full" and warping.dim != 3:
             raise ParameterError("full mode needs ambient dimension 3")
         if engine.kind == "axisym" and getattr(engine, "dim", warping.dim) != warping.dim:
@@ -114,77 +220,14 @@ class GraphSurface:
         self.radii = radii
         self._report = None
 
-    @property
-    def mode(self) -> str:
-        return self.engine.kind
-
     def geometry(self) -> GeometryReport:
         """Assemble and cache the curvature report."""
         if self._report is None:
-            self._report = (
-                self._geometry_full() if self.mode == "full" else self._geometry_axisym()
+            eng = self.engine
+            self._report, _ = parametrized_geometry(
+                self.warping, eng, eng.on_frame_jet(self.radii), eng.identity_jet
             )
         return self._report
-
-    def _geometry_full(self) -> GeometryReport:
-        eng = self.engine
-        rho, r1, r2, d11, d12, d22 = eng.on_frame_jet(self.radii)
-        h, hp, _, _ = self.warping.jet(rho)
-        grad2 = r1 * r1 + r2 * r2
-        w = np.sqrt(1.0 + grad2 / (h * h))
-        two = 2.0 * hp / h
-        ii11 = (-d11 + two * r1 * r1 + h * hp) / w
-        ii12 = (-d12 + two * r1 * r2) / w
-        ii22 = (-d22 + two * r2 * r2 + h * hp) / w
-        g11 = r1 * r1 + h * h
-        g12 = r1 * r2
-        g22 = r2 * r2 + h * h
-        mean, deficit = shape_trace_deficit((g11, g12, g22), (ii11, ii12, ii22))
-        density = h * h * w
-        return GeometryReport(
-            mode="full",
-            area=eng.integrate(density),
-            radii=rho,
-            warp=h,
-            potential=hp,
-            mean_curvature=mean,
-            shape_deficit=deficit,
-            nu_radial=1.0 / w,
-            support=h / w,
-            area_density=density,
-            metric=(g11, g12, g22),
-            second_form=(ii11, ii12, ii22),
-        )
-
-    def _geometry_axisym(self) -> GeometryReport:
-        eng = self.engine
-        n = self.warping.dim
-        rho, r1, d11, dtr = eng.on_frame_jet(self.radii)
-        h, hp, _, _ = self.warping.jet(rho)
-        w = np.sqrt(1.0 + (r1 * r1) / (h * h))
-        ii_m = (-d11 + (2.0 * hp / h) * r1 * r1 + h * hp) / w
-        ii_t = (-dtr + h * hp) / w
-        g_m = r1 * r1 + h * h
-        g_t = h * h
-        s_m = ii_m / g_m
-        s_t = ii_t / g_t
-        mean = s_m + (n - 2) * s_t
-        deficit = np.sqrt((n - 2.0) / (n - 1.0)) * np.abs(s_m - s_t)
-        density = h ** (n - 1) * w
-        return GeometryReport(
-            mode="axisym",
-            area=eng.integrate(density),
-            radii=rho,
-            warp=h,
-            potential=hp,
-            mean_curvature=mean,
-            shape_deficit=deficit,
-            nu_radial=1.0 / w,
-            support=h / w,
-            area_density=density,
-            metric=(g_m, g_t),
-            second_form=(ii_m, ii_t),
-        )
 
     # -- integrals -------------------------------------------------------
 
@@ -210,8 +253,7 @@ def slice_surface(warping: WarpingFunction, engine, radius: float) -> GraphSurfa
     """The coordinate slice at constant radius."""
     if not (0.0 < radius < warping.r_bar):
         raise DomainError(f"slice radius must lie in (0, {warping.r_bar})")
-    shape = (engine.nlat, engine.nlon) if engine.kind == "full" else (engine.npoints,)
-    return GraphSurface(warping, engine, np.full(shape, radius))
+    return GraphSurface(warping, engine, np.full(engine.grid_shape, radius))
 
 
 def perturb_slice(
@@ -228,8 +270,7 @@ def perturb_slice(
     """
     if not (0.0 < radius < warping.r_bar):
         raise DomainError(f"slice radius must lie in (0, {warping.r_bar})")
-    shape = (engine.nlat, engine.nlon) if engine.kind == "full" else (engine.npoints,)
-    rho = np.full(shape, radius)
+    rho = np.full(engine.grid_shape, radius)
     for l, m, amp in modes:
         rho = rho + engine.mode(int(l), int(m), float(amp))
     return GraphSurface(warping, engine, rho)

@@ -151,18 +151,30 @@ class WarpingFunction:
         """Volume of the sphere factor with its unit round metric."""
         return sphere_volume(self.dim - 1)
 
-    def jet(self, r):
-        """Evaluate (h, h', h'', h''') at radius r (scalar or array).
+    def _in_chart(self, r):
+        """Radii r as an array clipped to [0, r_bar]; DomainError outside [0, r_bar).
 
-        Radii must lie in [0, r_bar); a tiny relative overshoot of the outer
-        bound is tolerated to absorb roundoff in radius constructions.
+        A tiny relative overshoot of the outer bound is tolerated to absorb
+        roundoff in radius constructions.  A scalar is checked and clipped in
+        plain float arithmetic, a few times cheaper than array reductions, and
+        comes back as np.float64 with the bits np.clip would give.
         """
         arr = np.asarray(r, dtype=float)
-        if arr.size and (arr.min() < -1e-15 or arr.max() > self.r_bar * (1.0 + 1e-12)):
-            raise DomainError(
-                f"radius outside [0, {self.r_bar}): range [{arr.min()}, {arr.max()}]"
-            )
-        h, hp, hpp, hppp = self._jet(np.clip(arr, 0.0, self.r_bar))
+        if arr.ndim == 0:
+            lo = hi = float(arr)
+        elif arr.size:
+            lo, hi = arr.min(), arr.max()
+        else:
+            return arr
+        if lo < -1e-15 or hi > self.r_bar * (1.0 + 1e-12):
+            raise DomainError(f"radius outside [0, {self.r_bar}): range [{lo}, {hi}]")
+        if arr.ndim == 0:
+            return np.float64(min(max(lo, 0.0), self.r_bar))
+        return np.clip(arr, 0.0, self.r_bar)
+
+    def jet(self, r):
+        """Evaluate (h, h', h'', h''') at radius r (scalar or array) in [0, r_bar)."""
+        h, hp, hpp, hppp = self._jet(self._in_chart(r))
         if np.ndim(r) == 0:
             return float(h), float(hp), float(hpp), float(hppp)
         return h, hp, hpp, hppp
@@ -171,13 +183,14 @@ class WarpingFunction:
         """Evaluate (rho - h'(r)^2)/h(r)^2, the sphere-factor curvature excess.
 
         Families with a closed form supply a cancellation-free evaluator;
-        otherwise the quantity is assembled from the jet.
+        otherwise the quantity is assembled from the jet.  The domain is
+        that of ``jet``.
         """
-        arr = np.asarray(r, dtype=float)
+        arr = self._in_chart(r)
         if self._defect is not None:
             out = np.asarray(self._defect(arr), dtype=float)
         else:
-            h, hp, _, _ = self._jet(np.clip(arr, 0.0, self.r_bar))
+            h, hp, _, _ = self._jet(arr)
             out = (self.rho - hp * hp) / (h * h)
         if np.ndim(r) == 0:
             return float(out)

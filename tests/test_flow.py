@@ -9,6 +9,7 @@ construction and audited here.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from warpcmc import (
     slice_surface,
     step,
 )
+from warpcmc.flow import _speed_ratio
 
 
 @pytest.fixture(scope="module")
@@ -220,3 +222,44 @@ def test_monotonicity_audit_shape_guard(euclid_slice_flow):
     trace, _ = euclid_slice_flow
     with pytest.raises(ParameterError):
         monotonicity_audit(trace, trace.swept_weighted_volume[:-1])
+
+
+@pytest.mark.parametrize("mode", ["full", "axisym"])
+def test_init_flow_report_is_the_graph_geometry(schw3, mode):
+    if mode == "full":
+        engine, modes = full_sphere_grid(24), [(2, 1, 0.1), (3, -2, 0.05)]
+    else:
+        engine, modes = axisym_grid(3, 48), [(2, 0, 0.1), (3, 0, 0.05)]
+    surface = perturb_slice(schw3, engine, 2.0, modes)
+    flowed, graph = init_flow(surface).report, surface.geometry()
+    assert flowed.mode == graph.mode == mode
+    assert flowed.area == graph.area
+    for name in (
+        "radii",
+        "warp",
+        "potential",
+        "mean_curvature",
+        "shape_deficit",
+        "nu_radial",
+        "support",
+        "area_density",
+    ):
+        assert np.array_equal(getattr(flowed, name), getattr(graph, name)), name
+
+
+@pytest.mark.parametrize("mode", ["full", "axisym"])
+def test_carried_speed_ratio_is_the_ratio_at_the_current_points(schw3, mode):
+    full = mode == "full"
+    engine = full_sphere_grid(16) if full else axisym_grid(3, 32)
+    state = init_flow(perturb_slice(schw3, engine, 2.0, [(2, 1 if full else 0, 0.1)]))
+    # nodes frozen in place keep their points; their carried ratio is never read
+    frozen = np.zeros_like(state.frozen)
+    frozen[:3] = True
+    state = replace(state, frozen=frozen)
+    held = state.points[frozen]
+    for _ in range(5):
+        fresh = _speed_ratio(schw3, state.points, state.velocities)
+        assert np.array_equal(state.speed_ratio[~frozen], fresh[~frozen])
+        state = step(state, 0.01)
+    assert np.array_equal(state.points[frozen], held)
+    assert np.any(state.active)

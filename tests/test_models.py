@@ -255,3 +255,59 @@ def test_positive_kappa_window_stops_at_upper_horizon():
 def test_distance_of_area_radius_domain(schw3):
     with pytest.raises(DomainError):
         schw3.distance_of_area_radius(0.5)
+
+
+@pytest.mark.parametrize("family", ["schwarzschild", "euclidean", "sphere"])
+def test_curvature_defect_has_the_domain_of_jet(family):
+    w = make_model(family, 3)
+    for r in (-5.0, 1.01 * w.r_bar):
+        with pytest.raises(DomainError):
+            w.jet(r)
+        with pytest.raises(DomainError):
+            w.curvature_defect(r)
+        with pytest.raises(DomainError):
+            w.curvature_defect(np.array([0.5 * w.r_bar, r]))
+
+
+def test_curvature_defect_domain_on_the_generic_route(cosine_boundary):
+    # no closed-form defect evaluator: the defect is assembled from the jet
+    with pytest.raises(DomainError):
+        cosine_boundary.curvature_defect(-1.0)
+
+
+def test_listed_parameters_are_exactly_those_make_model_reads(tmp_path):
+    from warpcmc import MODEL_FAMILIES
+    from warpcmc.cli import MODEL_PARAM_KEYS
+
+    def omega_file(name, m):
+        s = np.linspace(m, 12.0 * m, 400)
+        path = tmp_path / name
+        np.savetxt(path, np.column_stack([s, 1.0 - m / s]))
+        return str(path)
+
+    base_path = omega_file("base.txt", 1.0)
+    changed = {
+        "m": 1.5,
+        "q": 0.3,
+        "kappa": -0.1,
+        "curvature": 2.0,
+        "r_bar": 1.0,
+        "s_max": 7.0,
+        "knots": 512,
+        "path": omega_file("other.txt", 1.2),
+    }
+
+    def fingerprint(family, **params):
+        if family == "omega-table":
+            params.setdefault("path", base_path)
+        w = make_model(family, 3, **params)
+        radii = np.linspace(0.05, 0.5, 7)
+        return w.r_bar, np.concatenate(w.jet(radii))
+
+    for family, spec in MODEL_FAMILIES.items():
+        assert set(spec["params"]) <= set(MODEL_PARAM_KEYS)
+        r_bar0, jet0 = fingerprint(family)
+        for key in MODEL_PARAM_KEYS:
+            r_bar1, jet1 = fingerprint(family, **{key: changed[key]})
+            same = r_bar1 == r_bar0 and np.array_equal(jet1, jet0)
+            assert same != (key in spec["params"]), (family, key)

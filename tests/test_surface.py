@@ -152,3 +152,26 @@ def test_graph_out_of_chart_raises(schw3):
     radii[0] = schw3.r_bar * 1.2
     with pytest.raises(DomainError):
         GraphSurface(schw3, axi, radii).geometry()
+
+
+def test_full_identity_jet_is_the_frame_jet_of_the_coordinates():
+    engine = full_sphere_grid(24)
+    identity = engine.identity_jet
+    jet = engine.on_frame_jet(identity[0])
+    for expected, got in zip(identity, jet):
+        assert got.shape == (3, engine.nlat, engine.nlon)
+        assert np.max(np.abs(got - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_axisym_identity_jet_is_the_meridian_data_of_cos_theta(dim):
+    # the meridian data of beta = theta, recovered from the jet of cos(beta);
+    # the recovery divides by sin(theta) up to twice, so its error is weighted
+    # by sin^2(theta), which is below 1e-2 at the polar nodes
+    engine = axisym_grid(dim, 48)
+    cc, c1, c11, _ = engine.on_frame_jet(np.cos(engine.theta))
+    sin_b = np.sqrt(1.0 - cc * cc)
+    b1 = -c1 / sin_b
+    derived = (cc / sin_b, sin_b / engine.sin_theta, b1, -(c11 + cc * b1 * b1) / sin_b)
+    for expected, got in zip(engine.identity_jet, derived):
+        assert np.max(np.abs(got - expected) * engine.sin_theta**2) < 1e-12
