@@ -1,152 +1,23 @@
 """Curvature conditions, geometric identities, and constant-mean-curvature
-experiments in rotationally symmetric warped product ambients."""
+experiments in rotationally symmetric warped product ambients.
+
+The package exports the ``__all__`` of each of its modules.
+"""
 
 __version__ = "0.1.0"
 
-from .errors import (
-    DomainError,
-    HypothesisError,
-    NotApplicableError,
-    ParameterError,
-    WarpcmcError,
-)
-from .warping import (
-    TOL_CONDITION,
-    ConditionReport,
-    ExtremumRecord,
-    WarpingFunction,
-    check_conditions,
-    chebyshev_radii,
-    euclidean_warping,
-    hyperbolic_warping,
-    monotonicity_quantity,
-    potential_and_field,
-    potential_monotone_radius,
-    ricci_eigenvalues,
-    ricci_gap_margin,
-    scalar_curvature,
-    scan_monotonicity_extrema,
-    sphere_volume,
-    spherical_warping,
-    static_tensor,
-    tabulated_warping,
-)
-from .models import (
-    MODEL_FAMILIES,
-    OmegaBackedWarping,
-    OmegaProfile,
-    admissibility,
-    desitter_schwarzschild_profile,
-    horizon_radius,
-    load_omega_table,
-    make_model,
-    omega_condition_margins,
-    omega_to_warping,
-    reissner_nordstrom_profile,
-    schwarzschild_profile,
-)
-from .spectral import (
-    COEFFICIENT_FLOOR,
-    AxisymEngine,
-    SphericalHarmonicEngine,
-    get_engine,
-)
-from .surface import (
-    GeometryReport,
-    GraphSurface,
-    axisym_grid,
-    full_sphere_grid,
-    perturb_slice,
-    slice_surface,
-)
-from .identities import (
-    IdentityReport,
-    hk_check,
-    minkowski_check,
-    minkowski_weighted_check,
-)
-from .flow import (
-    FLOW_JACOBIAN_CUT,
-    FloorReport,
-    FlowExhausted,
-    FlowState,
-    FlowTrace,
-    MonotonicityAudit,
-    area_floor_check,
-    init_flow,
-    monotonicity_audit,
-    radial_alignment,
-    run_flow,
-    step,
-)
-from .cmc import CmcResult, RigidityVerdict, find_cmc, umbilicity_verdict
+from . import cmc, errors, flow, identities, models, spectral, surface, warping
+from .errors import *
+from .warping import *
+from .models import *
+from .spectral import *
+from .surface import *
+from .identities import *
+from .flow import *
+from .cmc import *
 
-__all__ = [
-    "__version__",
-    "WarpcmcError",
-    "ParameterError",
-    "DomainError",
-    "HypothesisError",
-    "NotApplicableError",
-    "WarpingFunction",
-    "ConditionReport",
-    "ExtremumRecord",
-    "TOL_CONDITION",
-    "sphere_volume",
-    "euclidean_warping",
-    "spherical_warping",
-    "hyperbolic_warping",
-    "tabulated_warping",
-    "check_conditions",
-    "chebyshev_radii",
-    "potential_and_field",
-    "ricci_eigenvalues",
-    "monotonicity_quantity",
-    "scalar_curvature",
-    "ricci_gap_margin",
-    "static_tensor",
-    "scan_monotonicity_extrema",
-    "potential_monotone_radius",
-    "OmegaProfile",
-    "OmegaBackedWarping",
-    "MODEL_FAMILIES",
-    "admissibility",
-    "horizon_radius",
-    "make_model",
-    "omega_to_warping",
-    "load_omega_table",
-    "schwarzschild_profile",
-    "desitter_schwarzschild_profile",
-    "reissner_nordstrom_profile",
-    "omega_condition_margins",
-    "SphericalHarmonicEngine",
-    "AxisymEngine",
-    "get_engine",
-    "COEFFICIENT_FLOOR",
-    "GeometryReport",
-    "GraphSurface",
-    "full_sphere_grid",
-    "axisym_grid",
-    "slice_surface",
-    "perturb_slice",
-    "IdentityReport",
-    "minkowski_check",
-    "minkowski_weighted_check",
-    "hk_check",
-    "FLOW_JACOBIAN_CUT",
-    "FlowState",
-    "FlowTrace",
-    "FlowExhausted",
-    "FloorReport",
-    "MonotonicityAudit",
-    "init_flow",
-    "step",
-    "run_flow",
-    "monotonicity_audit",
-    "radial_alignment",
-    "area_floor_check",
-    "CmcResult",
-    "RigidityVerdict",
-    "find_cmc",
-    "umbilicity_verdict",
+__all__ = ["__version__"] + [
+    name
+    for module in (errors, warping, models, spectral, surface, identities, flow, cmc)
+    for name in module.__all__
 ]

@@ -4,8 +4,9 @@ Subcommands: ``check`` (structure conditions), ``verify`` (integral
 identities), ``flow`` (conformal flow plus monotonicity audit),
 ``cmc`` (CMC corpus experiments), ``models`` (list built-ins).
 
-A run is described by a JSON config document; every flag overrides
-the matching config key, and the output directory resolves as flag,
+A run is described by a JSON config document.  Each option is one row
+of the option tables below, and a flag overrides the config key named
+by the dotted path in its row; the output directory resolves as flag,
 then WARPCMC_OUTDIR, then config, then the working directory.  Output
 files are plain comma-separated tables (or json-lines) with '#'
 header lines carrying the tool version, model spec, and resolution;
@@ -64,7 +65,51 @@ DEFAULTS = {
     "output": {"dir": None, "format": "table"},
 }
 
-MODEL_PARAM_KEYS = ("m", "q", "kappa", "curvature", "r_bar", "s_max", "knots", "path")
+# One row per option: flag, the dotted config path it overrides, its type or
+# a tuple of choices, and its help text.  --config names the file itself.
+MODEL_PARAMS = (
+    ("--m", "model.m", float, "mass parameter"),
+    ("--q", "model.q", float, "charge parameter"),
+    ("--kappa", "model.kappa", float, "cosmological curvature"),
+    ("--curvature", "model.curvature", float, "space-form curvature"),
+    ("--r-bar", "model.r_bar", float, "chart radius"),
+    ("--s-max", "model.s_max", float, "outer area radius"),
+    ("--knots", "model.knots", int, "arc-length samples of h"),
+    ("--path", "model.path", str, "omega table path"),
+)
+COMMON_OPTIONS = (
+    ("--config", None, str, "JSON config file"),
+    ("--model", "model.family", str, "model family name"),
+    ("--n", "model.n", int, "ambient dimension"),
+    *MODEL_PARAMS,
+    ("--variant", "model.variant", ("boundary", "ball"), "expected variant"),
+    ("--out", "output.dir", str, "output directory"),
+    ("--format", "output.format", ("table", "json-lines"), "report format"),
+)
+SURFACE_OPTIONS = (
+    ("--grid-mode", "grid.mode", ("full", "axisym"), "spectral mode"),
+    ("--grid-size", "grid.size", int, "grid resolution"),
+    ("--radius", "surface.radius", float, "slice radius (arc length)"),
+    ("--s", "surface.s", float, "slice area radius (horizon families)"),
+    ("--modes", "surface.modes", str, "perturbation list degree,order,amp;..."),
+)
+FLOW_OPTIONS = (
+    ("--t-end", "flow.t_end", float, "flow end time"),
+    ("--dt-max", "flow.dt_max", float, "largest step"),
+    ("--record-every", "flow.record_every", int, "steps between records"),
+    ("--epsilon-cut", "flow.epsilon_cut", float, "jacobian deactivation cut"),
+)
+CMC_OPTIONS = (
+    ("--cmc-tol", "cmc.tol", float, "residual tolerance"),
+    ("--max-iter", "cmc.max_iter", int, "iteration cap"),
+    ("--corpus-count", "cmc.corpus.count", int, "random corpus size"),
+    ("--corpus-seed", "cmc.corpus.seed", int, "corpus seed"),
+    ("--corpus-amplitude", "cmc.corpus.amplitude", float, "perturbation amplitude"),
+    ("--corpus-max-degree", "cmc.corpus.max_degree", int, "largest perturbed degree"),
+)
+
+# the make_model parameters, in the order '# model:' header lines list them
+MODEL_PARAM_KEYS = tuple(path.split(".")[1] for _, path, _, _ in MODEL_PARAMS)
 
 FAMILY_TABLE = [
     (family, spec["variant"], ", ".join(spec["params"]))
@@ -104,14 +149,16 @@ def _jsonable(value):
 class Emitter:
     """Writes delimited tables with deterministic headers."""
 
-    def __init__(self, outdir: str, fmt: str, model_line: str, resolution_line: str):
-        if fmt not in ("table", "json-lines"):
-            raise ParameterError(f"unknown report format {fmt!r}")
-        self.outdir = outdir
-        self.fmt = fmt
-        self.model_line = model_line
+    def __init__(self, cfg: dict, w, resolution_line: str):
+        self.outdir, self.fmt = cfg["output"]["dir"], cfg["output"]["format"]
+        if self.fmt not in ("table", "json-lines"):
+            raise ParameterError(f"unknown report format {self.fmt!r}")
+        model = cfg["model"]
+        parts = [f"family={model['family']}", f"n={w.dim}", f"variant={w.variant}"]
+        parts += [f"{k}={model[k]}" for k in MODEL_PARAM_KEYS if model.get(k) is not None]
+        self.model_line = " ".join(parts)
         self.resolution_line = resolution_line
-        os.makedirs(outdir, exist_ok=True)
+        os.makedirs(self.outdir, exist_ok=True)
 
     def write(self, stem: str, columns, rows, extra_comments=()) -> str:
         ext = "csv" if self.fmt == "table" else "jsonl"
@@ -162,55 +209,21 @@ def _load_config(path: str | None) -> dict:
 
 
 def _apply_flags(cfg: dict, args: argparse.Namespace) -> dict:
-    model = cfg["model"]
-    if args.model is not None:
-        model["family"] = args.model
-    if args.n is not None:
-        model["n"] = args.n
-    for key in MODEL_PARAM_KEYS:
-        value = getattr(args, key, None)
+    """Set each given flag's value at its row's config path, then check ranges.
+
+    WARPCMC_OUTDIR stands in for a missing --out, and --modes is parsed
+    here, inside main's error handling.
+    """
+    _, _, options = COMMANDS[args.command]
+    for _, path, _, _ in options:
+        value = getattr(args, path) if path else None
+        if path == "output.dir" and value is None:
+            value = os.environ.get("WARPCMC_OUTDIR") or None
+        elif path == "surface.modes" and value is not None:
+            value = _parse_modes(value)
         if value is not None:
-            model[key] = value
-    if getattr(args, "variant", None) is not None:
-        model["variant"] = args.variant
-
-    if getattr(args, "grid_mode", None) is not None:
-        cfg["grid"]["mode"] = args.grid_mode
-    if getattr(args, "grid_size", None) is not None:
-        cfg["grid"]["size"] = args.grid_size
-
-    if getattr(args, "radius", None) is not None:
-        cfg["surface"]["radius"] = args.radius
-    if getattr(args, "s", None) is not None:
-        cfg["surface"]["s"] = args.s
-    if getattr(args, "modes", None) is not None:
-        cfg["surface"]["modes"] = _parse_modes(args.modes)
-
-    for flag, keys in (
-        ("t_end", ("flow", "t_end")),
-        ("dt_max", ("flow", "dt_max")),
-        ("record_every", ("flow", "record_every")),
-        ("epsilon_cut", ("flow", "epsilon_cut")),
-        ("cmc_tol", ("cmc", "tol")),
-        ("max_iter", ("cmc", "max_iter")),
-        ("corpus_count", ("cmc", "corpus", "count")),
-        ("corpus_seed", ("cmc", "corpus", "seed")),
-        ("corpus_amplitude", ("cmc", "corpus", "amplitude")),
-        ("corpus_max_degree", ("cmc", "corpus", "max_degree")),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            node = cfg
-            for key in keys[:-1]:
-                node = node[key]
-            node[keys[-1]] = value
-
-    if args.out is not None:
-        cfg["output"]["dir"] = args.out
-    elif os.environ.get("WARPCMC_OUTDIR"):
-        cfg["output"]["dir"] = os.environ["WARPCMC_OUTDIR"]
-    if args.format is not None:
-        cfg["output"]["format"] = args.format
+            *parents, key = path.split(".")
+            functools.reduce(dict.__getitem__, parents, cfg)[key] = value
     if cfg["output"]["dir"] is None:
         cfg["output"]["dir"] = "."
 
@@ -254,15 +267,6 @@ def _build_model(cfg: dict):
     return w
 
 
-def _model_line(cfg: dict, w) -> str:
-    model = cfg["model"]
-    parts = [f"family={model['family']}", f"n={w.dim}", f"variant={w.variant}"]
-    for key in MODEL_PARAM_KEYS:
-        if model.get(key) is not None:
-            parts.append(f"{key}={model[key]}")
-    return " ".join(parts)
-
-
 def _build_engine(cfg: dict, w):
     mode = cfg["grid"]["mode"]
     size = int(cfg["grid"]["size"])
@@ -303,12 +307,7 @@ def cmd_check(cfg: dict) -> int:
     report = check_conditions(w, grid_size=grid, tol=tol)
     records = scan_monotonicity_extrema(w)
 
-    emitter = Emitter(
-        cfg["output"]["dir"],
-        cfg["output"]["format"],
-        _model_line(cfg, w),
-        f"mode=radial size={grid}",
-    )
+    emitter = Emitter(cfg, w, f"mode=radial size={grid}")
     order = ["regularity", "monotonicity", "scalar_monotonicity", "ricci_gap"]
     rows = [
         (name, report.status[name], report.min_margin[name], report.worst_radius[name])
@@ -360,12 +359,7 @@ def cmd_verify(cfg: dict) -> int:
         )
     reports.append(hk_check(surface, tol=float(cfg["tolerances"]["heintze_karcher"])))
 
-    emitter = Emitter(
-        cfg["output"]["dir"],
-        cfg["output"]["format"],
-        _model_line(cfg, w),
-        f"mode={engine.kind} size={cfg['grid']['size']}",
-    )
+    emitter = Emitter(cfg, w, f"mode={engine.kind} size={cfg['grid']['size']}")
     rows = [
         (rep.name, rep.lhs, rep.rhs, rep.residual, rep.tol, rep.verdict)
         for rep in reports
@@ -395,12 +389,7 @@ def cmd_flow(cfg: dict) -> int:
     )
     audit = monotonicity_audit(trace, trace.swept_weighted_volume)
 
-    emitter = Emitter(
-        cfg["output"]["dir"],
-        cfg["output"]["format"],
-        _model_line(cfg, w),
-        f"mode={engine.kind} size={cfg['grid']['size']}",
-    )
+    emitter = Emitter(cfg, w, f"mode={engine.kind} size={cfg['grid']['size']}")
     trace_rows = list(
         zip(
             trace.times,
@@ -480,12 +469,7 @@ def _corpus_surfaces(cfg: dict, w, engine):
 def cmd_cmc(cfg: dict) -> int:
     w = _build_model(cfg)
     engine = _build_engine(cfg, w)
-    emitter = Emitter(
-        cfg["output"]["dir"],
-        cfg["output"]["format"],
-        _model_line(cfg, w),
-        f"mode={engine.kind} size={cfg['grid']['size']}",
-    )
+    emitter = Emitter(cfg, w, f"mode={engine.kind} size={cfg['grid']['size']}")
     rows = []
     alarms = 0
     for index, surface in _corpus_surfaces(cfg, w, engine):
@@ -552,34 +536,12 @@ def cmd_models(_cfg: dict) -> int:
 # argument parsing
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--model", help="model family name")
-    parser.add_argument("--n", type=int, help="ambient dimension")
-    parser.add_argument("--m", type=float, help="mass parameter")
-    parser.add_argument("--q", type=float, help="charge parameter")
-    parser.add_argument("--kappa", type=float, help="cosmological curvature")
-    parser.add_argument("--curvature", type=float, help="space-form curvature")
-    parser.add_argument("--r-bar", dest="r_bar", type=float, help="chart radius")
-    parser.add_argument("--s-max", dest="s_max", type=float, help="outer area radius")
-    parser.add_argument("--knots", type=int, help="arc-length samples of h")
-    parser.add_argument("--path", help="omega table path")
-    parser.add_argument("--variant", choices=("boundary", "ball"), help="expected variant")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--format", choices=("table", "json-lines"), help="report format")
-
-
-def _add_surface(parser: argparse.ArgumentParser):
-    parser.add_argument("--grid-mode", choices=("full", "axisym"), help="spectral mode")
-    parser.add_argument("--grid-size", type=int, help="grid resolution")
-    parser.add_argument("--radius", type=float, help="slice radius (arc length)")
-    parser.add_argument("--s", type=float, help="slice area radius (horizon families)")
-    parser.add_argument("--modes", help="perturbation list degree,order,amp;...")
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it unchanged."""
+    """The argument parser, built once per process; parsing leaves it unchanged.
+
+    Each option is stored under its dotted config path.
+    """
     parser = argparse.ArgumentParser(
         prog="warpcmc",
         description="curvature conditions, identities, flows and CMC experiments "
@@ -587,59 +549,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"warpcmc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="structure-condition suite")
-    _add_common(p_check)
-
-    p_verify = sub.add_parser("verify", help="integral identity checks")
-    _add_common(p_verify)
-    _add_surface(p_verify)
-
-    p_flow = sub.add_parser("flow", help="conformal flow with audit")
-    _add_common(p_flow)
-    _add_surface(p_flow)
-    p_flow.add_argument("--t-end", dest="t_end", type=float, help="flow end time")
-    p_flow.add_argument("--dt-max", dest="dt_max", type=float, help="largest step")
-    p_flow.add_argument(
-        "--record-every", dest="record_every", type=int, help="steps between records"
-    )
-    p_flow.add_argument(
-        "--epsilon-cut", dest="epsilon_cut", type=float, help="jacobian deactivation cut"
-    )
-
-    p_cmc = sub.add_parser("cmc", help="CMC solves and rigidity corpus")
-    _add_common(p_cmc)
-    _add_surface(p_cmc)
-    p_cmc.add_argument("--cmc-tol", dest="cmc_tol", type=float, help="residual tolerance")
-    p_cmc.add_argument("--max-iter", dest="max_iter", type=int, help="iteration cap")
-    p_cmc.add_argument(
-        "--corpus-count", dest="corpus_count", type=int, help="random corpus size"
-    )
-    p_cmc.add_argument("--corpus-seed", dest="corpus_seed", type=int, help="corpus seed")
-    p_cmc.add_argument(
-        "--corpus-amplitude",
-        dest="corpus_amplitude",
-        type=float,
-        help="perturbation amplitude",
-    )
-    p_cmc.add_argument(
-        "--corpus-max-degree",
-        dest="corpus_max_degree",
-        type=int,
-        help="largest perturbed degree",
-    )
-
-    p_models = sub.add_parser("models", help="list built-in families")
-    _add_common(p_models)
+    for name, (_, text, options) in COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        for flag, path, kind, help_text in options:
+            if isinstance(kind, tuple):
+                spec = {"choices": kind}
+            else:
+                spec = {"type": kind, "metavar": flag[2:].upper().replace("-", "_")}
+            command.add_argument(flag, dest=path or "config", help=help_text, **spec)
     return parser
 
 
+# subcommand -> (handler, help, options)
 COMMANDS = {
-    "check": cmd_check,
-    "verify": cmd_verify,
-    "flow": cmd_flow,
-    "cmc": cmd_cmc,
-    "models": cmd_models,
+    "check": (cmd_check, "structure-condition suite", COMMON_OPTIONS),
+    "verify": (cmd_verify, "integral identity checks", COMMON_OPTIONS + SURFACE_OPTIONS),
+    "flow": (
+        cmd_flow, "conformal flow with audit", COMMON_OPTIONS + SURFACE_OPTIONS + FLOW_OPTIONS
+    ),
+    "cmc": (
+        cmd_cmc, "CMC solves and rigidity corpus", COMMON_OPTIONS + SURFACE_OPTIONS + CMC_OPTIONS
+    ),
+    "models": (cmd_models, "list built-in families", COMMON_OPTIONS),
 }
 
 
@@ -649,7 +580,8 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         cfg = _apply_flags(cfg, args)
-        return COMMANDS[args.command](cfg)
+        handler, _, _ = COMMANDS[args.command]
+        return handler(cfg)
     except (ParameterError, DomainError, HypothesisError, NotApplicableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "WarpcmcError",
+    "ParameterError",
+    "DomainError",
+    "HypothesisError",
+    "NotApplicableError",
+]
+
 
 class WarpcmcError(Exception):
     """Base class for all package-specific errors."""

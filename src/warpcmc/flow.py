@@ -133,7 +133,7 @@ def _transported_geometry(warping, engine, points, velocities):
         sphere_jet = tuple(out[1:] for out in jet)
     else:
         jet = engine.on_frame_jet(np.stack([fields[0], np.cos(fields[1])]))
-        cc, c1, c11, _ = (out[1] for out in jet)
+        cc, c1, c11 = (out[1] for out in jet)
         cc = np.clip(cc, -1.0, 1.0)
         sin_b = np.sqrt(np.maximum(1.0 - cc * cc, 1e-300))
         b1 = -c1 / sin_b
@@ -349,7 +349,8 @@ def _cumulative_swept(samples: np.ndarray, dt: float, record_steps) -> np.ndarra
     return out
 
 
-def _record(state: FlowState):
+def _record(state: FlowState, index: int):
+    """(index, t, Q, area, min alignment, active count, f/H row, f row) after step ``index``."""
     rep = state.report
     active = state.active
     fh = np.where(active, rep.potential / np.where(active, rep.mean_curvature, 1.0), np.nan)
@@ -358,7 +359,8 @@ def _record(state: FlowState):
         align = float(np.min(rep.nu_radial[active]))
     else:
         align = np.nan
-    return fh.ravel(), f.ravel(), align, int(np.count_nonzero(active))
+    count = int(np.count_nonzero(active))
+    return index, state.t, state.q_value, rep.area, align, count, fh.ravel(), f.ravel()
 
 
 def run_flow(
@@ -393,16 +395,7 @@ def run_flow(
     dt = span / nsteps
     t0 = state.t
 
-    times = [state.t]
-    qs = [state.q_value]
-    areas = [state.report.area]
-    fh0, f0, align0, count0 = _record(state)
-    fh_rows = [fh0]
-    f_rows = [f0]
-    aligns = [align0]
-    counts = [count0]
-    record_steps = [0]
-
+    records = [_record(state, 0)]
     samples = [_swept_integrand(state)]
     for k in range(nsteps):
         try:
@@ -414,30 +407,23 @@ def run_flow(
         state = replace(state, t=t0 + span * ((k + 1) / nsteps))
         samples.append(_swept_integrand(state))
         if (k + 1) % record_every == 0 or k == nsteps - 1 or not np.any(state.active):
-            fh, f, align, count = _record(state)
-            times.append(state.t)
-            qs.append(state.q_value)
-            areas.append(state.report.area)
-            fh_rows.append(fh)
-            f_rows.append(f)
-            aligns.append(align)
-            counts.append(count)
-            record_steps.append(k + 1)
+            records.append(_record(state, k + 1))
         if not np.any(state.active):
             break
 
-    swept = _cumulative_swept(np.asarray(samples), dt, record_steps)
+    steps, times, qs, areas, aligns, counts, fh_rows, f_rows = map(np.asarray, zip(*records))
+    swept = _cumulative_swept(np.asarray(samples), dt, steps)
     trace = FlowTrace(
         dim=state.dim,
         variant=state.warping.variant,
-        times=np.asarray(times),
-        q_values=np.asarray(qs),
-        areas=np.asarray(areas),
-        min_alignment=np.asarray(aligns),
-        active_counts=np.asarray(counts),
+        times=times,
+        q_values=qs,
+        areas=areas,
+        min_alignment=aligns,
+        active_counts=counts,
         swept_weighted_volume=np.asarray(swept),
-        per_node_fH=np.asarray(fh_rows),
-        per_node_f=np.asarray(f_rows),
+        per_node_fH=fh_rows,
+        per_node_f=f_rows,
     )
     return trace, state
 

@@ -148,76 +148,77 @@ def _poly_omega_difference(dim, mass, kappa, charge2):
     return difference
 
 
+def _family_params(family: str, params: dict) -> dict:
+    """The parameters ``family`` reads: ``params`` over its MODEL_FAMILIES defaults."""
+    defaults = MODEL_FAMILIES[family]["params"]
+    return {key: params.get(key, value) for key, value in defaults.items()}
+
+
 def admissibility(family: str, n: int, params: dict) -> tuple[bool, str]:
     """Check whether family parameters give a regular horizon profile.
 
+    Missing parameters take the family's defaults from ``MODEL_FAMILIES``.
     Returns (ok, message); the message explains the first failed constraint.
     """
     if n < 3:
         return False, f"ambient dimension must be >= 3, got {n}"
-    if family == "schwarzschild":
-        m = params.get("m", 1.0)
-        if m <= 0:
-            return False, f"mass must be positive, got m = {m}"
-        return True, "admissible"
-    if family == "desitter-schwarzschild":
-        m = params.get("m", 1.0)
-        kappa = params.get("kappa", 0.0)
-        if m <= 0:
-            return False, f"mass must be positive, got m = {m}"
-        if kappa > 0:
-            bound = n**n / (4.0 * (n - 2) ** (n - 2)) * m**2 * kappa ** (n - 2)
-            if bound >= 1.0:
-                return False, (
-                    f"n^n/(4(n-2)^(n-2)) m^2 kappa^(n-2) = {bound:.6g} >= 1; "
-                    "the two horizons merge or vanish"
-                )
-        return True, "admissible"
-    if family == "reissner-nordstrom":
-        m = params.get("m", 1.0)
-        q = params.get("q", 0.0)
-        if not (m > 2.0 * q > 0.0):
-            return False, f"need m > 2q > 0, got m = {m}, q = {q}"
-        return True, "admissible"
     if family in ("euclidean", "sphere", "hyperbolic"):
         return True, "admissible"
-    return False, f"unknown family {family!r}"
+    if family not in _HORIZON_PROFILES:
+        return False, f"unknown family {family!r}"
+    p = _family_params(family, params)
+    m = p["m"]
+    if family == "reissner-nordstrom":
+        if not (m > 2.0 * p["q"] > 0.0):
+            return False, f"need m > 2q > 0, got m = {m}, q = {p['q']}"
+    elif m <= 0:
+        return False, f"mass must be positive, got m = {m}"
+    elif family == "desitter-schwarzschild" and p["kappa"] > 0:
+        bound = n**n / (4.0 * (n - 2) ** (n - 2)) * m**2 * p["kappa"] ** (n - 2)
+        if bound >= 1.0:
+            return False, (
+                f"n^n/(4(n-2)^(n-2)) m^2 kappa^(n-2) = {bound:.6g} >= 1; "
+                "the two horizons merge or vanish"
+            )
+    return True, "admissible"
 
 
 def horizon_radius(family: str, n: int, params: dict) -> float:
     """Largest root of omega for a built-in family, to 1e-12 relative.
 
+    Missing parameters take the family's defaults from ``MODEL_FAMILIES``.
     For deSitter-Schwarzschild with kappa > 0 this is the lower of the two
     roots (see ``_desitter_horizons``).
     """
     ok, msg = admissibility(family, n, params)
     if not ok:
         raise ParameterError(msg)
-    m = params.get("m", 1.0)
+    if family not in _HORIZON_PROFILES:
+        raise ParameterError(f"family {family!r} has no horizon")
+    p = _family_params(family, params)
+    m = p["m"]
     if family == "schwarzschild":
         return m ** (1.0 / (n - 2))
     if family == "reissner-nordstrom":
-        q = params["q"]
+        q = p["q"]
         # roots in u = s^{2-n} of q^2 u^2 - m u + 1; the larger s is the
         # smaller u, and the stable expression avoids cancellation
         disc = math.sqrt(m * m - 4.0 * q * q)
         u_small = 2.0 / (m + disc)
         return u_small ** (-1.0 / (n - 2))
-    if family == "desitter-schwarzschild":
-        kappa = params.get("kappa", 0.0)
-        if kappa > 0:
-            return _desitter_horizons(n, m, kappa)[0]
-        # omega increases with s when kappa <= 0, and the mass term makes it
-        # negative for small s: widen from the Schwarzschild radius both ways
-        omega = _poly_omega(n, m, kappa, 0.0)
-        f = lambda s: float(omega(s)[0])
-        lo = hi = m ** (1.0 / (n - 2))
-        while f(lo) >= 0:
-            lo *= 0.5
-        while f(hi) <= 0:
-            hi *= 2.0
-        return float(find_root(f, lo, hi))
-    raise ParameterError(f"family {family!r} has no horizon")
+    kappa = p["kappa"]
+    if kappa > 0:
+        return _desitter_horizons(n, m, kappa)[0]
+    # omega increases with s when kappa <= 0, and the mass term makes it
+    # negative for small s: widen from the Schwarzschild radius both ways
+    omega = _poly_omega(n, m, kappa, 0.0)
+    f = lambda s: float(omega(s)[0])
+    lo = hi = m ** (1.0 / (n - 2))
+    while f(lo) >= 0:
+        lo *= 0.5
+    while f(hi) <= 0:
+        hi *= 2.0
+    return float(find_root(f, lo, hi))
 
 
 def _desitter_horizons(n, m, kappa):
@@ -628,40 +629,38 @@ MODEL_FAMILIES = {
     },
 }
 
+# closed-form horizon families and their profile builders
+_HORIZON_PROFILES = {
+    "schwarzschild": schwarzschild_profile,
+    "desitter-schwarzschild": desitter_schwarzschild_profile,
+    "reissner-nordstrom": reissner_nordstrom_profile,
+}
+
 
 def make_model(family: str, n: int, **params) -> WarpingFunction:
     """Construct a built-in ambient by family name.
 
-    Space-form families return closed-form warpings directly; horizon
-    families go through the omega -> warping transformation.
+    Missing parameters take the family's defaults from ``MODEL_FAMILIES``,
+    and parameters the family does not read are ignored.  Space-form
+    families return closed-form warpings directly; horizon families go
+    through the omega -> warping transformation.
     """
-    if family == "euclidean":
-        return euclidean_warping(n, r_bar=params.get("r_bar", 10.0))
-    if family == "sphere":
-        return spherical_warping(
-            n, curvature=params.get("curvature", 1.0), r_bar=params.get("r_bar")
-        )
-    if family == "hyperbolic":
-        return hyperbolic_warping(
-            n, curvature=params.get("curvature", 1.0), r_bar=params.get("r_bar", 10.0)
-        )
-    knots = params.get("knots", 2048)
-    if family == "schwarzschild":
-        prof = schwarzschild_profile(n, m=params.get("m", 1.0), s_max=params.get("s_max"))
-    elif family == "desitter-schwarzschild":
-        prof = desitter_schwarzschild_profile(
-            n, m=params.get("m", 1.0), kappa=params.get("kappa", 0.0), s_max=params.get("s_max")
-        )
-    elif family == "reissner-nordstrom":
-        prof = reissner_nordstrom_profile(
-            n, m=params.get("m", 1.0), q=params.get("q", 0.25), s_max=params.get("s_max")
-        )
-    elif family == "omega-table":
-        if not params.get("path"):
-            raise ParameterError("omega-table needs path=<file>")
-        prof = load_omega_table(params["path"], n, s_max=params.get("s_max"))
-    else:
+    if family not in MODEL_FAMILIES:
         raise ParameterError(f"unknown model family {family!r}")
+    p = _family_params(family, params)
+    if family == "euclidean":
+        return euclidean_warping(n, **p)
+    if family == "sphere":
+        return spherical_warping(n, **p)
+    if family == "hyperbolic":
+        return hyperbolic_warping(n, **p)
+    knots = p.pop("knots")
+    if family == "omega-table":
+        if not p["path"]:
+            raise ParameterError("omega-table needs path=<file>")
+        prof = load_omega_table(n=n, **p)
+    else:
+        prof = _HORIZON_PROFILES[family](n, **p)
     return omega_to_warping(prof, knots=knots)
 
 

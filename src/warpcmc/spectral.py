@@ -178,15 +178,9 @@ class SphericalHarmonicEngine:
         spec[..., : self.lmax + 1] = gm.transpose(2, 1, 0)
         return np.fft.irfft(spec, n=self.nlon, axis=-1)
 
-    def synthesize(self, alm: np.ndarray, dtheta: int = 0, dphi: int = 0) -> np.ndarray:
-        """Grid values of sum a_lm Y_lm, optionally differentiated.
-
-        ``dtheta`` selects the Legendre table (0, 1, or 2 derivatives in
-        theta); ``dphi`` multiplies coefficients by (i m)^dphi.
-        """
-        if dtheta not in (0, 1, 2):
-            raise ParameterError("dtheta must be 0, 1 or 2")
-        grid = self._grid(self._legendre_sums(alm, self._tables[dtheta]), dphi)
+    def synthesize(self, alm: np.ndarray) -> np.ndarray:
+        """Grid values of sum a_lm Y_lm."""
+        grid = self._grid(self._legendre_sums(alm, self._tables[0]), 0)
         return grid.reshape(np.shape(alm)[:-2] + grid.shape[1:])
 
     def filter_degrees(self, values: np.ndarray, factor: np.ndarray) -> np.ndarray:
@@ -338,11 +332,9 @@ class AxisymEngine:
             jet.append(-self.x * sums[1] + self.sin_theta**2 * sums[2])
         return jet
 
-    def synthesize(self, coeff: np.ndarray, dtheta: int = 0) -> np.ndarray:
-        """Grid values of sum c_l G_l(cos theta), optionally d/dtheta."""
-        if dtheta not in (0, 1, 2):
-            raise ParameterError("dtheta must be 0, 1 or 2")
-        return self._theta_jet(coeff, dtheta)[dtheta]
+    def synthesize(self, coeff: np.ndarray) -> np.ndarray:
+        """Grid values of sum c_l G_l(cos theta)."""
+        return self._theta_jet(coeff, 0)[0]
 
     def filter_degrees(self, values: np.ndarray, factor: np.ndarray) -> np.ndarray:
         return self.synthesize(self.analyze(values) * np.asarray(factor, dtype=float))
@@ -365,16 +357,15 @@ class AxisymEngine:
     def on_frame_jet(self, values: np.ndarray):
         """Value, polar derivative, covariant Hessian components.
 
-        Returns (f, f1, h11, htr) where f1 = df/dtheta, h11 is the
-        meridian Hessian component and htr = cot(theta) df/dtheta the
-        common transverse component.  ``values`` is one grid (npoints,)
+        Returns (f, f1, h11) where f1 = df/dtheta and h11 is the meridian
+        Hessian component; the common transverse component is
+        cot(theta) f1.  ``values`` is one grid (npoints,)
         or a stack (K, npoints) on a leading axis, and each output has
         its shape.  Each field drops the coefficients below the floor of
         its own peak (see COEFFICIENT_FLOOR).
         """
         coeff = _floor_coefficients(self.analyze(values), -1)
-        f, ft, ftt = self._theta_jet(coeff, 2)
-        return f, ft, ftt, self.cot_theta * ft
+        return tuple(self._theta_jet(coeff, 2))
 
 
 _ENGINES: dict = {}

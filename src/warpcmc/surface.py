@@ -162,7 +162,7 @@ def parametrized_geometry(warping, engine, radius_jet, sphere_jet, orient=None):
         density = np.sqrt(det)
     else:
         n = warping.dim
-        rr, r1, r11 = radius_jet[:3]
+        rr, r1, r11 = radius_jet
         cot_b, sin_ratio, b1, b11 = sphere_jet
         hb = h * b1
         r1sq = r1 * r1

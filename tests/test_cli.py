@@ -5,13 +5,23 @@ nothing run-dependent, so repeating a command must reproduce the
 bytes exactly.
 """
 
+import copy
+import functools
 import json
 import subprocess
 import sys
 
 import pytest
 
-from warpcmc.cli import main
+from warpcmc.cli import (
+    COMMANDS,
+    DEFAULTS,
+    _apply_flags,
+    _build_parser,
+    _load_config,
+    _parse_modes,
+    main,
+)
 from conftest import kappa_max
 
 
@@ -288,3 +298,37 @@ def test_scipy_stays_off_the_import_path(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+OPTION_ROWS = [
+    (command, flag, path, kind)
+    for command, (_, _, options) in COMMANDS.items()
+    for flag, path, kind, _ in options
+    if path is not None
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, path, kind", OPTION_ROWS, ids=[f"{c}{f}" for c, f, _, _ in OPTION_ROWS]
+)
+def test_each_flag_sets_exactly_its_config_path(command, flag, path, kind, monkeypatch):
+    monkeypatch.delenv("WARPCMC_OUTDIR", raising=False)
+    *parents, key = path.split(".")
+    parent = functools.reduce(dict.__getitem__, parents, DEFAULTS)
+    # model parameters and the expected variant have no default in the config
+    assert key in parent or parents == ["model"]
+    if isinstance(kind, tuple):
+        text = value = next(choice for choice in kind if choice != parent.get(key))
+    elif path == "surface.modes":
+        text = "2,1,0.05;3,0,-0.01"
+        value = _parse_modes(text)
+    else:
+        text = {int: "64", float: "0.375", str: "given"}[kind]
+        value = kind(text)
+    cfg = _apply_flags(_load_config(None), _build_parser().parse_args([command, flag, text]))
+    expected = copy.deepcopy(DEFAULTS)
+    expected["output"]["dir"] = "."
+    functools.reduce(dict.__getitem__, parents, expected)[key] = value
+    assert cfg == expected
+    got = functools.reduce(dict.__getitem__, parents, cfg)[key]
+    assert type(got) is type(value)

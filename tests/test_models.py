@@ -24,12 +24,31 @@ from warpcmc import (
     omega_condition_margins,
     omega_to_warping,
     potential_and_field,
+    reissner_nordstrom_profile,
     ricci_gap_margin,
     scalar_curvature,
     schwarzschild_profile,
 )
 
 KAPPA_SMALL = 0.02
+
+
+@pytest.mark.parametrize(
+    "family, profile",
+    [
+        ("schwarzschild", schwarzschild_profile),
+        ("desitter-schwarzschild", desitter_schwarzschild_profile),
+        ("reissner-nordstrom", reissner_nordstrom_profile),
+    ],
+)
+def test_missing_parameters_take_the_family_defaults(family, profile):
+    # make_model, admissibility and horizon_radius read one set of defaults,
+    # and the profile builders' keyword defaults agree with it
+    assert admissibility(family, 3, {}) == (True, "admissible")
+    s_floor = make_model(family, 3).profile.s_floor
+    assert horizon_radius(family, 3, {}) == s_floor
+    assert horizon_radius(family, 3, {"m": 1.0}) == s_floor
+    assert profile(3).s_floor == s_floor
 
 
 def test_schwarzschild_horizon_radius():
