@@ -127,6 +127,8 @@ def _deep_update(base: dict, other: dict) -> dict:
 
 
 def _fmt(value) -> str:
+    if type(value) is float:
+        return repr(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -172,7 +174,7 @@ class Emitter:
                 lines.append(f"# {comment}")
             lines.append("# columns: " + ",".join(columns))
             for row in rows:
-                lines.append(",".join(_fmt(v) for v in row))
+                lines.append(",".join(map(_fmt, row)))
         else:
             head = {
                 "warpcmc": __version__,
@@ -322,18 +324,10 @@ def cmd_check(cfg: dict) -> int:
             f"conclusion: {report.conclusion}",
         ),
     )
-    margin_rows = list(
-        zip(
-            report.radii,
-            report.margins["monotonicity"],
-            report.margins["scalar_monotonicity"],
-            report.margins["ricci_gap"],
-        )
-    )
+    # Python floats take the fast path of _fmt
+    margins = [report.margins[name].tolist() for name in order[1:]]
     emitter.write(
-        f"margins_{w.name}",
-        ("radius", "monotonicity", "scalar_monotonicity", "ricci_gap"),
-        margin_rows,
+        f"margins_{w.name}", ("radius", *order[1:]), list(zip(report.radii.tolist(), *margins))
     )
     emitter.write(
         f"extrema_{w.name}",

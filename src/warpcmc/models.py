@@ -19,13 +19,13 @@ the chart above the midpoint substitutes s = s_upper - eta^2 the same way.
 The built-in families evaluate omega(root + d) - omega(root) without
 cancellation, so the integrand keeps full precision next to either root.
 
-F is tabulated once, by composite Gauss-Legendre panels between knots
-equally spaced in xi (and eta).  A quintic Hermite interpolant through the
-knots (F(s_k), s_k), with the exact h' and h'' there, is resampled on a
+F is tabulated once, by one 8-point Gauss-Legendre panel between consecutive
+knots equally spaced in xi (and eta).  A quintic Hermite interpolant through
+the knots (F(s_k), s_k), with the exact h' and h'' there, is resampled on a
 uniform r grid, and that ``HermiteTable`` is the only representation of h:
 a lookup is one index floor(r/dr) and Horner's rule, and the jet takes the
-derivatives from omega.  ``distance_of_area_radius`` integrates F afresh on
-its own panels and serves as an independent check of the table.
+derivatives from omega.  ``distance_of_area_radius`` integrates F afresh with
+32-point panels of its own and serves as an independent check of the table.
 
 The module needs numpy alone; only ``load_omega_table`` imports scipy.
 """
@@ -112,15 +112,25 @@ class OmegaProfile:
 # built-in families
 
 
+# The evaluators skip a kappa or charge2 term whose coefficient is 0 and keep the
+# order of the full polynomial: a skipped term adds an exact 0.0, so no bit moves.
 def _poly_omega(dim, mass, kappa, charge2):
     """omega(s) = 1 - mass s^{2-n} - kappa s^2 + charge2 s^{4-2n} and derivatives."""
     p = 2 - dim
     q = 4 - 2 * dim
 
     def omega(s):
-        w = 1.0 - mass * s**p - kappa * s**2 + charge2 * s**q
-        w1 = -mass * p * s ** (p - 1) - 2.0 * kappa * s + charge2 * q * s ** (q - 1)
-        w2 = -mass * p * (p - 1) * s ** (p - 2) - 2.0 * kappa + charge2 * q * (q - 1) * s ** (q - 2)
+        w = 1.0 - mass * s**p
+        w1 = -mass * p * s ** (p - 1)
+        w2 = -mass * p * (p - 1) * s ** (p - 2)
+        if kappa:
+            w = w - kappa * s**2
+            w1 = w1 - 2.0 * kappa * s
+            w2 = w2 - 2.0 * kappa
+        if charge2:
+            w = w + charge2 * s**q
+            w1 = w1 + charge2 * q * s ** (q - 1)
+            w2 = w2 + charge2 * q * (q - 1) * s ** (q - 2)
         return w, w1, w2
 
     return omega
@@ -129,7 +139,16 @@ def _poly_omega(dim, mass, kappa, charge2):
 def _poly_one_minus_omega(dim, mass, kappa, charge2):
     p = 2 - dim
     q = 4 - 2 * dim
-    return lambda s: mass * s**p + kappa * s**2 - charge2 * s**q
+
+    def one_minus_omega(s):
+        out = mass * s**p
+        if kappa:
+            out = out + kappa * s**2
+        if charge2:
+            out = out - charge2 * s**q
+        return out
+
+    return one_minus_omega
 
 
 def _poly_omega_difference(dim, mass, kappa, charge2):
@@ -139,11 +158,12 @@ def _poly_omega_difference(dim, mass, kappa, charge2):
 
     def difference(r, d):
         grow = np.log1p(d / r)
-        return (
-            charge2 * r**q * np.expm1(q * grow)
-            - mass * r**p * np.expm1(p * grow)
-            - kappa * d * (2.0 * r + d)
-        )
+        out = -mass * r**p * np.expm1(p * grow)
+        if charge2:
+            out = charge2 * r**q * np.expm1(q * grow) + out
+        if kappa:
+            out = out - kappa * d * (2.0 * r + d)
+        return out
 
     return difference
 
@@ -162,7 +182,8 @@ def admissibility(family: str, n: int, params: dict) -> tuple[bool, str]:
     """
     if n < 3:
         return False, f"ambient dimension must be >= 3, got {n}"
-    if family in ("euclidean", "sphere", "hyperbolic"):
+    # an omega table runs its own checks when it is loaded
+    if family in ("euclidean", "sphere", "hyperbolic", "omega-table"):
         return True, "admissible"
     if family not in _HORIZON_PROFILES:
         return False, f"unknown family {family!r}"
@@ -328,19 +349,21 @@ def load_omega_table(path, n: int, s_max: float | None = None) -> OmegaProfile:
 # omega -> warping transformation
 
 
-# Gauss-Legendre rule of every arc-length panel, on [-1, 1]
-PANEL_POINTS = 32
-_PANEL_X, _PANEL_W = leggauss(PANEL_POINTS)
-# knot intervals per omega call while F is tabulated; bounds the size of the
-# temporaries a single omega evaluation allocates
-PANEL_BLOCK = 64
+# Gauss-Legendre rules on [-1, 1].  A knot interval is about 1/2047 of the chart
+# in xi (or eta) and the integrand is analytic far beyond it, so 8 points reach
+# roundoff; the oracle keeps 32 points, sharing neither panels nor rule.
+_KNOT_RULE = leggauss(8)
+_ORACLE_RULE = leggauss(32)
+# knot intervals per omega call while F is tabulated: 256 x 8 = 2048 nodes
+# bounds the size of the temporaries a single omega evaluation allocates
+PANEL_BLOCK = 256
 
 
-def _panel_nodes(edges):
-    """Gauss-Legendre nodes/weights between consecutive edges, one row per panel."""
+def _panel_nodes(edges, x, w):
+    """Nodes/weights of the rule (x, w) on [-1, 1] between consecutive edges, one row per panel."""
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
-    return mid[:, None] + half[:, None] * _PANEL_X, half[:, None] * _PANEL_W
+    return mid[:, None] + half[:, None] * x, half[:, None] * w
 
 
 def _root_integrand(profile: OmegaProfile, root, sign, x):
@@ -379,10 +402,10 @@ def _split_radius(profile: OmegaProfile):
 
 
 def _cumulative_arc_length(profile: OmegaProfile, root, sign, x):
-    """F(root + sign x_k^2) - F(root + sign x_0^2) for every k, one panel per interval of x."""
+    """F(root + sign x_k^2) - F(root + sign x_0^2) for every k, an 8-point panel per interval."""
     panel_sums = []
     for lo in range(0, x.size - 1, PANEL_BLOCK):
-        nodes, weights = _panel_nodes(x[lo : lo + PANEL_BLOCK + 1])
+        nodes, weights = _panel_nodes(x[lo : lo + PANEL_BLOCK + 1], *_KNOT_RULE)
         panel_sums.append(np.sum(weights * _root_integrand(profile, root, sign, nodes), axis=1))
     return sign * np.concatenate(([0.0], np.cumsum(np.concatenate(panel_sums))))
 
@@ -416,7 +439,7 @@ def _panel_integral(profile: OmegaProfile, root, sign, a, b, width):
     if a == b:
         return 0.0
     panels = max(4, int(math.ceil(abs(b - a) / width)))
-    nodes, weights = _panel_nodes(np.linspace(a, b, panels + 1))
+    nodes, weights = _panel_nodes(np.linspace(a, b, panels + 1), *_ORACLE_RULE)
     return sign * np.sum(weights * _root_integrand(profile, root, sign, nodes))
 
 
@@ -492,9 +515,10 @@ class OmegaBackedWarping(WarpingFunction):
     def distance_of_area_radius(self, s):
         """F(s): arc length from the horizon to area radius s, by direct quadrature.
 
-        Panels no wider than sqrt(s_max - s_floor)/256, at least 4, in
-        xi = sqrt(s - s_floor); above the midpoint toward an upper root the
-        part past the midpoint is integrated in eta = sqrt(s_upper - s).
+        32-point Gauss-Legendre panels no wider than sqrt(s_max - s_floor)/256,
+        at least 4, in xi = sqrt(s - s_floor); above the midpoint toward an
+        upper root the part past the midpoint is integrated in eta =
+        sqrt(s_upper - s).
         """
         prof = self.profile
         arr = np.asarray(s, dtype=float)
@@ -526,10 +550,11 @@ class OmegaBackedWarping(WarpingFunction):
 def omega_to_warping(profile: OmegaProfile, knots: int = 2048) -> OmegaBackedWarping:
     """Build the warped-form profile h from a horizon profile omega.
 
-    The arc length F is tabulated at ``knots`` area radii s_k, one composite
+    The arc length F is tabulated at ``knots`` area radii s_k, one 8-point
     Gauss-Legendre panel per knot interval in a variable that removes the
     square-root singularity at the nearer root of omega
-    (``_arc_length_knots``).  A quintic Hermite interpolant through
+    (``_arc_length_knots``); the oracle ``distance_of_area_radius`` uses
+    32-point panels instead.  A quintic Hermite interpolant through
     (F(s_k), s_k) with the exact h' = sqrt(omega) and h'' = omega'/2 is
     resampled on a uniform r grid of knots - 1 intervals, and the
     ``HermiteTable`` on that grid is the one stored representation of h.

@@ -11,6 +11,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from warpcmc.cli import (
@@ -18,6 +19,7 @@ from warpcmc.cli import (
     DEFAULTS,
     _apply_flags,
     _build_parser,
+    _fmt,
     _load_config,
     _parse_modes,
     main,
@@ -36,6 +38,26 @@ def test_models_lists_families(capsys):
     assert code == 0
     for family in ("euclidean", "schwarzschild", "reissner-nordstrom", "omega-table"):
         assert family in out
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (1.0 / 3.0, "0.3333333333333333"),
+        (-0.0, "-0.0"),
+        (1e-300, "1e-300"),
+        (np.float64(1.0 / 3.0), "0.3333333333333333"),
+        (np.float32(0.1), "0.10000000149011612"),
+        (True, "true"),
+        (np.bool_(False), "false"),
+        (7, "7"),
+        (np.int64(7), "7"),
+        ("pass", "pass"),
+    ],
+)
+def test_fmt_strings_are_pinned(value, text):
+    # every table cell goes through _fmt; its strings fix the CLI file bytes
+    assert _fmt(value) == text
 
 
 def test_check_passes_on_flat(tmp_path, capsys):

@@ -29,6 +29,7 @@ from warpcmc import (
     scalar_curvature,
     schwarzschild_profile,
 )
+from warpcmc.models import _poly_omega, _poly_omega_difference, _poly_one_minus_omega
 
 KAPPA_SMALL = 0.02
 
@@ -89,6 +90,62 @@ def test_admissibility_messages():
     assert ok
     ok, _ = admissibility("schwarzschild", 3, {"m": -1.0})
     assert not ok
+
+
+def test_omega_tables_are_admissible_and_have_no_closed_form_horizon():
+    # make_model builds the family; the table runs its own checks when loaded
+    assert admissibility("omega-table", 3, {}) == (True, "admissible")
+    assert admissibility("omega-table", 5, {"path": "omega.txt"}) == (True, "admissible")
+    assert not admissibility("omega-table", 2, {})[0]
+    with pytest.raises(ParameterError, match="has no horizon"):
+        horizon_radius("omega-table", 3, {})
+
+
+def _full_polynomial(n, mass, kappa, charge2):
+    """omega, 1 - omega and the omega difference with all three terms written out."""
+    p, q = 2 - n, 4 - 2 * n
+
+    def omega(s):
+        return (
+            1.0 - mass * s**p - kappa * s**2 + charge2 * s**q,
+            -mass * p * s ** (p - 1) - 2.0 * kappa * s + charge2 * q * s ** (q - 1),
+            -mass * p * (p - 1) * s ** (p - 2) - 2.0 * kappa + charge2 * q * (q - 1) * s ** (q - 2),
+        )
+
+    def one_minus_omega(s):
+        return mass * s**p + kappa * s**2 - charge2 * s**q
+
+    def difference(r, d):
+        grow = np.log1p(d / r)
+        return (
+            charge2 * r**q * np.expm1(q * grow)
+            - mass * r**p * np.expm1(p * grow)
+            - kappa * d * (2.0 * r + d)
+        )
+
+    return omega, one_minus_omega, difference
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("kappa", [-0.3, 0.0, 0.01])
+@pytest.mark.parametrize("charge2", [0.0, 0.04])
+def test_omega_evaluators_match_the_full_polynomial_bit_for_bit(n, kappa, charge2):
+    # the evaluators skip the terms whose coefficient is 0, which would only
+    # add an exact 0.0: the numbers must be the same, on arrays and on floats
+    mass = 0.7
+    omega, one_minus_omega, difference = _full_polynomial(n, mass, kappa, charge2)
+    args = (n, mass, kappa, charge2)
+    fast = (_poly_omega(*args), _poly_one_minus_omega(*args), _poly_omega_difference(*args))
+    s = np.linspace(0.6, 4.0, 97)
+    d = np.linspace(-0.3, 2.0, 97)
+    for got, want in zip(fast[0](s), omega(s)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(fast[1](s), one_minus_omega(s))
+    assert np.array_equal(fast[2](0.9, d), difference(0.9, d))
+    for x, y in zip(s.tolist(), d.tolist()):
+        assert fast[0](x) == omega(x)
+        assert fast[1](x) == one_minus_omega(x)
+        assert fast[2](0.9, y) == difference(0.9, y)
 
 
 def test_make_model_rejects_unknown_family():

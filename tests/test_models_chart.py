@@ -51,6 +51,24 @@ def test_area_radius_of_distance_inverts_closed_form(log_m):
     assert np.max(np.abs(lookup / s - 1.0)) < 2e-10
 
 
+def test_omega_table_chart_matches_closed_form(tmp_path):
+    """An omega table of Schwarzschild n = 3, m = 1 on [1, 10] gives its closed-form chart.
+
+    The table's omega next to the horizon is a plain difference of spline
+    values, mostly roundoff there, so the knot quadrature must keep its
+    nodes off the horizon as well as reach roundoff on each panel.
+    """
+    s = np.linspace(1.0, 10.0, 2000)
+    path = tmp_path / "omega.txt"
+    np.savetxt(path, np.column_stack([s, 1.0 - 1.0 / s]))
+    w = make_model("omega-table", 3, path=str(path))
+    t = np.concatenate(([1e-6], np.geomspace(1e-6, 9.0, 2001)[1:]))
+    r = closed_form_distance(1.0, t)
+    assert abs(w.r_bar / r[-1] - 1.0) < 2e-12
+    lookup = w.area_radius_of_distance(np.minimum(r, w.r_bar))
+    assert np.max(np.abs(lookup - (1.0 + t))) < 1e-11
+
+
 # Gauss-Legendre rule on [0, 1] for the mean slope of omega
 TAU, TAU_WEIGHTS = roots_legendre(40)
 TAU, TAU_WEIGHTS = 0.5 * (TAU + 1.0), 0.5 * TAU_WEIGHTS
