@@ -72,7 +72,8 @@ class FlowState:
     of nodes still inside the smooth regime.  Deactivation is
     permanent; integral quantities only ever sum over active nodes.
     ``speed_ratio`` is the rescaled-metric speed |v|_g / f at the current
-    points, except at frozen nodes, where it is never read.
+    points, except at frozen nodes, where it is never read.  ``warp_jet``
+    is the clipped warp jet at the current points; the next step starts from it.
     """
 
     warping: WarpingFunction
@@ -87,6 +88,7 @@ class FlowState:
     frozen: np.ndarray
     initial_density: np.ndarray
     speed_ratio: np.ndarray
+    warp_jet: tuple
 
     @property
     def dim(self) -> int:
@@ -177,6 +179,7 @@ def init_flow(surface: GraphSurface) -> FlowState:
 
     active = np.ones(report.radii.shape, dtype=bool)
     frozen = np.zeros_like(active)
+    jet = _clipped_jet(warping, points)
     fh = report.potential / report.mean_curvature
     q0 = (warping.dim - 1) * _masked_sum(engine, fh * report.area_density, active)
     return FlowState(
@@ -191,7 +194,8 @@ def init_flow(surface: GraphSurface) -> FlowState:
         active=active,
         frozen=frozen,
         initial_density=report.area_density,
-        speed_ratio=_speed_ratio(warping, points, vel),
+        speed_ratio=_speed_ratio(jet, vel),
+        warp_jet=jet,
     )
 
 
@@ -205,9 +209,9 @@ def _clipped_jet(warping, points):
     return warping.jet(np.clip(points[..., 0], 1e-4 * warping.r_bar, warping.r_bar * (1.0 - 1e-15)))
 
 
-def _rhs(warping, points, velocities, full: bool):
-    """Geodesic right-hand side of the rescaled metric in g coordinates."""
-    h, hp, hpp, _ = _clipped_jet(warping, points)
+def _rhs(warping, points, velocities, full: bool, jet=None):
+    """Geodesic right-hand side of the rescaled metric, from the clipped warp jet if given."""
+    h, hp, hpp, _ = _clipped_jet(warping, points) if jet is None else jet
     hp_safe = np.where(np.abs(hp) > 1e-300, hp, 1e-300)
     psi = -hpp / hp_safe
     vr, vy = velocities[..., 0], velocities[..., 1:]
@@ -220,29 +224,40 @@ def _rhs(warping, points, velocities, full: bool):
     return velocities, np.concatenate([ar[..., None], ay], axis=-1)
 
 
-def _integrate(warping, points, velocities, dt, nsub, full):
-    p, v = points, velocities
+def _rk4_sum(x, hdt, k1, k2, k3, k4):
+    """x + (hdt / 6) (k1 + 2 k2 + 2 k3 + k4), summed in place into k2 and k3."""
+    k2 *= 2.0
+    k2 += k1
+    k2 += np.multiply(k3, 2.0, out=k3)
+    k2 += k4
+    k2 *= hdt / 6.0
+    return np.add(x, k2, out=k2)
+
+
+def _integrate(state: FlowState, dt, nsub):
+    """RK4 from the state over dt in nsub substeps, the first stage on the carried jet."""
+    warping, full = state.warping, state.engine.kind == "full"
+    p, v, jet = state.points, state.velocities, state.warp_jet
+    hdt = dt / nsub
     for _ in range(nsub):
-        hdt = dt / nsub
-        k1p, k1v = _rhs(warping, p, v, full)
+        k1p, k1v = _rhs(warping, p, v, full, jet)
+        jet = None
         k2p, k2v = _rhs(warping, p + 0.5 * hdt * k1p, v + 0.5 * hdt * k1v, full)
         k3p, k3v = _rhs(warping, p + 0.5 * hdt * k2p, v + 0.5 * hdt * k2v, full)
         k4p, k4v = _rhs(warping, p + hdt * k3p, v + hdt * k3v, full)
-        p = p + (hdt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        v = v + (hdt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        p = _rk4_sum(p, hdt, k1p, k2p, k3p, k4p)
+        v = _rk4_sum(v, hdt, k1v, k2v, k3v, k4v)
         if full:
             y = p[..., 1:4]
-            y = y / np.linalg.norm(y, axis=-1, keepdims=True)
+            y /= np.linalg.norm(y, axis=-1, keepdims=True)
             vy = v[..., 1:4]
-            vy = vy - np.einsum("...c,...c->...", vy, y)[..., None] * y
-            p = np.concatenate([p[..., :1], y], axis=-1)
-            v = np.concatenate([v[..., :1], vy], axis=-1)
+            vy -= np.einsum("...c,...c->...", vy, y)[..., None] * y
     return p, v
 
 
-def _speed_ratio(warping, points, velocities):
-    """|v|_g / f per node, exactly 1 along the flow up to integration error."""
-    h, hp, _, _ = _clipped_jet(warping, points)
+def _speed_ratio(jet, velocities):
+    """|v|_g / f per node from the clipped warp jet at its points; 1 up to integration error."""
+    h, hp, _, _ = jet
     vr = velocities[..., 0]
     yy = np.einsum("...c,...c->...", velocities[..., 1:], velocities[..., 1:])
     return np.sqrt(vr * vr + h * h * yy) / np.where(hp > 1e-300, hp, 1e-300)
@@ -266,13 +281,13 @@ def step(state: FlowState, dt: float, jacobian_cut: float = FLOW_JACOBIAN_CUT) -
         raise FlowExhausted("every node is inactive; the flow has ended")
 
     warping, engine = state.warping, state.engine
-    full = engine.kind == "full"
     move = ~state.frozen
 
     nsub = 1
     while True:
-        p_new, v_new = _integrate(warping, state.points, state.velocities, dt, nsub, full)
-        ratio1 = _speed_ratio(warping, p_new, v_new)
+        p_new, v_new = _integrate(state, dt, nsub)
+        jet_new = _clipped_jet(warping, p_new)
+        ratio1 = _speed_ratio(jet_new, v_new)
         drift = np.abs(ratio1 - state.speed_ratio)[state.active & move]
         if drift.size == 0 or float(np.max(drift)) <= SPEED_DRIFT_STEP:
             break
@@ -284,9 +299,11 @@ def step(state: FlowState, dt: float, jacobian_cut: float = FLOW_JACOBIAN_CUT) -
     r_new = p_new[..., 0]
     escaped = (r_new < 5e-4 * warping.r_bar) | (r_new > warping.r_bar * (1.0 - 1e-9))
     freeze_now = move & (escaped | bad)
-    points = np.where((state.frozen | freeze_now)[..., None], state.points, p_new)
-    velocities = np.where((state.frozen | freeze_now)[..., None], state.velocities, v_new)
     frozen = state.frozen | freeze_now
+    points = np.where(frozen[..., None], state.points, p_new)
+    velocities = np.where(frozen[..., None], state.velocities, v_new)
+    # frozen nodes keep their points, and with them the jet the step began from
+    warp_jet = tuple(np.where(frozen, old, new) for old, new in zip(state.warp_jet, jet_new))
 
     report = _transported_geometry(warping, engine, points, velocities)
     jac = report.area_density / state.initial_density
@@ -298,21 +315,18 @@ def step(state: FlowState, dt: float, jacobian_cut: float = FLOW_JACOBIAN_CUT) -
     )
     fh = np.where(active, report.potential / np.where(active, report.mean_curvature, 1.0), 0.0)
     q = (warping.dim - 1) * _masked_sum(engine, fh * report.area_density, active)
-    area = _masked_sum(engine, report.area_density, active)
-    report = replace(report, area=area)
-    return FlowState(
-        warping=warping,
-        engine=engine,
+    return replace(
+        state,
         t=state.t + dt,
         points=points,
         velocities=velocities,
-        report=report,
+        report=replace(report, area=_masked_sum(engine, report.area_density, active)),
         q_value=q,
         jacobian_factor=jac,
         active=active,
         frozen=frozen,
-        initial_density=state.initial_density,
         speed_ratio=ratio1,
+        warp_jet=warp_jet,
     )
 
 

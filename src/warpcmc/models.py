@@ -366,7 +366,7 @@ def _panel_nodes(edges, x, w):
     return mid[:, None] + half[:, None] * x, half[:, None] * w
 
 
-def _root_integrand(profile: OmegaProfile, root, sign, x):
+def _root_integrand(profile: OmegaProfile, root, sign, x, at_root):
     """Integrand 2 x / sqrt(omega(root + sign x^2)) of F in x = sqrt(|s - root|).
 
     ``root`` is the horizon s_floor (sign +1) or the cosmological horizon
@@ -376,9 +376,10 @@ def _root_integrand(profile: OmegaProfile, root, sign, x):
     from the profile's ``omega_difference`` when it has one, otherwise as a
     difference, which keeps the square root from going through zero a hair
     early or late.  At x = 0, and wherever that difference is 0, the
-    integrand takes its limit 2 / sqrt(|omega'(root)|).
+    integrand takes its limit 2 / sqrt(|omega'(root)|).  ``at_root`` is
+    ``profile.omega`` at the root, evaluated once per pass by the caller.
     """
-    w0, w1, _ = profile.omega(np.asarray(root))
+    w0, w1, _ = at_root
     x = np.asarray(x, dtype=float)
     if profile.omega_difference is not None:
         om = profile.omega_difference(root, sign * x * x)
@@ -404,9 +405,11 @@ def _split_radius(profile: OmegaProfile):
 def _cumulative_arc_length(profile: OmegaProfile, root, sign, x):
     """F(root + sign x_k^2) - F(root + sign x_0^2) for every k, an 8-point panel per interval."""
     panel_sums = []
+    at_root = profile.omega(np.asarray(root))
     for lo in range(0, x.size - 1, PANEL_BLOCK):
         nodes, weights = _panel_nodes(x[lo : lo + PANEL_BLOCK + 1], *_KNOT_RULE)
-        panel_sums.append(np.sum(weights * _root_integrand(profile, root, sign, nodes), axis=1))
+        integrand = _root_integrand(profile, root, sign, nodes, at_root)
+        panel_sums.append(np.sum(weights * integrand, axis=1))
     return sign * np.concatenate(([0.0], np.cumsum(np.concatenate(panel_sums))))
 
 
@@ -440,7 +443,8 @@ def _panel_integral(profile: OmegaProfile, root, sign, a, b, width):
         return 0.0
     panels = max(4, int(math.ceil(abs(b - a) / width)))
     nodes, weights = _panel_nodes(np.linspace(a, b, panels + 1), *_ORACLE_RULE)
-    return sign * np.sum(weights * _root_integrand(profile, root, sign, nodes))
+    at_root = profile.omega(np.asarray(root))
+    return sign * np.sum(weights * _root_integrand(profile, root, sign, nodes, at_root))
 
 
 def _quintic_hermite(dx, y, dy, d2y):

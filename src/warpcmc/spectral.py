@@ -15,7 +15,8 @@ covariant Hessian) that the surface geometry assembles curvature from.
 Each engine keeps one real table of the basis functions and their first
 two theta-derivatives, and every transform takes a stack of fields on a
 leading axis, so a frame jet of several fields is one real matrix
-product per order m (full) or per field (axisymmetric).
+product per order m (full) or per field (axisymmetric).  The full
+engine assembles each frame-jet output per order m before its inverse FFT.
 """
 
 from __future__ import annotations
@@ -168,19 +169,20 @@ class SphericalHarmonicEngine:
         g *= self.nlon
         return g
 
-    def _grid(self, g: np.ndarray, dphi: int) -> np.ndarray:
-        """Grid values (K, nlat, nlon) from Legendre sums, times (i m)^dphi."""
-        K = g.shape[-1] // 2
-        gm = g[..., :K] + 1j * g[..., K:]
-        if dphi:
-            gm = gm * (1j * np.arange(self.lmax + 1)[:, None, None]) ** dphi
-        spec = np.zeros((K, self.nlat, self.nlon // 2 + 1), dtype=complex)
-        spec[..., : self.lmax + 1] = gm.transpose(2, 1, 0)
+    def _spectrum(self, sums: np.ndarray) -> np.ndarray:
+        """Per-order spectra (K, nlat, lmax + 1) of one table's Legendre sums."""
+        K = sums.shape[-1] // 2
+        spec = sums[..., :K].T.astype(complex, order="C")
+        spec.imag = sums[..., K:].T
+        return spec
+
+    def _grid(self, spec: np.ndarray) -> np.ndarray:
+        """Grid values (K, nlat, nlon) of per-order spectra, zero-padded to order nlat."""
         return np.fft.irfft(spec, n=self.nlon, axis=-1)
 
     def synthesize(self, alm: np.ndarray) -> np.ndarray:
         """Grid values of sum a_lm Y_lm."""
-        grid = self._grid(self._legendre_sums(alm, self._tables[0]), 0)
+        grid = self._grid(self._spectrum(self._legendre_sums(alm, self._tables[0])))
         return grid.reshape(np.shape(alm)[:-2] + grid.shape[1:])
 
     def filter_degrees(self, values: np.ndarray, factor: np.ndarray) -> np.ndarray:
@@ -221,20 +223,23 @@ class SphericalHarmonicEngine:
         round metric in that frame.  ``values`` is one grid (nlat, nlon)
         or a stack (K, nlat, nlon) on a leading axis, and each output has
         its shape.  Each field drops the coefficients below the floor of
-        its own peak (see COEFFICIENT_FLOOR).  One product covers the
-        three theta tables; phi derivatives scale by (i m)^k after it.
+        its own peak (see COEFFICIENT_FLOOR).  One product covers the three
+        theta tables; each output is assembled per order m, where a phi
+        derivative is a factor i m, and takes one inverse FFT.
         """
         alm = _floor_coefficients(self.analyze(values), (-2, -1))
-        g, gt, gtt = self._legendre_sums(alm, self._tables)
-        f, ft, fp, ftt, ftp, fpp = (
-            self._grid(sums, dphi)
-            for sums, dphi in ((g, 0), (gt, 0), (g, 1), (gtt, 0), (gt, 1), (g, 2))
-        )
-        s = self.sin_theta[:, None]
+        g, gt, gtt = (self._spectrum(sums) for sums in self._legendre_sums(alm, self._tables))
+        im_s = 1j * np.arange(self.lmax + 1) / self.sin_theta[:, None]  # d/dphi / sin(theta)
         cot = self.cot_theta[:, None]
-        h12 = (ftp - cot * fp) / s
-        h22 = fpp / (s * s) + cot * ft
-        return tuple(out.reshape(np.shape(values)) for out in (f, ft, fp / s, ftt, h12, h22))
+        shape = np.shape(values)
+        return (
+            self._grid(g).reshape(shape),
+            self._grid(gt).reshape(shape),
+            self._grid(g * im_s).reshape(shape),
+            self._grid(gtt).reshape(shape),
+            self._grid((gt - cot * g) * im_s).reshape(shape),
+            self._grid(cot * gt + im_s * (im_s * g)).reshape(shape),
+        )
 
 
 class AxisymEngine:

@@ -99,6 +99,13 @@ def _dot(a, b):
     return np.einsum("c...,c...->...", a, b)
 
 
+def _cross(a, b):
+    """Cross product of 3-vector fields stacked on the leading axis."""
+    return np.stack(
+        [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+    )
+
+
 def parametrized_geometry(warping, engine, radius_jet, sphere_jet, orient=None):
     """Geometry of a surface p -> (r(p), y(p)) over the parameter sphere.
 
@@ -130,34 +137,24 @@ def parametrized_geometry(warping, engine, radius_jet, sphere_jet, orient=None):
         if np.min(det) <= 0.0:
             raise WarpcmcError("degenerate parametrization: induced metric not positive")
 
-        # orthonormal frame (u, v = y x u) of the tangent plane of S^2 at y; the
-        # seed axis is the coordinate direction least aligned with y at each node
-        axis = (np.argmin(np.abs(y), axis=0) == np.arange(3)[:, None, None]) * 1.0
-        u = axis - _dot(axis, y) * y
-        u = u / np.linalg.norm(u, axis=0)
-        v = np.stack(
-            [y[1] * u[2] - y[2] * u[1], y[2] * u[0] - y[0] * u[2], y[0] * u[1] - y[1] * u[0]]
-        )
+        # in the orthonormal (d/dr, T_y S^2) frame the cross product of the
+        # tangent vectors (r_a, h y_a) is h (h <y, y1 x y2>, y x (r1 y2 - r2 y1));
+        # any component of y_a along y drops out
+        triple = _dot(y, _cross(y1, y2))
+        nu_sphere = _cross(y, r1 * y2 - r2 * y1)
+        norm = np.sqrt(hh * triple * triple + _dot(nu_sphere, nu_sphere))
+        n_r = h * triple / norm
+        nu_sphere = nu_sphere / (h * norm)
 
-        # ambient orthonormal (r, u, v) components of the two tangent vectors
-        t1 = (r1, h * _dot(u, y1), h * _dot(v, y1))
-        t2 = (r2, h * _dot(u, y2), h * _dot(v, y2))
-        n_r = t1[1] * t2[2] - t1[2] * t2[1]
-        n_u = t1[2] * t2[0] - t1[0] * t2[2]
-        n_v = t1[0] * t2[1] - t1[1] * t2[0]
-        norm = np.sqrt(n_r * n_r + n_u * n_u + n_v * n_v)
-        n_r = n_r / norm
-        nu_sphere = ((n_u / norm) * u + (n_v / norm) * v) / h
+        hhp, hp2_h = h * hp, 2.0 * hp / h
 
-        hhp = h * hp
-        p1, p2 = _dot(y1, nu_sphere), _dot(y2, nu_sphere)
+        # the normal is orthogonal to (r_a, h y_a): h^2 <y_a, nu_sphere> = -r_a n_r
+        def second(dab, rab, gab, rr):
+            return -(n_r * (rab - hhp * gab - hp2_h * rr) + hh * _dot(nu_sphere, dab))
 
-        def second(dab, rab, gab, mix):
-            return -(n_r * (rab - hhp * gab) + hh * _dot(nu_sphere, dab) + hhp * mix)
-
-        ii11 = second(d11, dr11, g_y11, r1 * p1 + r1 * p1)
-        ii12 = second(d12, dr12, g_y12, r1 * p2 + r2 * p1)
-        ii22 = second(d22, dr22, g_y22, r2 * p2 + r2 * p2)
+        ii11 = second(d11, dr11, g_y11, r1 * r1)
+        ii12 = second(d12, dr12, g_y12, r1 * r2)
+        ii22 = second(d22, dr22, g_y22, r2 * r2)
         mean, deficit = shape_trace_deficit((gam11, gam12, gam22), (ii11, ii12, ii22))
         density = np.sqrt(det)
     else:

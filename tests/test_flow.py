@@ -32,7 +32,7 @@ from warpcmc import (
     slice_surface,
     step,
 )
-from warpcmc.flow import _speed_ratio
+from warpcmc.flow import _clipped_jet, _speed_ratio
 
 
 @pytest.fixture(scope="module")
@@ -257,9 +257,14 @@ def test_carried_speed_ratio_is_the_ratio_at_the_current_points(schw3, mode):
     frozen[:3] = True
     state = replace(state, frozen=frozen)
     held = state.points[frozen]
-    for _ in range(5):
-        fresh = _speed_ratio(schw3, state.points, state.velocities)
+    for k in range(6):
+        fresh = _speed_ratio(_clipped_jet(schw3, state.points), state.velocities)
         assert np.array_equal(state.speed_ratio[~frozen], fresh[~frozen])
-        state = step(state, 0.01)
+        # the carried warp jet, which the next step's first RK4 stage reads, is
+        # the jet at the current points at every node, frozen ones included
+        for carried, at_points in zip(state.warp_jet, _clipped_jet(schw3, state.points)):
+            assert np.array_equal(carried, at_points)
+        if k < 5:
+            state = step(state, 0.01)
     assert np.array_equal(state.points[frozen], held)
     assert np.any(state.active)

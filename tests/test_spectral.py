@@ -2,7 +2,9 @@
 
 Degree-1 harmonics satisfy D^2 f = -f g on the unit sphere, which
 pins every entry of the frame jet in closed form; degree-2 pins the
-Laplacian through the eigenvalue -l(l+n-2).
+Laplacian through the eigenvalue -l(l+n-2).  Tesseral modes of order 3
+and 4 pin the phi-derivative outputs against closed-form Legendre
+functions, and a random band-limited field pins the full Laplacian.
 """
 
 import math
@@ -99,6 +101,60 @@ def test_full_frame_jet_degree_two_laplacian(full):
     out = full.on_frame_jet(f)
     lap = out[3] + out[5]
     assert np.max(np.abs(lap + 6.0 * f)) < 1e-9
+
+
+# Unnormalized associated Legendre functions without the Condon-Shortley
+# phase, as sin(theta)^m q(cos theta): P_5^3 and P_7^4.
+TESSERAL = {
+    (5, 3): (3, np.polynomial.Polynomial([-52.5, 0.0, 472.5])),
+    (7, 4): (4, np.polynomial.Polynomial([0.0, -5197.5, 0.0, 22522.5])),
+}
+
+
+def _tesseral_closed_form(engine, l, m):
+    """f = sqrt(2) N P_l^|m|(cos theta) cos(m phi) (sin(|m| phi) for m < 0) and its frame jet.
+
+    Returns (f, fp/s, h12, h22) from P and dP/dtheta in closed form, with
+    N the orthonormalizing factor of the engine's basis.
+    """
+    k, q = TESSERAL[(l, abs(m))]
+    x, s = engine.x[:, None], engine.sin_theta[:, None]
+    norm = math.sqrt((2 * l + 1) / (4.0 * math.pi) * math.factorial(l - k) / math.factorial(l + k))
+    p = math.sqrt(2.0) * norm * s**k * q(x)
+    dp = math.sqrt(2.0) * norm * (k * s ** (k - 1) * x * q(x) - s ** (k + 1) * q.deriv()(x))
+    if m > 0:
+        phase, dphase = np.cos(k * engine.phi), -k * np.sin(k * engine.phi)
+    else:
+        phase, dphase = np.sin(k * engine.phi), k * np.cos(k * engine.phi)
+    cot = x / s
+    return (
+        p * phase,
+        p * dphase / s,
+        (dp - cot * p) * dphase / s,
+        (cot * dp - k * k * p / (s * s)) * phase,
+    )
+
+
+@pytest.mark.parametrize("l, m", [(5, 3), (7, -4)])
+def test_full_frame_jet_tesseral_closed_forms(full, l, m):
+    f, f2, h12, h22 = _tesseral_closed_form(full, l, m)
+    assert np.max(np.abs(full.mode(l, m) - f)) < 1e-12 * np.max(np.abs(f))
+    _, _, got_f2, _, got_h12, got_h22 = full.on_frame_jet(f)
+    for got, expected in ((got_f2, f2), (got_h12, h12), (got_h22, h22)):
+        assert np.max(np.abs(got - expected)) < 1e-11 * np.max(np.abs(expected))
+
+
+def test_full_frame_jet_laplacian_of_a_band_limited_field(full):
+    rng = np.random.default_rng(44)
+    L = full.lmax + 1
+    alm = rng.normal(size=(L, L)) + 1j * rng.normal(size=(L, L))
+    alm[:, 0] = alm[:, 0].real
+    alm *= (np.arange(L)[:, None] >= np.arange(L)) & (np.arange(L)[:, None] <= 20)
+    f = full.synthesize(alm)
+    out = full.on_frame_jet(f)
+    degree = np.arange(L)
+    lap = full.filter_degrees(f, -degree * (degree + 1.0))
+    assert np.max(np.abs(out[3] + out[5] - lap)) < 1e-11 * np.max(np.abs(lap))
 
 
 def test_axisym_frame_jet_degree_one(axi):

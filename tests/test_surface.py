@@ -4,7 +4,8 @@ Strong oracles: coordinate slices have H = (n-1) h'/h, vanishing
 trace-free shape operator, and area h^{n-1} vol(S^{n-1}); an off-center
 round sphere in the flat ambient has H = (n-1)/a exactly; the full and
 axisymmetric engines assemble the same zonal surface through disjoint
-code paths and must agree.
+code paths and must agree.  The full-mode normal is checked against a
+reference that builds it in an explicit tangent frame of the sphere.
 """
 
 import math
@@ -19,11 +20,14 @@ from warpcmc import (
     euclidean_warping,
     full_sphere_grid,
     hyperbolic_warping,
+    init_flow,
+    parametrized_geometry,
     perturb_slice,
     slice_surface,
     sphere_volume,
+    step,
 )
-from warpcmc.surface import GraphSurface
+from warpcmc.surface import GraphSurface, shape_trace_deficit
 
 
 @pytest.mark.parametrize("mode", ["full", "axisym"])
@@ -175,3 +179,71 @@ def test_axisym_identity_jet_is_the_meridian_data_of_cos_theta(dim):
     derived = (cc / sin_b, sin_b / engine.sin_theta, b1, -(c11 + cc * b1 * b1) / sin_b)
     for expected, got in zip(engine.identity_jet, derived):
         assert np.max(np.abs(got - expected) * engine.sin_theta**2) < 1e-12
+
+
+def _argmin_frame_geometry(warping, radius_jet, sphere_jet):
+    """Full-mode (mean, deficit, nu_radial, area density), normal from an explicit frame.
+
+    The reference builds an orthonormal frame (u, v = y x u) of T_y S^2,
+    seeded at each node by the coordinate axis least aligned with y, takes
+    the ambient orthonormal components of the two tangent vectors in
+    (d/dr, u, v) and crosses them.
+    """
+
+    def dot(a, b):
+        return np.einsum("c...,c...->...", a, b)
+
+    h, hp, _, _ = warping.jet(radius_jet[0])
+    hh, hhp = h * h, h * hp
+    _, r1, r2, dr11, dr12, dr22 = radius_jet
+    y, y1, y2, d11, d12, d22 = sphere_jet
+    axis = (np.argmin(np.abs(y), axis=0) == np.arange(3)[:, None, None]) * 1.0
+    u = axis - dot(axis, y) * y
+    u = u / np.linalg.norm(u, axis=0)
+    v = np.stack([y[1] * u[2] - y[2] * u[1], y[2] * u[0] - y[0] * u[2], y[0] * u[1] - y[1] * u[0]])
+    t1 = (r1, h * dot(u, y1), h * dot(v, y1))
+    t2 = (r2, h * dot(u, y2), h * dot(v, y2))
+    n_r = t1[1] * t2[2] - t1[2] * t2[1]
+    n_u = t1[2] * t2[0] - t1[0] * t2[2]
+    n_v = t1[0] * t2[1] - t1[1] * t2[0]
+    norm = np.sqrt(n_r * n_r + n_u * n_u + n_v * n_v)
+    n_r = n_r / norm
+    nu_sphere = ((n_u / norm) * u + (n_v / norm) * v) / h
+    p1, p2 = dot(y1, nu_sphere), dot(y2, nu_sphere)
+    g11, g12, g22 = dot(y1, y1), dot(y1, y2), dot(y2, y2)
+    metric = (r1 * r1 + hh * g11, r1 * r2 + hh * g12, r2 * r2 + hh * g22)
+    second = tuple(
+        -(n_r * (rab - hhp * gab) + hh * dot(nu_sphere, dab) + hhp * mix)
+        for dab, rab, gab, mix in (
+            (d11, dr11, g11, 2.0 * r1 * p1),
+            (d12, dr12, g12, r1 * p2 + r2 * p1),
+            (d22, dr22, g22, 2.0 * r2 * p2),
+        )
+    )
+    mean, deficit = shape_trace_deficit(metric, second)
+    density = np.sqrt(metric[0] * metric[2] - metric[1] * metric[1])
+    return mean, deficit, n_r, density
+
+
+def test_full_normal_matches_the_tangent_frame_reference(schw3):
+    engine = full_sphere_grid(24)
+    surface = perturb_slice(schw3, engine, 2.0, [(2, 1, 0.1), (3, -2, 0.05), (4, 3, 0.03)])
+    graph = (engine.on_frame_jet(surface.radii), engine.identity_jet)
+    # a flowed surface: its sphere map is no longer the identity, the spectral
+    # jets of y carry components along y, and the synthesized y is a unit
+    # vector only to the truncation error (~1e-11 here).  The reference frame
+    # is orthonormal only at unit y, so it gets y / |y|; the kernel's normal
+    # depends on y only through its direction and takes the jet as it is.
+    state = init_flow(surface)
+    for _ in range(5):
+        state = step(state, 0.02)
+    jet = engine.on_frame_jet(np.moveaxis(state.points, -1, 0))
+    flowed = (tuple(out[0] for out in jet), tuple(out[1:] for out in jet))
+    y = flowed[1][0]
+    unit_y = (y / np.sqrt(np.sum(y * y, axis=0)),) + flowed[1][1:]
+    for radius_jet, sphere_jet, reference_jet in ((*graph, graph[1]), (*flowed, unit_y)):
+        report, _ = parametrized_geometry(schw3, engine, radius_jet, sphere_jet)
+        expected = _argmin_frame_geometry(schw3, radius_jet, reference_jet)
+        got = (report.mean_curvature, report.shape_deficit, report.nu_radial, report.area_density)
+        for value, reference in zip(got, expected):
+            assert np.max(np.abs(value - reference)) <= 1e-13 * np.max(np.abs(reference))
