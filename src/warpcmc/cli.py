@@ -45,7 +45,6 @@ from .surface import (
     axisym_grid,
     full_sphere_grid,
     perturb_slice,
-    slice_surface,
 )
 from .warping import check_conditions, scan_monotonicity_extrema
 
@@ -118,10 +117,11 @@ FAMILY_TABLE = [
 
 
 def _deep_update(base: dict, other: dict) -> dict:
+    """Merge ``other`` into ``base``; a None in ``other`` leaves the base value."""
     for key, value in other.items():
         if isinstance(value, dict) and isinstance(base.get(key), dict):
             _deep_update(base[key], value)
-        else:
+        elif value is not None:
             base[key] = value
     return base
 
@@ -210,45 +210,67 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _apply_flags(cfg: dict, args: argparse.Namespace) -> dict:
-    """Set each given flag's value at its row's config path, then check ranges.
+def _parse_modes(value):
+    """(degree, order, amplitude) triples from "l,m,amp;..." text or a list of triples."""
+    if isinstance(value, str):
+        value = [chunk.split(",") for chunk in value.split(";") if chunk.strip()]
+    modes = []
+    for parts in value:
+        if len(parts) != 3:
+            text = ",".join(map(str, parts))
+            raise ParameterError(f"mode {text!r} must be degree,order,amplitude")
+        modes.append((int(parts[0]), int(parts[1]), float(parts[2])))
+    return modes
 
-    WARPCMC_OUTDIR stands in for a missing --out, and --modes is parsed
-    here, inside main's error handling.
+
+# what each config value converts to: the type its option row declares, else
+# (keys without a flag) the type of its default; choices are checked where read
+CONFIG_TYPES = {
+    f"{section}.{key}": type(value)
+    for section, values in DEFAULTS.items()
+    for key, value in values.items()
+    if value is not None and not isinstance(value, dict)
+}
+CONFIG_TYPES.update(
+    (path, kind)
+    for _, path, kind, _ in COMMON_OPTIONS + SURFACE_OPTIONS + FLOW_OPTIONS + CMC_OPTIONS
+    if path and not isinstance(kind, tuple)
+)
+CONFIG_TYPES["surface.modes"] = _parse_modes
+
+
+def _apply_flags(cfg: dict, args: argparse.Namespace) -> dict:
+    """Set each given flag's value at its row's config path, then convert and check.
+
+    The output directory is --out, else WARPCMC_OUTDIR, else the config's,
+    else the working directory.  Every value is
+    converted once, here, inside main's error handling: one that does
+    not convert is a ParameterError.
     """
     _, _, options = COMMANDS[args.command]
     for _, path, _, _ in options:
         value = getattr(args, path) if path else None
         if path == "output.dir" and value is None:
-            value = os.environ.get("WARPCMC_OUTDIR") or None
-        elif path == "surface.modes" and value is not None:
-            value = _parse_modes(value)
+            value = os.environ.get("WARPCMC_OUTDIR") or cfg["output"]["dir"] or "."
         if value is not None:
             *parents, key = path.split(".")
             functools.reduce(dict.__getitem__, parents, cfg)[key] = value
-    if cfg["output"]["dir"] is None:
-        cfg["output"]["dir"] = "."
+    for path, convert in CONFIG_TYPES.items():
+        *parents, key = path.split(".")
+        try:
+            node = functools.reduce(dict.__getitem__, parents, cfg)
+            if node.get(key) is not None:
+                node[key] = convert(node[key])
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ParameterError(f"config value {path}: {exc}") from exc
 
-    for name, value in cfg["tolerances"].items():
-        if not (float(value) > 0.0):
+    for name in DEFAULTS["tolerances"]:
+        if not (cfg["tolerances"][name] > 0.0):
             raise ParameterError(f"tolerance {name} must be positive")
-    size = int(cfg["grid"]["size"])
-    if not (8 <= size <= 4096):
-        raise ParameterError("grid size must lie in [8, 4096]")
+    for key in ("size", "condition_size"):
+        if not (8 <= cfg["grid"][key] <= 4096):
+            raise ParameterError(f"grid {key.replace('_', ' ')} must lie in [8, 4096]")
     return cfg
-
-
-def _parse_modes(text: str):
-    modes = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(",")
-        if len(parts) != 3:
-            raise ParameterError(f"mode {chunk!r} must be degree,order,amplitude")
-        modes.append((int(parts[0]), int(parts[1]), float(parts[2])))
-    return modes
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +280,7 @@ def _parse_modes(text: str):
 def _build_model(cfg: dict):
     model = cfg["model"]
     family = model["family"]
-    n = int(model["n"])
+    n = model["n"]
     params = {k: model[k] for k in MODEL_PARAM_KEYS if model.get(k) is not None}
     w = make_model(family, n, **params)
     wanted = model.get("variant")
@@ -271,7 +293,7 @@ def _build_model(cfg: dict):
 
 def _build_engine(cfg: dict, w):
     mode = cfg["grid"]["mode"]
-    size = int(cfg["grid"]["size"])
+    size = cfg["grid"]["size"]
     if mode == "full":
         return full_sphere_grid(size)
     if mode == "axisym":
@@ -282,20 +304,16 @@ def _build_engine(cfg: dict, w):
 def _base_radius(cfg: dict, w) -> float:
     surface = cfg["surface"]
     if surface.get("radius") is not None:
-        return float(surface["radius"])
+        return surface["radius"]
     if surface.get("s") is not None:
         if not isinstance(w, OmegaBackedWarping):
             raise ParameterError("an area-radius surface spec needs a horizon family")
-        return float(w.distance_of_area_radius(float(surface["s"])))
+        return float(w.distance_of_area_radius(surface["s"]))
     return 0.5 * w.r_bar
 
 
 def _build_surface(cfg: dict, w, engine):
-    radius = _base_radius(cfg, w)
-    modes = cfg["surface"].get("modes") or []
-    if modes:
-        return perturb_slice(w, engine, radius, modes)
-    return slice_surface(w, engine, radius)
+    return perturb_slice(w, engine, _base_radius(cfg, w), cfg["surface"]["modes"])
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +322,8 @@ def _build_surface(cfg: dict, w, engine):
 
 def cmd_check(cfg: dict) -> int:
     w = _build_model(cfg)
-    tol = float(cfg["tolerances"]["condition"])
-    grid = int(cfg["grid"]["condition_size"])
+    tol = cfg["tolerances"]["condition"]
+    grid = cfg["grid"]["condition_size"]
     report = check_conditions(w, grid_size=grid, tol=tol)
     records = scan_monotonicity_extrema(w)
 
@@ -346,12 +364,11 @@ def cmd_verify(cfg: dict) -> int:
     w = _build_model(cfg)
     engine = _build_engine(cfg, w)
     surface = _build_surface(cfg, w, engine)
-    reports = [minkowski_check(surface, tol=float(cfg["tolerances"]["minkowski"]))]
+    tolerances = cfg["tolerances"]
+    reports = [minkowski_check(surface, tol=tolerances["minkowski"])]
     if w.variant == "boundary":
-        reports.append(
-            minkowski_weighted_check(surface, tol=float(cfg["tolerances"]["minkowski"]))
-        )
-    reports.append(hk_check(surface, tol=float(cfg["tolerances"]["heintze_karcher"])))
+        reports.append(minkowski_weighted_check(surface, tol=tolerances["minkowski"]))
+    reports.append(hk_check(surface, tol=tolerances["heintze_karcher"]))
 
     emitter = Emitter(cfg, w, f"mode={engine.kind} size={cfg['grid']['size']}")
     rows = [
@@ -376,10 +393,10 @@ def cmd_flow(cfg: dict) -> int:
     flow_cfg = cfg["flow"]
     trace, final = run_flow(
         surface,
-        float(flow_cfg["t_end"]),
-        dt_max=None if flow_cfg["dt_max"] is None else float(flow_cfg["dt_max"]),
-        record_every=int(flow_cfg["record_every"]),
-        jacobian_cut=float(flow_cfg["epsilon_cut"]),
+        flow_cfg["t_end"],
+        dt_max=flow_cfg["dt_max"],
+        record_every=flow_cfg["record_every"],
+        jacobian_cut=flow_cfg["epsilon_cut"],
     )
     audit = monotonicity_audit(trace, trace.swept_weighted_volume)
 
@@ -432,20 +449,20 @@ def cmd_flow(cfg: dict) -> int:
 
 def _corpus_surfaces(cfg: dict, w, engine):
     corpus = cfg["cmc"]["corpus"]
-    count = int(corpus["count"])
+    count = corpus["count"]
     radius = _base_radius(cfg, w)
     if count <= 0:
         yield 0, _build_surface(cfg, w, engine)
         return
-    amplitude = float(corpus["amplitude"])
+    amplitude = corpus["amplitude"]
     if not (0.0 < amplitude <= 0.1 * radius):
         raise ParameterError(
             "corpus amplitude must lie in (0, 0.1 radius] to stay in the graph class"
         )
-    max_degree = int(corpus["max_degree"])
+    max_degree = corpus["max_degree"]
     if max_degree < 1 or max_degree > engine.lmax:
         raise ParameterError("corpus max_degree outside the resolved range")
-    rng = np.random.default_rng(int(corpus["seed"]))
+    rng = np.random.default_rng(corpus["seed"])
     for index in range(count):
         nmodes = int(rng.integers(1, 4))
         field = np.zeros(engine.grid_shape)
@@ -469,8 +486,8 @@ def cmd_cmc(cfg: dict) -> int:
     for index, surface in _corpus_surfaces(cfg, w, engine):
         result = find_cmc(
             surface,
-            cmc_tol=float(cfg["cmc"]["tol"]),
-            max_iter=int(cfg["cmc"]["max_iter"]),
+            cmc_tol=cfg["cmc"]["tol"],
+            max_iter=cfg["cmc"]["max_iter"],
         )
         if result.converged:
             verdict = umbilicity_verdict(result, w)

@@ -8,11 +8,13 @@ current mean radius, which is diagonal in spherical degree:
     h^2 lambda_l = l(l+n-2) - (n-1) h'^2 + (n-1) h h''
                  = l(l+n-2) - (n-1) + (n-1) h^2 ricci_gap_margin.
 
-Degree 0 is left to a Newton line search along uniform radial shifts,
-which restores the enclosed weighted volume after every step.  Degree 1
-carries (n-1) h^2 times the Ricci gap margin, the quantity of the
-paper's rigidity argument; where that dimensionless gap vanishes (the
-translations of a space form) the step leaves degree 1 alone.
+Degree 0 comes from the border row of the system, the linearised
+volume constraint: a uniform shift c makes the integral of
+h^(n-1) h' (delta + c) over the sphere equal to the volume still
+missing, so one Newton loop solves for the graph and H_bar together.
+Degree 1 carries (n-1) h^2 times the Ricci gap margin, the quantity of
+the paper's rigidity argument; where that dimensionless gap vanishes
+(the translations of a space form) the step leaves degree 1 alone.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .surface import GraphSurface
+from .surface import GraphSurface, _enclosed_volume
 from .warping import WarpingFunction, ricci_eigenvalues
 
 __all__ = [
@@ -47,9 +49,9 @@ class CmcResult:
     ``umbilicity_deficit`` the sup norm of the trace-free shape
     operator on the final surface; ``is_slice`` whether the graph is
     radially constant to within 1e-5 r_bar.  ``converged`` implies the
-    residual beat the tolerance; otherwise ``reason`` says what
-    stopped the run.  ``residual_history`` records the residual after
-    every iteration.
+    residual beat the tolerance and the volume met its target;
+    otherwise ``reason`` says what stopped the run.
+    ``residual_history`` records the residual after every iteration.
     """
 
     surface: GraphSurface
@@ -80,27 +82,6 @@ def _scaled_gap(warping, r):
     return h, h * hpp + h * h * warping.curvature_defect(r)
 
 
-def _project_volume(warping, engine, rho, target):
-    """Shift the graph uniformly until it encloses the target weighted volume.
-
-    Returns the shifted radii, or None when 8 Newton steps do not reach
-    the target.
-    """
-    n = warping.dim
-    h0n = warping.jet(0.0)[0] ** n
-    shift = 0.0
-    for _ in range(8):
-        r = np.clip(rho + shift, 1e-12, warping.r_bar * (1.0 - 1e-12))
-        h, hp, _, _ = warping.jet(r)
-        val = float(np.sum(engine.area_weights * (h**n - h0n) / n))
-        grad = float(np.sum(engine.area_weights * h ** (n - 1) * hp))
-        err = val - target
-        if abs(err) <= 1e-13 * max(abs(target), 1.0):
-            return rho + shift
-        shift -= err / grad
-    return None
-
-
 def find_cmc(
     surface: GraphSurface,
     cmc_tol: float = 1e-7,
@@ -108,14 +89,15 @@ def find_cmc(
 ) -> CmcResult:
     """Solve for a CMC graph enclosing the same weighted volume as ``surface``.
 
-    Each iteration takes the Newton step delta_l = h^2 (H_bar - H)_l / mu_l
-    with the slice Jacobi eigenvalues mu_l at the area-weighted mean
-    radius (module docstring), degrees 0 and (for a degenerate gap) 1
-    excluded, and then restores the volume by a uniform shift.  Stops
-    when sup|H - H_bar| < cmc_tol or after max_iter iterations; a graph
-    that leaves the chart, a non-finite update or a failed volume
-    projection ends the run with converged = False and the reason
-    recorded.
+    Each iteration reads H, h and h' from one geometry report and takes
+    the Newton step delta_l = h^2 (H_bar - H)_l / mu_l with the slice
+    Jacobi eigenvalues mu_l at the area-weighted mean radius (module
+    docstring), degrees 0 and (for a degenerate gap) 1 excluded, plus
+    the uniform shift of the linearised volume row.  Stops when
+    sup|H - H_bar| < cmc_tol and the volume misses its target by at
+    most 1e-13 max(|target|, 1), or after max_iter iterations; a graph
+    that leaves the chart or a non-finite update ends the run with
+    converged = False and the reason recorded.
     """
     if cmc_tol <= 0.0:
         raise ParameterError("cmc_tol must be positive")
@@ -126,55 +108,52 @@ def find_cmc(
     engine = surface.engine
     n = warping.dim
     target = surface.enclosed_weighted_volume()
+    volume_tol = 1e-13 * max(abs(target), 1.0)
 
     current = surface
     history = []
     reason = "max_iter"
-    converged = False
     iterations = 0
 
     degrees = np.arange(engine.lmax + 1, dtype=float)
 
-    for iterations in range(1, max_iter + 1):
+    while True:
         rep = current.geometry()
         h_bar = float(current.integrate(rep.mean_curvature) / rep.area)
         residual = float(np.max(np.abs(rep.mean_curvature - h_bar)))
+        if iterations == max_iter:
+            break
+        iterations += 1
         history.append(residual)
-        if residual < cmc_tol:
-            converged = True
+        missing = target - _enclosed_volume(warping, engine, rep.warp)
+        if residual < cmc_tol and abs(missing) <= volume_tol:
             reason = "converged"
             break
 
         h, gap = _scaled_gap(warping, _mean_radius(engine, rep.radii))
         mu = degrees * (degrees + n - 2) - (n - 1) * (1.0 - gap)
-        # degree 0 is the volume projection's; degree 1 is left alone where
-        # a degenerate gap makes it the kernel of translations
+        # degree 0 is the volume row's; degree 1 is left alone where a
+        # degenerate gap makes it the kernel of translations
         factor = np.zeros_like(mu)
         first = 1 if abs(gap) > GAP_TOL else 2
         factor[first:] = h * h / mu[first:]
+        hn1 = rep.warp ** (n - 1)
         # graph speed of a surface moving with normal speed H_bar - H
-        w_factor = rep.area_density / rep.warp ** (n - 1)
+        w_factor = rep.area_density / hn1
         delta = engine.filter_degrees((h_bar - rep.mean_curvature) * w_factor, factor)
-        rho = rep.radii + delta
+        # the volume changes by the integral of h^(n-1) h' (delta + shift)
+        rate = hn1 * rep.potential
+        shift = (missing - engine.integrate(rate * delta)) / engine.integrate(rate)
+        rho = rep.radii + delta + shift
         if not np.all(np.isfinite(rho)):
             reason = "update diverged"
-            break
-        rho = _project_volume(warping, engine, rho, target)
-        if rho is None:
-            reason = "volume projection did not converge"
             break
         try:
             current = GraphSurface(warping, engine, rho)
         except DomainError:
             reason = "graph left the chart"
             break
-    else:
-        # loop exhausted; re-measure so the report reflects the last state
-        rep = current.geometry()
-        h_bar = float(current.integrate(rep.mean_curvature) / rep.area)
-        residual = float(np.max(np.abs(rep.mean_curvature - h_bar)))
 
-    rep = current.geometry()
     mean_rho = _mean_radius(engine, rep.radii)
     is_slice = bool(
         np.max(np.abs(rep.radii - mean_rho)) < SLICE_TOL_FACTOR * warping.r_bar
@@ -186,7 +165,7 @@ def find_cmc(
         umbilicity_deficit=float(np.max(rep.shape_deficit)),
         is_slice=is_slice,
         iterations=iterations,
-        converged=converged,
+        converged=reason == "converged",
         reason=reason,
         residual_history=np.asarray(history),
     )

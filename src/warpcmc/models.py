@@ -270,7 +270,7 @@ def _poly_profile(name, n, s_floor, s_max, params, mass, kappa=0.0, charge2=0.0,
     )
 
 
-def schwarzschild_profile(n: int, m: float = 1.0, s_max: float | None = None) -> OmegaProfile:
+def schwarzschild_profile(n: int, m: float, s_max: float | None = None) -> OmegaProfile:
     ok, msg = admissibility("schwarzschild", n, {"m": m})
     if not ok:
         raise ParameterError(msg)
@@ -281,7 +281,7 @@ def schwarzschild_profile(n: int, m: float = 1.0, s_max: float | None = None) ->
 
 
 def desitter_schwarzschild_profile(
-    n: int, m: float = 1.0, kappa: float = 0.0, s_max: float | None = None
+    n: int, m: float, kappa: float, s_max: float | None = None
 ) -> OmegaProfile:
     ok, msg = admissibility("desitter-schwarzschild", n, {"m": m, "kappa": kappa})
     if not ok:
@@ -302,7 +302,7 @@ def desitter_schwarzschild_profile(
 
 
 def reissner_nordstrom_profile(
-    n: int, m: float = 1.0, q: float = 0.25, s_max: float | None = None
+    n: int, m: float, q: float, s_max: float | None = None
 ) -> OmegaProfile:
     ok, msg = admissibility("reissner-nordstrom", n, {"m": m, "q": q})
     if not ok:

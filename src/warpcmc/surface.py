@@ -234,16 +234,19 @@ class GraphSurface:
         return self.engine.integrate(np.asarray(values) * rep.area_density)
 
     def enclosed_weighted_volume(self) -> float:
-        """Integral of the potential over the enclosed region.
+        """Integral of the potential inside the surface the engine represents."""
+        return _enclosed_volume(self.warping, self.engine, self.geometry().warp)
 
-        The region runs from the inner boundary of the chart out to the
-        graph; radially the potential integrates in closed form, since
-        h' h^{n-1} is the exact derivative of h^n / n.
-        """
-        n = self.warping.dim
-        h0 = self.warping.jet(0.0)[0]
-        h = self.warping.jet(self.radii)[0]
-        return self.engine.integrate((h**n - h0**n) / n)
+
+def _enclosed_volume(warping, engine, h) -> float:
+    """Weighted volume inside a radial graph whose warp values are ``h``.
+
+    The region runs from the inner boundary of the chart out to the
+    graph; radially the potential integrates in closed form, since
+    h' h^{n-1} is the exact derivative of h^n / n.
+    """
+    n = warping.dim
+    return engine.integrate((h**n - warping.jet(0.0)[0] ** n) / n)
 
 
 def slice_surface(warping: WarpingFunction, engine, radius: float) -> GraphSurface:

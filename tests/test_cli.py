@@ -280,6 +280,36 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("check", {"grid": {"condition_size": "abc"}}),
+        ("cmc", {"cmc": {"tol": "x"}}),
+        ("check", {"model": {"m": "abc"}}),
+        ("check", {"tolerances": {"condition": "x"}}),
+        # outside the [8, 4096] range that grid.size has too
+        ("check", {"grid": {"condition_size": 4}}),
+    ],
+)
+def test_malformed_config_value_exits_2(tmp_path, capsys, command, config):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    code, _, err = run([command, "--config", str(path), "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_null_config_value_keeps_the_default(tmp_path, monkeypatch):
+    monkeypatch.delenv("WARPCMC_OUTDIR", raising=False)
+    path = tmp_path / "nulls.json"
+    path.write_text(json.dumps({"grid": {"size": None}, "surface": {"modes": None}}))
+    cfg = _apply_flags(
+        _load_config(str(path)), _build_parser().parse_args(["verify", "--config", str(path)])
+    )
+    assert cfg["grid"]["size"] == DEFAULTS["grid"]["size"]
+    assert cfg["surface"]["modes"] == []
+
+
 def test_module_entry_smoke(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "warpcmc.cli", "models"],
