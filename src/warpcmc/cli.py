@@ -243,9 +243,9 @@ def _apply_flags(cfg: dict, args: argparse.Namespace) -> dict:
     """Set each given flag's value at its row's config path, then convert and check.
 
     The output directory is --out, else WARPCMC_OUTDIR, else the config's,
-    else the working directory.  Every value is
-    converted once, here, inside main's error handling: one that does
-    not convert is a ParameterError.
+    else the working directory.  Every value is converted once, here,
+    inside main's error handling: one that does not convert, a boolean for
+    a number or a non-integral float for an integer is a ParameterError.
     """
     _, _, options = COMMANDS[args.command]
     for _, path, _, _ in options:
@@ -259,8 +259,12 @@ def _apply_flags(cfg: dict, args: argparse.Namespace) -> dict:
         *parents, key = path.split(".")
         try:
             node = functools.reduce(dict.__getitem__, parents, cfg)
-            if node.get(key) is not None:
-                node[key] = convert(node[key])
+            value = node.get(key)
+            inexact = convert is int and isinstance(value, float) and not value.is_integer()
+            if inexact or convert in (int, float) and isinstance(value, bool):
+                raise ValueError(f"{value!r} is not {'an integer' if convert is int else 'a number'}")
+            if value is not None:
+                node[key] = convert(value)
         except (AttributeError, TypeError, ValueError) as exc:
             raise ParameterError(f"config value {path}: {exc}") from exc
 

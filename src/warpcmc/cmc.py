@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 from .surface import GraphSurface, _enclosed_volume
-from .warping import WarpingFunction, ricci_eigenvalues
+from .warping import WarpingFunction
 
 __all__ = [
     "CmcResult",
@@ -65,21 +65,24 @@ class CmcResult:
     residual_history: np.ndarray
 
 
-def _mean_radius(engine, radii) -> float:
-    """Area-weighted mean of the graph radii over the unit sphere."""
-    return float(np.sum(engine.area_weights * radii)) / float(
-        np.sum(engine.area_weights * np.ones_like(radii))
-    )
+def _mean_radius(engine):
+    """Function of graph radii giving their area-weighted mean; the sphere's area is summed once."""
+    weights = engine.area_weights
+    sphere = float(np.sum(weights * np.ones(engine.grid_shape)))
+    return lambda radii: float(np.sum(weights * radii)) / sphere
 
 
 def _scaled_gap(warping, r):
-    """h(r) and the dimensionless Ricci gap h(r)^2 ricci_gap_margin(r).
+    """h(r), the dimensionless Ricci gap h(r)^2 ricci_gap_margin(r) and the Ricci eigenvalues.
 
-    One jet call; the gap is assembled from h h'' and the family's
-    cancellation-free curvature defect, so it is exactly 0 in flat space.
+    One jet call and one curvature defect; the gap is assembled from h h''
+    and the family's cancellation-free defect, so it is exactly 0 in flat
+    space, and the (radial, tangential) eigenvalues are ``ricci_eigenvalues``'s.
     """
+    n = warping.dim
     h, _, hpp, _ = warping.jet(r)
-    return h, h * hpp + h * h * warping.curvature_defect(r)
+    defect = warping.curvature_defect(r)
+    return h, h * hpp + h * h * defect, -(n - 1) * hpp / h, (n - 2) * defect - hpp / h
 
 
 def find_cmc(
@@ -109,6 +112,8 @@ def find_cmc(
     n = warping.dim
     target = surface.enclosed_weighted_volume()
     volume_tol = 1e-13 * max(abs(target), 1.0)
+    inner = warping.jet(0.0)[0] ** n  # h^n at the inner boundary
+    mean_radius = _mean_radius(engine)
 
     current = surface
     history = []
@@ -125,12 +130,12 @@ def find_cmc(
             break
         iterations += 1
         history.append(residual)
-        missing = target - _enclosed_volume(warping, engine, rep.warp)
+        missing = target - _enclosed_volume(engine, rep.warp, n, inner)
         if residual < cmc_tol and abs(missing) <= volume_tol:
             reason = "converged"
             break
 
-        h, gap = _scaled_gap(warping, _mean_radius(engine, rep.radii))
+        h, gap, _, _ = _scaled_gap(warping, mean_radius(rep.radii))
         mu = degrees * (degrees + n - 2) - (n - 1) * (1.0 - gap)
         # degree 0 is the volume row's; degree 1 is left alone where a
         # degenerate gap makes it the kernel of translations
@@ -154,10 +159,8 @@ def find_cmc(
             reason = "graph left the chart"
             break
 
-    mean_rho = _mean_radius(engine, rep.radii)
-    is_slice = bool(
-        np.max(np.abs(rep.radii - mean_rho)) < SLICE_TOL_FACTOR * warping.r_bar
-    )
+    spread = np.max(np.abs(rep.radii - mean_radius(rep.radii)))
+    is_slice = bool(spread < SLICE_TOL_FACTOR * warping.r_bar)
     return CmcResult(
         surface=current,
         mean_H=h_bar,
@@ -204,11 +207,9 @@ def umbilicity_verdict(
     """
     if not result.converged:
         raise ParameterError("the rigidity verdict needs a converged result")
-    rep = result.surface.geometry()
-    mean_r = _mean_radius(result.surface.engine, rep.radii)
-    h, gap = _scaled_gap(ambient, mean_r)
+    mean_r = _mean_radius(result.surface.engine)(result.surface.geometry().radii)
+    h, gap, radial, tangential = _scaled_gap(ambient, mean_r)
     effective = gap if ambient.variant == "boundary" else abs(gap)
-    radial, tangential = ricci_eigenvalues(ambient, mean_r)
 
     umbilic = result.umbilicity_deficit < deficit_tol
     alarm = bool(effective > gap_tol and umbilic and not result.is_slice)

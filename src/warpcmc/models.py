@@ -592,7 +592,10 @@ def omega_to_warping(profile: OmegaProfile, knots: int = 2048) -> OmegaBackedWar
     def jet(r):
         s = table(r)
         om, om1, om2 = profile.omega(s)
-        sq = np.sqrt(np.maximum(om - (float_shift if isinstance(s, float) else omega_shift), 0.0))
+        if isinstance(s, float):
+            sq = math.sqrt(max(0.0, om - float_shift))  # np.maximum's bits, -0.0 -> 0.0
+        else:
+            sq = np.sqrt(np.maximum(om - omega_shift, 0.0))
         return s, sq, 0.5 * om1, 0.5 * om2 * sq
 
     defect = None

@@ -235,18 +235,18 @@ class GraphSurface:
 
     def enclosed_weighted_volume(self) -> float:
         """Integral of the potential inside the surface the engine represents."""
-        return _enclosed_volume(self.warping, self.engine, self.geometry().warp)
+        n = self.warping.dim
+        return _enclosed_volume(self.engine, self.geometry().warp, n, self.warping.jet(0.0)[0] ** n)
 
 
-def _enclosed_volume(warping, engine, h) -> float:
+def _enclosed_volume(engine, h, n, inner) -> float:
     """Weighted volume inside a radial graph whose warp values are ``h``.
 
-    The region runs from the inner boundary of the chart out to the
-    graph; radially the potential integrates in closed form, since
-    h' h^{n-1} is the exact derivative of h^n / n.
+    The region runs from the inner boundary of the chart, where h^n is
+    ``inner``, out to the graph; radially the potential integrates in
+    closed form, since h' h^{n-1} is the exact derivative of h^n / n.
     """
-    n = warping.dim
-    return engine.integrate((h**n - warping.jet(0.0)[0] ** n) / n)
+    return engine.integrate((h**n - inner) / n)
 
 
 def slice_surface(warping: WarpingFunction, engine, radius: float) -> GraphSurface:

@@ -156,8 +156,9 @@ class WarpingFunction:
 
         A tiny relative overshoot of the outer bound is tolerated to absorb
         roundoff in radius constructions.  A scalar is checked and clipped in
-        plain float arithmetic, a few times cheaper than array reductions, and
-        comes back as np.float64 with the bits np.clip would give.
+        plain float arithmetic, with np.clip's bits as np.float64; an array
+        inside [0, r_bar] comes back uncopied, so a jet must neither return
+        nor write into its argument.
         """
         arr = np.asarray(r, dtype=float)
         if arr.ndim == 0:
@@ -170,7 +171,7 @@ class WarpingFunction:
             raise DomainError(f"radius outside [0, {self.r_bar}): range [{lo}, {hi}]")
         if arr.ndim == 0:
             return np.float64(min(max(lo, 0.0), self.r_bar))
-        return np.clip(arr, 0.0, self.r_bar)
+        return arr if lo >= 0.0 and hi <= self.r_bar else np.clip(arr, 0.0, self.r_bar)
 
     def jet(self, r):
         """Evaluate (h, h', h'', h''') at radius r (scalar or array) in [0, r_bar)."""

@@ -289,6 +289,11 @@ def test_bad_config_exits_2(tmp_path, capsys):
         ("check", {"tolerances": {"condition": "x"}}),
         # outside the [8, 4096] range that grid.size has too
         ("check", {"grid": {"condition_size": 4}}),
+        # an int path takes no fractional or infinite float, a number path no boolean
+        ("check", {"grid": {"size": 24.7}}),
+        ("cmc", {"cmc": {"corpus": {"count": True}}}),
+        ("check", {"tolerances": {"condition": True}}),
+        ("check", {"grid": {"size": float("inf")}}),
     ],
 )
 def test_malformed_config_value_exits_2(tmp_path, capsys, command, config):
@@ -297,6 +302,24 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, command, config):
     code, _, err = run([command, "--config", str(path), "--out", str(tmp_path)], capsys)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("size", [24, 24.0, "24"])
+def test_integral_config_value_converts(tmp_path, size):
+    path = tmp_path / "size.json"
+    path.write_text(json.dumps({"grid": {"size": size}}))
+    cfg = _apply_flags(
+        _load_config(str(path)), _build_parser().parse_args(["verify", "--config", str(path)])
+    )
+    assert cfg["grid"]["size"] == 24 and type(cfg["grid"]["size"]) is int
+
+
+def test_config_value_error_names_its_path(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"grid": {"size": 24.7}}))
+    code, _, err = run(["check", "--config", str(path), "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error: config value grid.size: 24.7 is not an integer")
 
 
 def test_null_config_value_keeps_the_default(tmp_path, monkeypatch):

@@ -18,6 +18,7 @@ from warpcmc import (
     find_cmc,
     full_sphere_grid,
     perturb_slice,
+    ricci_eigenvalues,
     slice_surface,
     umbilicity_verdict,
 )
@@ -168,15 +169,33 @@ def test_unreachable_volume_stops_the_solve(schw3):
 
 def test_one_grid_warp_jet_per_iteration(schw3):
     # the geometry report of each iterate carries h and h'; the solve makes
-    # no other jet call on the grid
-    calls = []
+    # no other jet call on the grid.  Off the grid it takes h(0) once, and
+    # one scalar jet and one curvature defect per step at the mean radius;
+    # the verdict takes one of each
+    calls, defects = [], []
 
     def counting(r):
         calls.append(np.ndim(r) > 0)
         return schw3._jet(r)
 
-    w = dataclasses.replace(schw3, _jet=counting)
+    def counting_defect(r):
+        defects.append(r)
+        return schw3._defect(r)
+
+    w = dataclasses.replace(schw3, _jet=counting, _defect=counting_defect)
     surface = perturb_slice(w, axisym_grid(3, 48), 2.0, [(2, 0, 0.05), (1, 0, 0.03)])
     result = find_cmc(surface)
     assert result.converged
-    assert sum(calls) <= result.iterations + 1
+    grid = sum(calls)
+    assert grid <= result.iterations + 1
+    assert len(calls) - grid <= result.iterations + 1
+    assert len(defects) <= result.iterations
+
+    calls.clear()
+    defects.clear()
+    verdict = umbilicity_verdict(result, w)
+    assert calls == [False]
+    assert len(defects) == 1
+    radial, tangential = ricci_eigenvalues(w, verdict.mean_radius)
+    assert verdict.ricci_radial == radial
+    assert verdict.ricci_tangential == tangential

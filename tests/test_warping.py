@@ -221,6 +221,47 @@ def test_jet_domain_guard(schw3):
         schw3.jet(-0.1)
 
 
+def _chart_ambient(kind, n, tmp_path):
+    """An ambient of each kind of jet: built-in family, omega table or spline."""
+    if kind == "omega-table":
+        s = np.linspace(1.0, 10.0, 400)
+        path = tmp_path / "omega.txt"
+        np.savetxt(path, np.column_stack([s, 1.0 - 1.0 / s]))
+        return make_model(kind, n, path=str(path))
+    if kind == "tabulated":
+        radii = np.linspace(0.0, 2.0, 41)
+        return tabulated_warping("sinh", n, radii, np.sinh(radii), "ball")
+    params = {"desitter-schwarzschild": {"kappa": 0.01}, "reissner-nordstrom": {"q": 0.3}}
+    return make_model(kind, n, **params.get(kind, {}))
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [
+        (family, n)
+        for family in ("schwarzschild", "desitter-schwarzschild", "reissner-nordstrom")
+        for n in (3, 5)
+    ]
+    + [(kind, 3) for kind in ("euclidean", "sphere", "hyperbolic", "omega-table", "tabulated")],
+)
+def test_jet_of_an_in_chart_array_leaves_it_alone(kind, n, tmp_path):
+    # the chart check hands an array already in [0, r_bar] to the jet uncopied
+    w = _chart_ambient(kind, n, tmp_path)
+    r = np.linspace(0.0, w.r_bar, 17)
+    before = r.copy()
+    out = w.jet(r) + (w.curvature_defect(r[1:]),)
+    assert not any(o is r for o in out)
+    assert np.array_equal(r, before)
+    # inside the 1e-12 overshoot a radius is still clipped to r_bar
+    over = r.copy()
+    over[-1] = w.r_bar * (1.0 + 5e-13)
+    for got, want in zip(w.jet(over), w.jet(r)):
+        assert np.array_equal(got, want)
+    assert over[-1] > w.r_bar  # clipped in a copy, not in place
+    with pytest.raises(DomainError):
+        w.jet(np.array([0.5 * w.r_bar, w.r_bar * (1.0 + 1e-11)]))
+
+
 def test_constructor_guards():
     with pytest.raises(ParameterError):
         euclidean_warping(2)
