@@ -8,10 +8,11 @@ current mean radius, which is diagonal in spherical degree:
     h^2 lambda_l = l(l+n-2) - (n-1) h'^2 + (n-1) h h''
                  = l(l+n-2) - (n-1) + (n-1) h^2 ricci_gap_margin.
 
-Degree 0 comes from the border row of the system, the linearised
-volume constraint: a uniform shift c makes the integral of
-h^(n-1) h' (delta + c) over the sphere equal to the volume still
-missing, so one Newton loop solves for the graph and H_bar together.
+Degree 0 comes from the border row, the volume constraint to third
+order: with V = h^n / n and D = delta + c, one Newton step from the
+linear row's uniform shift c makes the integral of V'D + V''D^2/2 +
+V'''D^3/6 meet the volume still missing.  It misses by O(D^4), so one
+Newton loop solves for the graph, H_bar and the volume together.
 Degree 1 carries (n-1) h^2 times the Ricci gap margin, the quantity of
 the paper's rigidity argument; where that dimensionless gap vanishes
 (the translations of a space form) the step leaves degree 1 alone.
@@ -92,11 +93,11 @@ def find_cmc(
 ) -> CmcResult:
     """Solve for a CMC graph enclosing the same weighted volume as ``surface``.
 
-    Each iteration reads H, h and h' from one geometry report and takes
+    Each iteration reads H and h to h''' from one geometry report, takes
     the Newton step delta_l = h^2 (H_bar - H)_l / mu_l with the slice
     Jacobi eigenvalues mu_l at the area-weighted mean radius (module
-    docstring), degrees 0 and (for a degenerate gap) 1 excluded, plus
-    the uniform shift of the linearised volume row.  Stops when
+    docstring), degrees 0 and (for a degenerate gap) 1 excluded, and
+    adds the uniform shift of the cubic volume row.  Stops when
     sup|H - H_bar| < cmc_tol and the volume misses its target by at
     most 1e-13 max(|target|, 1), or after max_iter iterations; a graph
     that leaves the chart or a non-finite update ends the run with
@@ -121,11 +122,12 @@ def find_cmc(
     iterations = 0
 
     degrees = np.arange(engine.lmax + 1, dtype=float)
+    laplace = degrees * (degrees + n - 2)
 
     while True:
         rep = current.geometry()
-        h_bar = float(current.integrate(rep.mean_curvature) / rep.area)
-        residual = float(np.max(np.abs(rep.mean_curvature - h_bar)))
+        h_bar = float(engine.integrate(rep.mean_curvature * rep.area_density) / rep.area)
+        residual = float(np.abs(rep.mean_curvature - h_bar).max())
         if iterations == max_iter:
             break
         iterations += 1
@@ -136,21 +138,26 @@ def find_cmc(
             break
 
         h, gap, _, _ = _scaled_gap(warping, mean_radius(rep.radii))
-        mu = degrees * (degrees + n - 2) - (n - 1) * (1.0 - gap)
+        mu = laplace - (n - 1) * (1.0 - gap)
         # degree 0 is the volume row's; degree 1 is left alone where a
         # degenerate gap makes it the kernel of translations
-        factor = np.zeros_like(mu)
+        factor = np.zeros(mu.shape)
         first = 1 if abs(gap) > GAP_TOL else 2
         factor[first:] = h * h / mu[first:]
         hn1 = rep.warp ** (n - 1)
         # graph speed of a surface moving with normal speed H_bar - H
         w_factor = rep.area_density / hn1
         delta = engine.filter_degrees((h_bar - rep.mean_curvature) * w_factor, factor)
-        # the volume changes by the integral of h^(n-1) h' (delta + shift)
-        rate = hn1 * rep.potential
-        shift = (missing - engine.integrate(rate * delta)) / engine.integrate(rate)
-        rho = rep.radii + delta + shift
-        if not np.all(np.isfinite(rho)):
+        # the cubic volume row (module docstring); rate, v2 and v3 are V', V'' and V'''
+        f, fp, fh = rep.potential, rep.potential_slope, rep.potential / rep.warp
+        rate, ffh = hn1 * f, f * fh
+        step = delta + (missing - engine.integrate(rate * delta)) / engine.integrate(rate)
+        v2 = hn1 * ((n - 1) * ffh + fp)
+        v3 = hn1 * (fh * ((n - 1) * (n - 2) * ffh + 3 * (n - 1) * fp) + rep.potential_curvature)
+        miss, slope = step * step * (v2 / 2 + v3 * step / 6), rate + step * (v2 + v3 * step / 2)
+        step -= engine.integrate(miss) / engine.integrate(slope)
+        rho = rep.radii + step
+        if not np.isfinite(rho).all():
             reason = "update diverged"
             break
         try:

@@ -95,9 +95,8 @@ def minkowski_weighted_check(surface: GraphSurface, tol: float = 1e-8) -> Identi
     lhs = surface.integrate(rep.mean_curvature * rep.support / rep.potential)
     rhs = (w.dim - 1.0) * rep.area
     resid = lhs - rhs
-    hpp = w.jet(rep.radii)[2]
     slack = surface.integrate(
-        rep.warp * hpp * (1.0 - rep.nu_radial**2) / rep.potential**2
+        rep.warp * rep.potential_slope * (1.0 - rep.nu_radial**2) / rep.potential**2
     )
     scale = _scale(lhs, rhs)
     if abs(resid) <= tol * scale:

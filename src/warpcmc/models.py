@@ -97,10 +97,9 @@ class OmegaProfile:
             raise ParameterError("need 0 < s_floor < s_max")
         if self.s_upper is not None and not self.s_upper > self.s_max:
             raise ParameterError("need s_max < s_upper")
-        w0 = float(np.asarray(self.omega(np.asarray(self.s_floor))[0]))
+        w0, w0p = (float(np.asarray(v)) for v in self.omega(np.asarray(self.s_floor))[:2])
         if abs(w0) > 1e-10 * max(1.0, abs(self.s_floor)):
             raise ParameterError(f"omega(s_floor) = {w0}, expected 0")
-        w0p = float(np.asarray(self.omega(np.asarray(self.s_floor))[1]))
         if w0p <= 0.0:
             raise ParameterError("omega must have positive slope at the horizon")
         probe = np.linspace(self.s_floor, self.s_max, 4097)[1:]

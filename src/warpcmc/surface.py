@@ -46,8 +46,9 @@ def axisym_grid(dim: int, points: int = 256):
 class GeometryReport:
     """Pointwise geometry of a surface on the parameter grid.
 
-    Every array has the engine's grid shape.  ``radii``, ``warp`` and
-    ``potential`` are r, h(r) and f = h'(r) at each node;
+    Every array has the engine's grid shape.  ``radii``, ``warp``,
+    ``potential``, ``potential_slope`` and ``potential_curvature`` are r,
+    h(r), f = h'(r), f' = h''(r) and f'' = h'''(r) at each node;
     ``nu_radial`` is the radial component of the unit normal and
     ``support`` = h nu_radial the support function g(h d/dr, nu).
     ``area_density`` is the surface measure against the round one, and
@@ -61,6 +62,8 @@ class GeometryReport:
     radii: np.ndarray
     warp: np.ndarray
     potential: np.ndarray
+    potential_slope: np.ndarray
+    potential_curvature: np.ndarray
     mean_curvature: np.ndarray
     shape_deficit: np.ndarray
     nu_radial: np.ndarray
@@ -123,7 +126,7 @@ def parametrized_geometry(warping, engine, radius_jet, sphere_jet, orient=None):
     coordinates of the sphere map: a 3-vector field in full mode, the
     beta component in axisymmetric mode.
     """
-    h, hp, _, _ = warping.jet(radius_jet[0])
+    h, hp, hpp, hppp = warping.jet(radius_jet[0])
     hh = h * h
     full = engine.kind == "full"
     if full:
@@ -187,6 +190,8 @@ def parametrized_geometry(warping, engine, radius_jet, sphere_jet, orient=None):
         radii=rr,
         warp=h,
         potential=hp,
+        potential_slope=hpp,
+        potential_curvature=hppp,
         mean_curvature=mean,
         shape_deficit=deficit,
         nu_radial=n_r,

@@ -155,10 +155,10 @@ class WarpingFunction:
         """Radii r as an array clipped to [0, r_bar]; DomainError outside [0, r_bar).
 
         A tiny relative overshoot of the outer bound is tolerated to absorb
-        roundoff in radius constructions.  A scalar is checked and clipped in
-        plain float arithmetic, with np.clip's bits as np.float64; an array
-        inside [0, r_bar] comes back uncopied, so a jet must neither return
-        nor write into its argument.
+        roundoff in radius constructions; a NaN radius is outside.  A scalar
+        is checked and clipped in plain float arithmetic, with np.clip's bits
+        as np.float64; an array inside [0, r_bar] comes back uncopied, so a
+        jet must neither return nor write into its argument.
         """
         arr = np.asarray(r, dtype=float)
         if arr.ndim == 0:
@@ -167,7 +167,7 @@ class WarpingFunction:
             lo, hi = arr.min(), arr.max()
         else:
             return arr
-        if lo < -1e-15 or hi > self.r_bar * (1.0 + 1e-12):
+        if not (lo >= -1e-15 and hi <= self.r_bar * (1.0 + 1e-12)):
             raise DomainError(f"radius outside [0, {self.r_bar}): range [{lo}, {hi}]")
         if arr.ndim == 0:
             return np.float64(min(max(lo, 0.0), self.r_bar))

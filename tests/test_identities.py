@@ -7,6 +7,7 @@ exactly on slices; on the s = 2 Schwarzschild slice both sides of the
 volumetric identity equal 32 pi.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -67,6 +68,24 @@ def test_weighted_minkowski_strict_on_tilted_graphs(schw3):
     # the deficit is exactly the tilt integral carried in the detail
     assert rep.residual == pytest.approx(-rep.detail["slack"], rel=1e-6)
 
+
+def test_weighted_minkowski_takes_no_grid_jet(schw3):
+    # h'' comes from the geometry report; the check's own jets are the
+    # monotone-range scan's, none of them on the surface grid
+    shapes = []
+
+    def counting(r):
+        shapes.append(np.shape(r))
+        return schw3._jet(r)
+
+    w = dataclasses.replace(schw3, _jet=counting)
+    engine = axisym_grid(3, 64)
+    surface = perturb_slice(w, engine, 1.5, [(2, 0, 0.12)])
+    surface.geometry()
+    shapes.clear()
+    rep = minkowski_weighted_check(surface)
+    assert rep.verdict == "inequality-satisfied"
+    assert engine.grid_shape not in shapes
 
 def test_weighted_minkowski_needs_boundary():
     w = euclidean_warping(3)

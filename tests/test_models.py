@@ -13,6 +13,7 @@ import pytest
 
 from warpcmc import (
     DomainError,
+    OmegaProfile,
     ParameterError,
     admissibility,
     check_conditions,
@@ -148,6 +149,17 @@ def test_omega_evaluators_match_the_full_polynomial_bit_for_bit(n, kappa, charge
         assert fast[1](x) == one_minus_omega(x)
         assert fast[2](0.9, y) == difference(0.9, y)
 
+
+def test_profile_checks_the_horizon_with_one_omega_call():
+    # omega(s_floor) and omega'(s_floor) come from one evaluation
+    omega, points = _poly_omega(3, 1.0, 0.0, 0.0), []
+
+    def counting(s):
+        points.append(np.ndim(s))
+        return omega(s)
+
+    OmegaProfile("schwarzschild", 3, 1.0, 10.0, counting)
+    assert points.count(0) == 1
 
 def test_make_model_rejects_unknown_family():
     with pytest.raises(ParameterError):

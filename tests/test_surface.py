@@ -247,3 +247,16 @@ def test_full_normal_matches_the_tangent_frame_reference(schw3):
         got = (report.mean_curvature, report.shape_deficit, report.nu_radial, report.area_density)
         for value, reference in zip(got, expected):
             assert np.max(np.abs(value - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("mode", ["full", "axisym"])
+def test_report_carries_the_warp_jet_bit_for_bit(schw3, mode):
+    engine = full_sphere_grid(24) if mode == "full" else axisym_grid(3, 48)
+    report = perturb_slice(schw3, engine, 2.0, [(2, 0, 0.1), (3, 0, 0.05)]).geometry()
+    h, hp, hpp, hppp = schw3.jet(report.radii)
+    for got, want in zip(
+        (report.warp, report.potential, report.potential_slope, report.potential_curvature),
+        (h, hp, hpp, hppp),
+    ):
+        assert got.shape == engine.grid_shape
+        assert np.array_equal(got, want)

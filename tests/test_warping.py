@@ -262,6 +262,27 @@ def test_jet_of_an_in_chart_array_leaves_it_alone(kind, n, tmp_path):
         w.jet(np.array([0.5 * w.r_bar, w.r_bar * (1.0 + 1e-11)]))
 
 
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [
+        (family, n)
+        for family in ("schwarzschild", "desitter-schwarzschild", "reissner-nordstrom")
+        for n in (3, 5)
+    ]
+    + [(kind, 3) for kind in ("euclidean", "sphere", "hyperbolic", "omega-table", "tabulated")],
+)
+@pytest.mark.filterwarnings("error")
+def test_nan_radius_is_outside_the_chart(kind, n, tmp_path):
+    # a NaN compares false with both bounds, so the chart check must ask
+    # whether a radius is inside, not whether it is outside
+    w = _chart_ambient(kind, n, tmp_path)
+    for r in (math.nan, np.float64(math.nan), np.array([math.nan]), np.array([0.5 * w.r_bar, math.nan])):
+        with pytest.raises(DomainError):
+            w.jet(r)
+        with pytest.raises(DomainError):
+            w.curvature_defect(r)
+
 def test_constructor_guards():
     with pytest.raises(ParameterError):
         euclidean_warping(2)
