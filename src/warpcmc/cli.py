@@ -46,7 +46,7 @@ from .surface import (
     full_sphere_grid,
     perturb_slice,
 )
-from .warping import check_conditions, scan_monotonicity_extrema
+from .warping import CONDITION_NAMES, check_conditions, scan_monotonicity_extrema
 
 __all__ = ["main"]
 
@@ -332,10 +332,9 @@ def cmd_check(cfg: dict) -> int:
     records = scan_monotonicity_extrema(w)
 
     emitter = Emitter(cfg, w, f"mode=radial size={grid}")
-    order = ["regularity", "monotonicity", "scalar_monotonicity", "ricci_gap"]
     rows = [
         (name, report.status[name], report.min_margin[name], report.worst_radius[name])
-        for name in order
+        for name in CONDITION_NAMES
     ]
     path = emitter.write(
         f"conditions_{w.name}",
@@ -347,9 +346,10 @@ def cmd_check(cfg: dict) -> int:
         ),
     )
     # Python floats take the fast path of _fmt
-    margins = [report.margins[name].tolist() for name in order[1:]]
+    margined = CONDITION_NAMES[1:]  # regularity is a condition at r = 0 alone
+    margins = [report.margins[name].tolist() for name in margined]
     emitter.write(
-        f"margins_{w.name}", ("radius", *order[1:]), list(zip(report.radii.tolist(), *margins))
+        f"margins_{w.name}", ("radius", *margined), list(zip(report.radii.tolist(), *margins))
     )
     emitter.write(
         f"extrema_{w.name}",
@@ -357,7 +357,7 @@ def cmd_check(cfg: dict) -> int:
         [(rec.radius, rec.kind, rec.value, rec.ricci_distinct) for rec in records],
     )
 
-    for name in order:
+    for name in CONDITION_NAMES:
         print(f"{name}: {report.status[name]} (min margin {report.min_margin[name]:.3e})")
     print(f"conclusion: {report.conclusion}")
     print(f"wrote {path}")

@@ -103,7 +103,7 @@ def find_cmc(
     that leaves the chart or a non-finite update ends the run with
     converged = False and the reason recorded.
     """
-    if cmc_tol <= 0.0:
+    if not cmc_tol > 0.0:
         raise ParameterError("cmc_tol must be positive")
     if max_iter < 0:
         raise ParameterError("max_iter must be non-negative")

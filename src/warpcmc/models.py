@@ -27,7 +27,7 @@ a lookup is one index floor(r/dr) and Horner's rule, and the jet takes the
 derivatives from omega.  ``distance_of_area_radius`` integrates F afresh with
 32-point panels of its own and serves as an independent check of the table.
 
-The module needs numpy alone; only ``load_omega_table`` imports scipy.
+The module needs numpy alone; only ``load_omega_table`` needs scipy.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .warping import (
     euclidean_warping,
     find_root,
     hyperbolic_warping,
+    _quintic_spline,
     spherical_warping,
 )
 
@@ -113,8 +114,13 @@ class OmegaProfile:
 
 # The evaluators skip a kappa or charge2 term whose coefficient is 0 and keep the
 # order of the full polynomial: a skipped term adds an exact 0.0, so no bit moves.
-def _poly_omega(dim, mass, kappa, charge2):
-    """omega(s) = 1 - mass s^{2-n} - kappa s^2 + charge2 s^{4-2n} and derivatives."""
+def _poly_evaluators(dim, mass, kappa, charge2):
+    """Evaluators of omega(s) = 1 - mass s^{2-n} - kappa s^2 + charge2 s^{4-2n}.
+
+    Returns (omega, one_minus_omega, difference): omega with its first two
+    derivatives, 1 - omega, and difference(r, d) = omega(r + d) - omega(r)
+    with each power difference as r^p expm1(p log1p(d/r)).
+    """
     p = 2 - dim
     q = 4 - 2 * dim
 
@@ -132,13 +138,6 @@ def _poly_omega(dim, mass, kappa, charge2):
             w2 = w2 + charge2 * q * (q - 1) * s ** (q - 2)
         return w, w1, w2
 
-    return omega
-
-
-def _poly_one_minus_omega(dim, mass, kappa, charge2):
-    p = 2 - dim
-    q = 4 - 2 * dim
-
     def one_minus_omega(s):
         out = mass * s**p
         if kappa:
@@ -146,14 +145,6 @@ def _poly_one_minus_omega(dim, mass, kappa, charge2):
         if charge2:
             out = out - charge2 * s**q
         return out
-
-    return one_minus_omega
-
-
-def _poly_omega_difference(dim, mass, kappa, charge2):
-    """omega(r + d) - omega(r), each power difference as r^p expm1(p log1p(d/r))."""
-    p = 2 - dim
-    q = 4 - 2 * dim
 
     def difference(r, d):
         grow = np.log1p(d / r)
@@ -164,13 +155,19 @@ def _poly_omega_difference(dim, mass, kappa, charge2):
             out = out - kappa * d * (2.0 * r + d)
         return out
 
-    return difference
+    return omega, one_minus_omega, difference
 
 
 def _family_params(family: str, params: dict) -> dict:
     """The parameters ``family`` reads: ``params`` over its MODEL_FAMILIES defaults."""
     defaults = MODEL_FAMILIES[family]["params"]
     return {key: params.get(key, value) for key, value in defaults.items()}
+
+
+def _coefficients(params: dict) -> tuple:
+    """(mass, kappa, charge2) of omega for a horizon family's parameters."""
+    q = params.get("q", 0.0)
+    return params["m"], params.get("kappa", 0.0), q * q
 
 
 def admissibility(family: str, n: int, params: dict) -> tuple[bool, str]:
@@ -184,7 +181,7 @@ def admissibility(family: str, n: int, params: dict) -> tuple[bool, str]:
     # an omega table runs its own checks when it is loaded
     if family in ("euclidean", "sphere", "hyperbolic", "omega-table"):
         return True, "admissible"
-    if family not in _HORIZON_PROFILES:
+    if family not in _HORIZON_FAMILIES:
         return False, f"unknown family {family!r}"
     p = _family_params(family, params)
     m = p["m"]
@@ -208,109 +205,90 @@ def horizon_radius(family: str, n: int, params: dict) -> float:
 
     Missing parameters take the family's defaults from ``MODEL_FAMILIES``.
     For deSitter-Schwarzschild with kappa > 0 this is the lower of the two
-    roots (see ``_desitter_horizons``).
+    roots (see ``_horizons``).
     """
     ok, msg = admissibility(family, n, params)
     if not ok:
         raise ParameterError(msg)
-    if family not in _HORIZON_PROFILES:
+    if family not in _HORIZON_FAMILIES:
         raise ParameterError(f"family {family!r} has no horizon")
-    p = _family_params(family, params)
-    m = p["m"]
-    if family == "schwarzschild":
-        return m ** (1.0 / (n - 2))
-    if family == "reissner-nordstrom":
-        q = p["q"]
+    return _horizons(n, *_coefficients(_family_params(family, params)))[0]
+
+
+def _horizons(n, mass, kappa, charge2):
+    """Horizon s_floor of an admissible omega and its cosmological horizon s_upper, or None.
+
+    No family has both kappa and charge2.  kappa > 0: omega peaks at
+    s_peak = ((n-2) m / (2 kappa))^(1/n), where it is positive for every
+    admissible kappa, so each root is bracketed on its own side: omega <
+    1 - m s^(2-n) <= -1 at half the Schwarzschild radius below, and omega <
+    1 - kappa s^2 = -3 at s = 2 kappa^(-1/2) above.  kappa < 0: omega
+    increases with s and the mass term makes it negative for small s, so the
+    bracket widens from the Schwarzschild radius both ways.
+    """
+    if charge2:
         # roots in u = s^{2-n} of q^2 u^2 - m u + 1; the larger s is the
         # smaller u, and the stable expression avoids cancellation
-        disc = math.sqrt(m * m - 4.0 * q * q)
-        u_small = 2.0 / (m + disc)
-        return u_small ** (-1.0 / (n - 2))
-    kappa = p["kappa"]
-    if kappa > 0:
-        return _desitter_horizons(n, m, kappa)[0]
-    # omega increases with s when kappa <= 0, and the mass term makes it
-    # negative for small s: widen from the Schwarzschild radius both ways
-    omega = _poly_omega(n, m, kappa, 0.0)
+        disc = math.sqrt(mass * mass - 4.0 * charge2)
+        return (2.0 / (mass + disc)) ** (-1.0 / (n - 2)), None
+    schwarzschild = mass ** (1.0 / (n - 2))
+    if not kappa:
+        return schwarzschild, None
+    omega = _poly_evaluators(n, mass, kappa, 0.0)[0]
     f = lambda s: float(omega(s)[0])
-    lo = hi = m ** (1.0 / (n - 2))
+    if kappa > 0:
+        s_peak = ((n - 2) * mass / (2.0 * kappa)) ** (1.0 / n)
+        if f(s_peak) <= 0:
+            raise ParameterError("omega never becomes positive")
+        lower = find_root(f, 0.5 * schwarzschild, s_peak)
+        return float(lower), float(find_root(f, s_peak, 2.0 / math.sqrt(kappa)))
+    lo = hi = schwarzschild
     while f(lo) >= 0:
         lo *= 0.5
     while f(hi) <= 0:
         hi *= 2.0
-    return float(find_root(f, lo, hi))
+    return float(find_root(f, lo, hi)), None
 
 
-def _desitter_horizons(n, m, kappa):
-    """Event and cosmological horizon of deSitter-Schwarzschild with kappa > 0.
+def _horizon_profile(family: str, n: int, params: dict) -> OmegaProfile:
+    """Profile of a closed-form horizon family; ``params`` holds its parameters and s_max.
 
-    omega peaks at s_peak = ((n-2) m / (2 kappa))^(1/n), where it is positive
-    for every admissible kappa, so each root is bracketed on its own side:
-    omega < 1 - m s^(2-n) <= -1 at half the Schwarzschild radius below, and
-    omega < 1 - kappa s^2 = -3 at s = 2 kappa^(-1/2) above.
+    s_max None takes 10 s_floor; a cosmological horizon caps it at
+    s_upper (1 - 1e-9).
     """
-    omega = _poly_omega(n, m, kappa, 0.0)
-    f = lambda s: float(omega(s)[0])
-    s_peak = ((n - 2) * m / (2.0 * kappa)) ** (1.0 / n)
-    if f(s_peak) <= 0:
-        raise ParameterError("omega never becomes positive")
-    lower = find_root(f, 0.5 * m ** (1.0 / (n - 2)), s_peak)
-    return float(lower), float(find_root(f, s_peak, 2.0 / math.sqrt(kappa)))
-
-
-def _poly_profile(name, n, s_floor, s_max, params, mass, kappa=0.0, charge2=0.0, s_upper=None):
-    """Profile of omega = 1 - mass s^(2-n) - kappa s^2 + charge2 s^(4-2n), with its evaluators."""
+    ok, msg = admissibility(family, n, params)
+    if not ok:
+        raise ParameterError(msg)
+    params = dict(params)
+    s_max = params.pop("s_max")
+    mass, kappa, charge2 = _coefficients(params)
+    s_floor, s_upper = _horizons(n, mass, kappa, charge2)
+    if s_upper is not None:
+        ceiling = s_upper * (1.0 - 1e-9)
+        s_max = ceiling if s_max is None else min(s_max, ceiling)
+    elif s_max is None:
+        s_max = 10.0 * s_floor
+    omega, one_minus_omega, difference = _poly_evaluators(n, mass, kappa, charge2)
     return OmegaProfile(
-        name, n, s_floor, s_max, _poly_omega(n, mass, kappa, charge2),
-        params=params,
-        one_minus_omega=_poly_one_minus_omega(n, mass, kappa, charge2),
-        omega_difference=_poly_omega_difference(n, mass, kappa, charge2),
-        s_upper=s_upper,
+        family, n, s_floor, s_max, omega, params=params,
+        one_minus_omega=one_minus_omega, omega_difference=difference, s_upper=s_upper,
     )
 
 
 def schwarzschild_profile(n: int, m: float, s_max: float | None = None) -> OmegaProfile:
-    ok, msg = admissibility("schwarzschild", n, {"m": m})
-    if not ok:
-        raise ParameterError(msg)
-    s_floor = horizon_radius("schwarzschild", n, {"m": m})
-    if s_max is None:
-        s_max = 10.0 * s_floor
-    return _poly_profile("schwarzschild", n, s_floor, s_max, {"m": m}, m)
+    return _horizon_profile("schwarzschild", n, {"m": m, "s_max": s_max})
 
 
 def desitter_schwarzschild_profile(
     n: int, m: float, kappa: float, s_max: float | None = None
 ) -> OmegaProfile:
-    ok, msg = admissibility("desitter-schwarzschild", n, {"m": m, "kappa": kappa})
-    if not ok:
-        raise ParameterError(msg)
-    s_upper = None
-    if kappa > 0:
-        s_floor, s_upper = _desitter_horizons(n, m, kappa)
-        ceiling = s_upper * (1.0 - 1e-9)
-        s_max = ceiling if s_max is None else min(s_max, ceiling)
-    else:
-        s_floor = horizon_radius("desitter-schwarzschild", n, {"m": m, "kappa": kappa})
-        if s_max is None:
-            s_max = 10.0 * s_floor
-    params = {"m": m, "kappa": kappa}
-    return _poly_profile(
-        "desitter-schwarzschild", n, s_floor, s_max, params, m, kappa, s_upper=s_upper
-    )
+    return _horizon_profile("desitter-schwarzschild", n, {"m": m, "kappa": kappa, "s_max": s_max})
 
 
 def reissner_nordstrom_profile(
     n: int, m: float, q: float, s_max: float | None = None
 ) -> OmegaProfile:
-    ok, msg = admissibility("reissner-nordstrom", n, {"m": m, "q": q})
-    if not ok:
-        raise ParameterError(msg)
-    s_floor = horizon_radius("reissner-nordstrom", n, {"m": m, "q": q})
-    if s_max is None:
-        s_max = 10.0 * s_floor
-    params = {"m": m, "q": q}
-    return _poly_profile("reissner-nordstrom", n, s_floor, s_max, params, m, charge2=q * q)
+    return _horizon_profile("reissner-nordstrom", n, {"m": m, "q": q, "s_max": s_max})
 
 
 def load_omega_table(path, n: int, s_max: float | None = None) -> OmegaProfile:
@@ -318,8 +296,7 @@ def load_omega_table(path, n: int, s_max: float | None = None) -> OmegaProfile:
 
     Lines starting with '#' are comments.  The first row must be the horizon,
     omega = 0; s must be strictly increasing.  Derivatives come from a
-    quintic spline of the samples (scipy's ``make_interp_spline``, imported
-    on first use).
+    quintic spline of the samples (``warping._quintic_spline``).
     """
     data = np.loadtxt(path, comments="#", dtype=float)
     if data.ndim != 2 or data.shape[1] != 2:
@@ -331,15 +308,7 @@ def load_omega_table(path, n: int, s_max: float | None = None) -> OmegaProfile:
         raise ParameterError(f"{path}: s must be strictly increasing")
     if abs(om[0]) > 1e-10 * max(1.0, s[0]):
         raise ParameterError(f"{path}: first row must sit on the horizon (omega = 0)")
-    from scipy.interpolate import make_interp_spline
-
-    spline = make_interp_spline(s, om, k=5)
-    d1 = spline.derivative(1)
-    d2 = spline.derivative(2)
-
-    def omega(x):
-        return spline(x), d1(x), d2(x)
-
+    omega = _quintic_spline(s, om, 2)
     ceiling = float(s[-1]) if s_max is None else min(float(s[-1]), s_max)
     return OmegaProfile("omega-table", n, float(s[0]), ceiling, omega, kind="tabulated")
 
@@ -525,7 +494,8 @@ class OmegaBackedWarping(WarpingFunction):
         """
         prof = self.profile
         arr = np.asarray(s, dtype=float)
-        if arr.size and (arr.min() < prof.s_floor * (1 - 1e-12) or arr.max() > prof.s_max * (1 + 1e-12)):
+        lo, hi = prof.s_floor * (1 - 1e-12), prof.s_max * (1 + 1e-12)
+        if arr.size and not (arr.min() >= lo and arr.max() <= hi):
             raise DomainError("area radius outside [s_floor, s_max]")
         width = max(math.sqrt(prof.s_max - prof.s_floor) / 256.0, 1e-12)
         split = _split_radius(prof)
@@ -542,11 +512,8 @@ class OmegaBackedWarping(WarpingFunction):
         return float(out) if np.ndim(s) == 0 else out
 
     def area_radius_of_distance(self, r):
-        """Inverse of F: the stored table of s = h(r)."""
-        arr = np.asarray(r, dtype=float)
-        if arr.size and (arr.min() < -1e-14 or arr.max() > self.r_bar * (1 + 1e-12)):
-            raise DomainError(f"distance outside [0, {self.r_bar}]")
-        s = self._h_table(np.clip(arr, 0.0, self.r_bar))
+        """Inverse of F: the stored table of s = h(r), on the chart of ``jet``."""
+        s = self._h_table(self._in_chart(r))
         return float(s) if np.ndim(r) == 0 else s
 
 
@@ -660,12 +627,8 @@ MODEL_FAMILIES = {
     },
 }
 
-# closed-form horizon families and their profile builders
-_HORIZON_PROFILES = {
-    "schwarzschild": schwarzschild_profile,
-    "desitter-schwarzschild": desitter_schwarzschild_profile,
-    "reissner-nordstrom": reissner_nordstrom_profile,
-}
+# closed-form horizon families: omega is one polynomial in (m, kappa, q^2)
+_HORIZON_FAMILIES = ("schwarzschild", "desitter-schwarzschild", "reissner-nordstrom")
 
 
 def make_model(family: str, n: int, **params) -> WarpingFunction:
@@ -691,7 +654,7 @@ def make_model(family: str, n: int, **params) -> WarpingFunction:
             raise ParameterError("omega-table needs path=<file>")
         prof = load_omega_table(n=n, **p)
     else:
-        prof = _HORIZON_PROFILES[family](n, **p)
+        prof = _horizon_profile(family, n, p)
     return omega_to_warping(prof, knots=knots)
 
 

@@ -263,6 +263,19 @@ def hyperbolic_warping(n: int, curvature: float = 1.0, r_bar: float = 10.0) -> W
     )
 
 
+def _quintic_spline(x, y, derivatives: int):
+    """Quintic interpolating spline of samples (x, y), with its first ``derivatives`` derivatives.
+
+    Returns a callable mapping points to the tuple (y, y', ...).  The spline
+    is scipy's ``make_interp_spline``, imported on first use.
+    """
+    from scipy.interpolate import make_interp_spline
+
+    spline = make_interp_spline(x, y, k=5)
+    parts = [spline] + [spline.derivative(k) for k in range(1, derivatives + 1)]
+    return lambda s: tuple(part(s) for part in parts)
+
+
 def tabulated_warping(
     name: str,
     n: int,
@@ -274,8 +287,7 @@ def tabulated_warping(
     """Warping profile from sampled (r, h) data via a quintic spline.
 
     The spline is C^4 between knots, so third derivatives stay continuous;
-    that is what the curvature-monotonicity slope needs.  It is scipy's
-    ``make_interp_spline``, imported on first use.
+    that is what the curvature-monotonicity slope needs (``_quintic_spline``).
     """
     radii = np.asarray(radii, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -285,16 +297,7 @@ def tabulated_warping(
         raise ParameterError("radii must be strictly increasing")
     if radii[0] > 1e-12 * radii[-1]:
         raise ParameterError("table must start at r = 0")
-    from scipy.interpolate import make_interp_spline
-
-    spline = make_interp_spline(radii, values, k=5)
-    d1 = spline.derivative(1)
-    d2 = spline.derivative(2)
-    d3 = spline.derivative(3)
-
-    def jet(r):
-        return spline(r), d1(r), d2(r), d3(r)
-
+    jet = _quintic_spline(radii, values, 3)
     return WarpingFunction(name, n, float(radii[-1]), rho, variant, "tabulated", jet)
 
 

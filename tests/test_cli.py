@@ -151,6 +151,19 @@ def test_verify_hypothesis_violation_exits_2(tmp_path, capsys):
     assert "mean curvature" in err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["verify", "--model", "schwarzschild", "--s", "nan"], "area radius outside"),
+        (["cmc", "--model", "schwarzschild", "--s", "2", "--cmc-tol", "nan"], "cmc_tol"),
+    ],
+)
+def test_nan_input_exits_2(tmp_path, capsys, args, message):
+    code, _, err = run([*args, "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert message in err
+
+
 def test_flow_audit_and_determinism(tmp_path, capsys):
     args = [
         "flow", "--model", "schwarzschild", "--m", "1", "--s", "2",

@@ -122,6 +122,13 @@ def test_max_iter_zero_reports_unconverged(schw3):
     assert result.iterations == 0
 
 
+@pytest.mark.parametrize("cmc_tol", [0.0, -1e-9, float("nan")])
+def test_tolerance_must_be_positive(schw3, cmc_tol):
+    surface = slice_surface(schw3, axisym_grid(3, 32), 1.5)
+    with pytest.raises(ParameterError, match="cmc_tol"):
+        find_cmc(surface, cmc_tol=cmc_tol)
+
+
 def test_verdict_requires_convergence(schw3):
     surface = perturb_slice(schw3, axisym_grid(3, 32), 2.0, [(2, 0, 0.05)])
     result = find_cmc(surface, max_iter=0)

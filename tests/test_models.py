@@ -30,7 +30,7 @@ from warpcmc import (
     scalar_curvature,
     schwarzschild_profile,
 )
-from warpcmc.models import _poly_omega, _poly_omega_difference, _poly_one_minus_omega
+from warpcmc.models import _poly_evaluators
 
 KAPPA_SMALL = 0.02
 
@@ -137,7 +137,7 @@ def test_omega_evaluators_match_the_full_polynomial_bit_for_bit(n, kappa, charge
     mass = 0.7
     omega, one_minus_omega, difference = _full_polynomial(n, mass, kappa, charge2)
     args = (n, mass, kappa, charge2)
-    fast = (_poly_omega(*args), _poly_one_minus_omega(*args), _poly_omega_difference(*args))
+    fast = _poly_evaluators(*args)
     s = np.linspace(0.6, 4.0, 97)
     d = np.linspace(-0.3, 2.0, 97)
     for got, want in zip(fast[0](s), omega(s)):
@@ -152,7 +152,7 @@ def test_omega_evaluators_match_the_full_polynomial_bit_for_bit(n, kappa, charge
 
 def test_profile_checks_the_horizon_with_one_omega_call():
     # omega(s_floor) and omega'(s_floor) come from one evaluation
-    omega, points = _poly_omega(3, 1.0, 0.0, 0.0), []
+    omega, points = _poly_evaluators(3, 1.0, 0.0, 0.0)[0], []
 
     def counting(s):
         points.append(np.ndim(s))
@@ -344,6 +344,53 @@ def test_positive_kappa_window_stops_at_upper_horizon():
 def test_distance_of_area_radius_domain(schw3):
     with pytest.raises(DomainError):
         schw3.distance_of_area_radius(0.5)
+
+
+@pytest.mark.filterwarnings("error")
+def test_nan_is_outside_both_chart_directions(schw3):
+    # a NaN compares false with every bound, so each check asks whether the
+    # input is inside; the lookup shares the chart rule of jet
+    for x in (math.nan, np.array([math.nan]), np.array([2.0, math.nan])):
+        with pytest.raises(DomainError):
+            schw3.area_radius_of_distance(x)
+        with pytest.raises(DomainError):
+            schw3.distance_of_area_radius(x)
+    with pytest.raises(DomainError):
+        schw3.area_radius_of_distance(-2e-15)
+    assert schw3.area_radius_of_distance(-1e-15) == schw3.profile.s_floor
+
+
+def test_desitter_at_zero_kappa_is_schwarzschild_bit_for_bit():
+    # kappa = 0 takes the closed-form horizon, so the two builds share every
+    # number; here a Brent root once landed 1 ulp off m^(1/(n-2))
+    m = 0.02673489347411424
+    ds = make_model("desitter-schwarzschild", 4, m=m)
+    schw = make_model("schwarzschild", 4, m=m)
+    assert ds.profile.s_floor == schw.profile.s_floor == m ** 0.5
+    assert ds.profile.s_max == schw.profile.s_max
+    assert ds.r_bar == schw.r_bar
+    r = np.linspace(0.0, schw.r_bar, 101)
+    for got, want in zip(ds.jet(r), schw.jet(r)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "family, profile, params",
+    [
+        ("schwarzschild", schwarzschild_profile, {"m": 0.8}),
+        ("desitter-schwarzschild", desitter_schwarzschild_profile, {"m": 0.8, "kappa": 0.0}),
+        ("desitter-schwarzschild", desitter_schwarzschild_profile, {"m": 0.8, "kappa": -0.2}),
+        ("desitter-schwarzschild", desitter_schwarzschild_profile, {"m": 0.8, "kappa": 0.05}),
+        ("reissner-nordstrom", reissner_nordstrom_profile, {"m": 0.8, "q": 0.3}),
+    ],
+)
+@pytest.mark.parametrize("s_max", [None, 3.5])
+def test_public_profile_is_the_profile_make_model_stores(family, profile, params, s_max):
+    built = make_model(family, 4, s_max=s_max, knots=64, **params).profile
+    direct = profile(4, s_max=s_max, **params)
+    got = (direct.s_floor, direct.s_max, direct.s_upper, direct.params)
+    assert got == (built.s_floor, built.s_max, built.s_upper, built.params)
+    assert direct.params == params
 
 
 @pytest.mark.parametrize("family", ["schwarzschild", "euclidean", "sphere"])
