@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cmc import find_cmc, umbilicity_verdict
+from .cmc import CMC_MAX_ITER, CMC_TOL, find_cmc, umbilicity_verdict
 from .errors import (
     DomainError,
     HypothesisError,
@@ -37,8 +37,14 @@ from .errors import (
     ParameterError,
     WarpcmcError,
 )
-from .flow import area_floor_check, monotonicity_audit, run_flow
-from .identities import hk_check, minkowski_check, minkowski_weighted_check
+from .flow import FLOW_JACOBIAN_CUT, AuditRow, area_floor_check, monotonicity_audit, run_flow
+from .identities import (
+    TOL_HEINTZE_KARCHER,
+    TOL_MINKOWSKI,
+    hk_check,
+    minkowski_check,
+    minkowski_weighted_check,
+)
 from .models import MODEL_FAMILIES, OmegaBackedWarping, make_model
 from .surface import (
     GraphSurface,
@@ -46,21 +52,31 @@ from .surface import (
     full_sphere_grid,
     perturb_slice,
 )
-from .warping import CONDITION_NAMES, check_conditions, scan_monotonicity_extrema
+from .warping import (
+    CONDITION_GRID_SIZE,
+    CONDITION_NAMES,
+    TOL_CONDITION,
+    check_conditions,
+    scan_monotonicity_extrema,
+)
 
 __all__ = ["main"]
 
 DEFAULTS = {
     "model": {"family": "schwarzschild", "n": 3},
-    "grid": {"mode": "axisym", "size": 128, "condition_size": 256},
+    "grid": {"mode": "axisym", "size": 128, "condition_size": CONDITION_GRID_SIZE},
     "surface": {"radius": None, "s": None, "modes": []},
-    "flow": {"t_end": 1.0, "dt_max": None, "record_every": 1, "epsilon_cut": 1e-4},
+    "flow": {"t_end": 1.0, "dt_max": None, "record_every": 1, "epsilon_cut": FLOW_JACOBIAN_CUT},
     "cmc": {
-        "tol": 1e-7,
-        "max_iter": 2000,
+        "tol": CMC_TOL,
+        "max_iter": CMC_MAX_ITER,
         "corpus": {"count": 0, "seed": 1, "amplitude": 0.05, "max_degree": 4},
     },
-    "tolerances": {"condition": 1e-9, "minkowski": 1e-8, "heintze_karcher": 1e-6},
+    "tolerances": {
+        "condition": TOL_CONDITION,
+        "minkowski": TOL_MINKOWSKI,
+        "heintze_karcher": TOL_HEINTZE_KARCHER,
+    },
     "output": {"dir": None, "format": "table"},
 }
 
@@ -402,53 +418,24 @@ def cmd_flow(cfg: dict) -> int:
         record_every=flow_cfg["record_every"],
         jacobian_cut=flow_cfg["epsilon_cut"],
     )
-    audit = monotonicity_audit(trace, trace.swept_weighted_volume)
-
     emitter = Emitter(cfg, w, f"mode={engine.kind} size={cfg['grid']['size']}")
-    trace_rows = list(
-        zip(
-            trace.times,
-            trace.q_values,
-            trace.areas,
-            trace.min_alignment,
-            trace.swept_weighted_volume,
-            trace.active_counts,
-        )
+    trace_rows = zip(
+        trace.times, trace.q_values, trace.areas, trace.min_alignment,
+        trace.swept_weighted_volume, trace.active_counts,
     )
     path = emitter.write(
         f"flow_trace_{w.name}",
         ("t", "Q", "area", "min_alignment", "swept_weighted_volume", "active_count"),
         trace_rows,
     )
-    audit_rows = [
-        ("q_decreasing", audit.q_slack, audit.q_tol, audit.q_ok),
-        ("swept_dominated", audit.swept_slack, audit.swept_tol, audit.swept_ok),
-        ("riccati_bound", audit.riccati_slack, audit.riccati_tol, audit.riccati_ok),
-        ("area_decreasing", audit.area_slack, audit.area_tol, audit.area_ok),
-    ]
-    passed = audit.passed
+    rows = monotonicity_audit(trace, trace.swept_weighted_volume).rows
     if w.variant == "boundary" and bool(np.any(final.active)):
-        floor = area_floor_check(final)
-        audit_rows.extend(
-            [
-                ("area_floor", floor.area - floor.area_floor, 1e-6, floor.area_ok),
-                (
-                    "weighted_minkowski",
-                    floor.minkowski_lhs - floor.minkowski_bound,
-                    1e-6 * max(floor.area, 1.0),
-                    floor.minkowski_ok,
-                ),
-                ("q_floor", floor.q_value - floor.q_floor, 1e-6, floor.q_ok),
-            ]
-        )
-        passed = passed and floor.passed
-    emitter.write(
-        f"flow_audit_{w.name}", ("check", "slack", "tol", "ok"), audit_rows
-    )
-    for name, slack, tol, ok in audit_rows:
-        print(f"{name}: {'ok' if ok else 'VIOLATED'} (slack {slack:.3e})")
+        rows += area_floor_check(final).rows
+    emitter.write(f"flow_audit_{w.name}", AuditRow._fields, rows)
+    for check, slack, _, ok in rows:
+        print(f"{check}: {'ok' if ok else 'VIOLATED'} (slack {slack:.3e})")
     print(f"wrote {path}")
-    return 0 if passed else 3
+    return 0 if all(row.ok for row in rows) else 3
 
 
 def _corpus_surfaces(cfg: dict, w, engine):

@@ -35,6 +35,8 @@ __all__ = [
     "umbilicity_verdict",
 ]
 
+CMC_TOL = 1e-7
+CMC_MAX_ITER = 2000
 SLICE_TOL_FACTOR = 1e-5
 # a dimensionless Ricci gap h^2 * ricci_gap_margin at or below this is
 # degenerate: the slice Jacobi operator has the degree-1 kernel of the
@@ -88,8 +90,8 @@ def _scaled_gap(warping, r):
 
 def find_cmc(
     surface: GraphSurface,
-    cmc_tol: float = 1e-7,
-    max_iter: int = 2000,
+    cmc_tol: float = CMC_TOL,
+    max_iter: int = CMC_MAX_ITER,
 ) -> CmcResult:
     """Solve for a CMC graph enclosing the same weighted volume as ``surface``.
 

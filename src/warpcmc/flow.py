@@ -12,13 +12,20 @@ identity map of the graph the flow begins on.
 
 The payoff is a family of audited monotone quantities: the weighted
 curvature integral Q = (n-1) int f/H, the swept weighted volume it
-dominates, the per-node Riccati bound on f/H, and the plain area.
+dominates, the per-node Riccati bound on f/H, and the plain area; on a
+boundary-type ambient, the horizon floors of the final state.  The two
+audits return seven ``AuditRow(check, slack, tol, ok)`` rows in all:
+q_decreasing, swept_dominated, riccati_bound and area_decreasing, then
+area_floor, weighted_minkowski and q_floor.  A slack is the worst signed
+margin.  swept_dominated, area_floor and q_floor bound from below and
+hold when slack >= -tol; the other four hold when slack <= tol.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +40,7 @@ from .warping import WarpingFunction
 
 __all__ = [
     "FLOW_JACOBIAN_CUT",
+    "AuditRow",
     "FlowExhausted",
     "FlowState",
     "FlowTrace",
@@ -67,10 +75,9 @@ class FlowState:
     time derivatives, components stacked along the last axis: (r, y)
     with y the unit sphere position in full mode, (r, beta) with beta
     the polar angle in axisymmetric mode.  ``report`` is the geometry
-    of the current surface, ``jacobian_factor`` the per-node ratio of
-    the current to the initial area element, and ``active`` the mask
-    of nodes still inside the smooth regime.  Deactivation is
-    permanent; integral quantities only ever sum over active nodes.
+    of the current surface and ``active`` the mask of nodes still
+    inside the smooth regime.  Deactivation is permanent; integral
+    quantities only ever sum over active nodes.
     ``speed_ratio`` is the rescaled-metric speed |v|_g / f at the current
     points, except at frozen nodes, where it is never read.  ``warp_jet``
     is the clipped warp jet at the current points; the next step starts from it.
@@ -83,7 +90,6 @@ class FlowState:
     velocities: np.ndarray
     report: GeometryReport
     q_value: float
-    jacobian_factor: np.ndarray
     active: np.ndarray
     frozen: np.ndarray
     initial_density: np.ndarray
@@ -190,7 +196,6 @@ def init_flow(surface: GraphSurface) -> FlowState:
         velocities=vel,
         report=report,
         q_value=q0,
-        jacobian_factor=np.ones(report.radii.shape),
         active=active,
         frozen=frozen,
         initial_density=report.area_density,
@@ -322,7 +327,6 @@ def step(state: FlowState, dt: float, jacobian_cut: float = FLOW_JACOBIAN_CUT) -
         velocities=velocities,
         report=replace(report, area=_masked_sum(engine, report.area_density, active)),
         q_value=q,
-        jacobian_factor=jac,
         active=active,
         frozen=frozen,
         speed_ratio=ratio1,
@@ -442,28 +446,28 @@ def run_flow(
     return trace, state
 
 
+class AuditRow(NamedTuple):
+    """One audited inequality: its worst signed slack, the tolerance applied, the verdict."""
+
+    check: str
+    slack: float
+    tol: float
+    ok: bool
+
+
 @dataclass(frozen=True)
 class MonotonicityAudit:
-    """Worst slacks of the four monotone quantities along a flow.
+    """Audit rows of a flow; it passes when every row is ok."""
 
-    Slacks are signed so that compliance means q_slack <= q_tol,
-    swept_slack >= -swept_tol, riccati_slack <= riccati_tol and
-    area_slack <= area_tol.
-    """
+    rows: tuple
 
-    q_slack: float
-    q_tol: float
-    q_ok: bool
-    swept_slack: float
-    swept_tol: float
-    swept_ok: bool
-    riccati_slack: float
-    riccati_tol: float
-    riccati_ok: bool
-    area_slack: float
-    area_tol: float
-    area_ok: bool
-    passed: bool
+    @property
+    def passed(self) -> bool:
+        return all(row.ok for row in self.rows)
+
+
+class FloorReport(MonotonicityAudit):
+    """Audit rows of the horizon floors of one flow state."""
 
 
 def monotonicity_audit(
@@ -473,10 +477,11 @@ def monotonicity_audit(
 ) -> MonotonicityAudit:
     """Audit the monotone quantities sampled by a flow trace.
 
-    Checks, in order: the weighted curvature integral Q never rises;
-    the drop of Q dominates the swept weighted volume; every node
-    satisfies the finite-difference Riccati bound
-    d/dt (f/H) <= -f^2/(n-1) + tol; the area never rises.
+    Rows, in order: q_decreasing, the largest rise of Q between records
+    (tol 1e-7 |Q(0)|); swept_dominated, the least of Q(0) - Q minus the
+    swept weighted volume (tol 1e-6 |Q(0)|); riccati_bound, the largest
+    node-wise excess of d/dt (f/H) over -f^2/(n-1) (tol ``tol_riccati``);
+    area_decreasing, the largest rise of the area (tol 1e-7 area(0)).
     """
     wv = np.asarray(weighted_volumes, dtype=float)
     if wv.shape != trace.times.shape:
@@ -509,24 +514,13 @@ def monotonicity_audit(
     area_slack = float(np.max(da)) if da.size else 0.0
     area_tol = 1e-7 * max(float(trace.areas[0]), 1e-300)
 
-    q_ok = q_slack <= q_tol
-    swept_ok = swept_slack >= -swept_tol
-    riccati_ok = riccati_slack <= tol_riccati
-    area_ok = area_slack <= area_tol
     return MonotonicityAudit(
-        q_slack=q_slack,
-        q_tol=q_tol,
-        q_ok=q_ok,
-        swept_slack=swept_slack,
-        swept_tol=swept_tol,
-        swept_ok=swept_ok,
-        riccati_slack=riccati_slack,
-        riccati_tol=tol_riccati,
-        riccati_ok=riccati_ok,
-        area_slack=area_slack,
-        area_tol=area_tol,
-        area_ok=area_ok,
-        passed=q_ok and swept_ok and riccati_ok and area_ok,
+        (
+            AuditRow("q_decreasing", q_slack, q_tol, q_slack <= q_tol),
+            AuditRow("swept_dominated", swept_slack, swept_tol, swept_slack >= -swept_tol),
+            AuditRow("riccati_bound", riccati_slack, tol_riccati, riccati_slack <= tol_riccati),
+            AuditRow("area_decreasing", area_slack, area_tol, area_slack <= area_tol),
+        )
     )
 
 
@@ -543,65 +537,31 @@ def radial_alignment(state: FlowState) -> float:
     return float(np.min(state.report.nu_radial[state.active]))
 
 
-@dataclass(frozen=True)
-class FloorReport:
-    """Boundary-asymptotics checks on one flow state."""
-
-    area: float
-    area_floor: float
-    area_ok: bool
-    minkowski_lhs: float
-    minkowski_bound: float
-    minkowski_ok: bool
-    q_value: float
-    q_floor: float
-    q_ok: bool
-    alignment: float
-    passed: bool
-
-
 def area_floor_check(state: FlowState, tol: float = 1e-6) -> FloorReport:
     """Check the boundary area floor and its companion bounds.
 
-    The active surface must keep at least the inner boundary area
-    h(0)^{n-1} vol(N); the weighted Minkowski bound must hold on it;
-    and Q must dominate the boundary volume term scaled by the current
-    worst radial alignment.
+    Rows, in order: area_floor, the area of the active surface less the
+    inner boundary area h(0)^{n-1} vol(N) (tol ``tol``);
+    weighted_minkowski, int (H/f) <X, nu> less (n-1) area
+    (tol ``tol`` max(area, 1)); q_floor, Q less the boundary volume term
+    h(0)^n vol(N) scaled by the worst radial alignment (tol ``tol``).
     """
     if state.warping.variant != "boundary":
         raise NotApplicableError("the area floor concerns boundary-type ambients")
-    if not bool(np.any(state.active)):
-        raise FlowExhausted("every node is inactive; the flow has ended")
-    w = state.warping
-    n = w.dim
-    rep = state.report
-    active = state.active
-    h0 = w.jet(0.0)[0]
-    base = w.base_volume
-
+    align = radial_alignment(state)
+    w, rep, active = state.warping, state.report, state.active
+    n, h0, base = w.dim, w.jet(0.0)[0], w.base_volume
     area = rep.area
     floor = h0 ** (n - 1) * base
-    area_ok = area >= floor - tol
-
     ratio = np.where(active, rep.mean_curvature / np.where(active, rep.potential, 1.0), 0.0)
     lhs = _masked_sum(state.engine, ratio * rep.support * rep.area_density, active)
     bound = (n - 1) * area
-    mink_ok = lhs <= bound + tol * max(area, 1.0)
-
-    align = float(np.min(rep.nu_radial[active]))
+    mink_tol = tol * max(area, 1.0)
     q_floor = align * h0**n * base
-    q_ok = state.q_value >= q_floor - tol
-
     return FloorReport(
-        area=area,
-        area_floor=floor,
-        area_ok=area_ok,
-        minkowski_lhs=lhs,
-        minkowski_bound=bound,
-        minkowski_ok=mink_ok,
-        q_value=state.q_value,
-        q_floor=q_floor,
-        q_ok=q_ok,
-        alignment=align,
-        passed=area_ok and mink_ok and q_ok,
+        (
+            AuditRow("area_floor", area - floor, tol, area >= floor - tol),
+            AuditRow("weighted_minkowski", lhs - bound, mink_tol, lhs <= bound + mink_tol),
+            AuditRow("q_floor", state.q_value - q_floor, tol, state.q_value >= q_floor - tol),
+        )
     )

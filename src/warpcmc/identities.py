@@ -26,6 +26,9 @@ __all__ = [
     "hk_check",
 ]
 
+TOL_MINKOWSKI = 1e-8
+TOL_HEINTZE_KARCHER = 1e-6
+
 
 @dataclass(frozen=True)
 class IdentityReport:
@@ -48,7 +51,7 @@ def _scale(lhs: float, rhs: float) -> float:
     return max(abs(lhs), abs(rhs), 1e-300)
 
 
-def minkowski_check(surface: GraphSurface, tol: float = 1e-8) -> IdentityReport:
+def minkowski_check(surface: GraphSurface, tol: float = TOL_MINKOWSKI) -> IdentityReport:
     """Flux identity: integral of H <X, nu> equals (n-1) integral of f.
 
     Holds exactly on every closed hypersurface of these ambients;
@@ -72,7 +75,7 @@ def minkowski_check(surface: GraphSurface, tol: float = 1e-8) -> IdentityReport:
     )
 
 
-def minkowski_weighted_check(surface: GraphSurface, tol: float = 1e-8) -> IdentityReport:
+def minkowski_weighted_check(surface: GraphSurface, tol: float = TOL_MINKOWSKI) -> IdentityReport:
     """Weighted flux inequality: integral of (H/f) <X, nu> at most (n-1) area.
 
     Needs a boundary-variant ambient whose potential is still strictly
@@ -116,7 +119,7 @@ def minkowski_weighted_check(surface: GraphSurface, tol: float = 1e-8) -> Identi
     )
 
 
-def hk_check(surface: GraphSurface, tol: float = 1e-6) -> IdentityReport:
+def hk_check(surface: GraphSurface, tol: float = TOL_HEINTZE_KARCHER) -> IdentityReport:
     """Volumetric inequality for mean-convex surfaces.
 
     (n-1) times the integral of f/H must not fall below n times the

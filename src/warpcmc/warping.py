@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 TOL_CONDITION = 1e-9
+CONDITION_GRID_SIZE = 256
 
 CONDITION_NAMES = ("regularity", "monotonicity", "scalar_monotonicity", "ricci_gap")
 
@@ -409,7 +410,9 @@ class ConditionReport:
     conclusion: str
 
 
-def check_conditions(w: WarpingFunction, grid_size: int = 256, tol: float = TOL_CONDITION) -> ConditionReport:
+def check_conditions(
+    w: WarpingFunction, grid_size: int = CONDITION_GRID_SIZE, tol: float = TOL_CONDITION
+) -> ConditionReport:
     """Evaluate the structure conditions of the rigidity theorems on a grid.
 
     Conditions checked, with their margin functions:

@@ -14,6 +14,14 @@ import sys
 import numpy as np
 import pytest
 
+from warpcmc import (
+    area_floor_check,
+    axisym_grid,
+    make_model,
+    monotonicity_audit,
+    perturb_slice,
+    run_flow,
+)
 from warpcmc.cli import (
     COMMANDS,
     DEFAULTS,
@@ -182,6 +190,24 @@ def test_flow_audit_and_determinism(tmp_path, capsys):
     for check in ("q_decreasing", "swept_dominated", "riccati_bound",
                   "area_decreasing", "area_floor", "weighted_minkowski", "q_floor"):
         assert check in audit
+
+
+def test_flow_audit_file_holds_the_library_rows(tmp_path, capsys):
+    args = ["flow", "--model", "schwarzschild", "--m", "1", "--s", "2",
+            "--modes", "2,0,0.05", "--t-end", "0.3", "--grid-size", "32"]
+    code, _, _ = run(args + ["--out", str(tmp_path)], capsys)
+    assert code == 0
+    lines = (tmp_path / "flow_audit_schwarzschild.csv").read_text().splitlines()
+    written = [l.split(",") for l in lines if not l.startswith("#")]
+    w = make_model("schwarzschild", 3, m=1.0)
+    surface = perturb_slice(w, axisym_grid(3, 32), w.distance_of_area_radius(2.0), [(2, 0, 0.05)])
+    trace, final = run_flow(surface, 0.3)
+    rows = monotonicity_audit(trace, trace.swept_weighted_volume).rows
+    rows += area_floor_check(final).rows
+    assert [(c, float(s), float(t), ok) for c, s, t, ok in written] == [
+        (row.check, float(row.slack), float(row.tol), "true" if row.ok else "false")
+        for row in rows
+    ]
 
 
 def test_cmc_corpus(tmp_path, capsys):

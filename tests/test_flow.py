@@ -60,8 +60,34 @@ def test_flat_slice_swept_equality(euclid_slice_flow):
 def test_flat_slice_audit_passes(euclid_slice_flow):
     trace, _ = euclid_slice_flow
     audit = monotonicity_audit(trace, trace.swept_weighted_volume)
-    assert audit.q_ok and audit.swept_ok and audit.riccati_ok and audit.area_ok
+    assert [row.check for row in audit.rows] == [
+        "q_decreasing", "swept_dominated", "riccati_bound", "area_decreasing"
+    ]
+    assert all(row.ok for row in audit.rows)
     assert audit.passed
+
+
+def _failed(audit):
+    return [row.check for row in audit.rows if not row.ok]
+
+
+def test_rising_q_fails_only_q_decreasing(euclid_slice_flow):
+    trace, _ = euclid_slice_flow
+    q = trace.q_values.copy()
+    q[-1] = q[-2] + 1e-3 * q[0]
+    # the swept volume that Q's drop equals exactly keeps swept_dominated at 0
+    audit = monotonicity_audit(replace(trace, q_values=q), q[0] - q)
+    assert _failed(audit) == ["q_decreasing"]
+    assert audit.passed is False
+
+
+def test_rising_area_fails_only_area_decreasing(euclid_slice_flow):
+    trace, _ = euclid_slice_flow
+    areas = trace.areas.copy()
+    areas[-1] = areas[-2] + 1e-3 * areas[0]
+    audit = monotonicity_audit(replace(trace, areas=areas), trace.swept_weighted_volume)
+    assert _failed(audit) == ["area_decreasing"]
+    assert audit.passed is False
 
 
 def test_flat_slice_area_oracle(euclid_slice_flow):
@@ -173,8 +199,30 @@ def test_area_floor_on_boundary_flow(schw3):
     floor = area_floor_check(final)
     assert floor.passed
     h0 = schw3.jet(0.0)[0]
-    assert floor.area_floor == pytest.approx(h0**2 * 4.0 * math.pi, rel=1e-12)
-    assert floor.area >= floor.area_floor - 1e-6
+    area_slack = {row.check: row.slack for row in floor.rows}["area_floor"]
+    assert final.report.area - area_slack == pytest.approx(h0**2 * 4.0 * math.pi, rel=1e-12)
+    assert area_slack >= -1e-6
+
+
+@pytest.fixture(scope="module")
+def schw_boundary_final(schw3):
+    surface = perturb_slice(schw3, axisym_grid(3, 24), 1.2, [(2, 0, 0.08)])
+    return run_flow(surface, 0.3)[1]
+
+
+def test_zero_q_fails_only_q_floor(schw_boundary_final):
+    floor = area_floor_check(replace(schw_boundary_final, q_value=0.0))
+    assert _failed(floor) == ["q_floor"]
+    assert floor.passed is False
+
+
+def test_floor_rows_carry_the_applied_tolerance(schw_boundary_final):
+    t = 3e-5
+    floor = area_floor_check(schw_boundary_final, tol=t)
+    area = schw_boundary_final.report.area
+    assert [(row.check, row.tol) for row in floor.rows] == [
+        ("area_floor", t), ("weighted_minkowski", t * max(area, 1.0)), ("q_floor", t)
+    ]
 
 
 def test_flow_exhaustion_is_clean():
