@@ -68,11 +68,9 @@ class CmcResult:
     residual_history: np.ndarray
 
 
-def _mean_radius(engine):
-    """Function of graph radii giving their area-weighted mean; the sphere's area is summed once."""
-    weights = engine.area_weights
-    sphere = float(np.sum(weights * np.ones(engine.grid_shape)))
-    return lambda radii: float(np.sum(weights * radii)) / sphere
+def _mean_radius(engine, radii) -> float:
+    """Area-weighted mean of graph radii over the engine's sphere."""
+    return float(np.sum(engine.area_weights * radii)) / engine.sphere_area
 
 
 def _scaled_gap(warping, r):
@@ -115,8 +113,7 @@ def find_cmc(
     n = warping.dim
     target = surface.enclosed_weighted_volume()
     volume_tol = 1e-13 * max(abs(target), 1.0)
-    inner = warping.jet(0.0)[0] ** n  # h^n at the inner boundary
-    mean_radius = _mean_radius(engine)
+    inner = warping.inner_jet[0] ** n  # h^n at the inner boundary
 
     current = surface
     history = []
@@ -139,7 +136,7 @@ def find_cmc(
             reason = "converged"
             break
 
-        h, gap, _, _ = _scaled_gap(warping, mean_radius(rep.radii))
+        h, gap, _, _ = _scaled_gap(warping, _mean_radius(engine, rep.radii))
         mu = laplace - (n - 1) * (1.0 - gap)
         # degree 0 is the volume row's; degree 1 is left alone where a
         # degenerate gap makes it the kernel of translations
@@ -168,7 +165,7 @@ def find_cmc(
             reason = "graph left the chart"
             break
 
-    spread = np.max(np.abs(rep.radii - mean_radius(rep.radii)))
+    spread = np.max(np.abs(rep.radii - _mean_radius(engine, rep.radii)))
     is_slice = bool(spread < SLICE_TOL_FACTOR * warping.r_bar)
     return CmcResult(
         surface=current,
@@ -216,7 +213,7 @@ def umbilicity_verdict(
     """
     if not result.converged:
         raise ParameterError("the rigidity verdict needs a converged result")
-    mean_r = _mean_radius(result.surface.engine)(result.surface.geometry().radii)
+    mean_r = _mean_radius(result.surface.engine, result.surface.geometry().radii)
     h, gap, radial, tangential = _scaled_gap(ambient, mean_r)
     effective = gap if ambient.variant == "boundary" else abs(gap)
 

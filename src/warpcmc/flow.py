@@ -550,7 +550,7 @@ def area_floor_check(state: FlowState, tol: float = 1e-6) -> FloorReport:
         raise NotApplicableError("the area floor concerns boundary-type ambients")
     align = radial_alignment(state)
     w, rep, active = state.warping, state.report, state.active
-    n, h0, base = w.dim, w.jet(0.0)[0], w.base_volume
+    n, h0, base = w.dim, w.inner_jet[0], w.base_volume
     area = rep.area
     floor = h0 ** (n - 1) * base
     ratio = np.where(active, rep.mean_curvature / np.where(active, rep.potential, 1.0), 0.0)

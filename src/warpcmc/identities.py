@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import HypothesisError
 from .surface import GraphSurface
-from .warping import potential_monotone_radius
 
 __all__ = [
     "IdentityReport",
@@ -87,7 +86,7 @@ def minkowski_weighted_check(surface: GraphSurface, tol: float = TOL_MINKOWSKI) 
     rep = surface.geometry()
     if w.variant != "boundary":
         raise HypothesisError("weighted flux check needs a boundary-variant ambient")
-    r1 = potential_monotone_radius(w)
+    r1 = w.monotone_radius
     rho_max = float(np.max(rep.radii))
     if rho_max >= r1:
         raise HypothesisError(
@@ -133,8 +132,7 @@ def hk_check(surface: GraphSurface, tol: float = TOL_HEINTZE_KARCHER) -> Identit
         raise HypothesisError(f"mean curvature must be positive, min H = {h_min:.6g}")
     n = w.dim
     lhs = (n - 1.0) * surface.integrate(rep.potential / rep.mean_curvature)
-    h0 = w.jet(0.0)[0]
-    boundary_term = h0**n * w.base_volume
+    boundary_term = w.inner_jet[0] ** n * w.base_volume
     rhs = n * surface.enclosed_weighted_volume() + boundary_term
     resid = lhs - rhs
     scale = _scale(lhs, rhs)

@@ -108,6 +108,7 @@ class SphericalHarmonicEngine:
         self.grid_shape = (self.nlat, self.nlon)
         # quadrature weights over the whole sphere, shape (nlat, 1)
         self.area_weights = (self.w * (2.0 * math.pi / self.nlon))[:, None]
+        self.sphere_area = float(np.sum(self.area_weights * np.ones(self.grid_shape)))
         self._build_tables()
         # frame jet of the identity map y: S^2 -> R^3, components on the leading
         # axis: (y, e_theta, e_phi) and the covariant Hessians (-y, 0, -y)
@@ -277,6 +278,7 @@ class AxisymEngine:
         self.cot_theta = self.x / self.sin_theta
         self.transverse_volume = sphere_volume(dim - 2)
         self.area_weights = self.transverse_volume * self.w
+        self.sphere_area = float(np.sum(self.area_weights * np.ones(self.grid_shape)))
         self._build_tables()
         # meridian data of the identity map beta = theta: cot(beta),
         # sin(beta)/sin(theta), beta' and beta''

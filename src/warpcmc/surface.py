@@ -240,8 +240,8 @@ class GraphSurface:
 
     def enclosed_weighted_volume(self) -> float:
         """Integral of the potential inside the surface the engine represents."""
-        n = self.warping.dim
-        return _enclosed_volume(self.engine, self.geometry().warp, n, self.warping.jet(0.0)[0] ** n)
+        w = self.warping
+        return _enclosed_volume(self.engine, self.geometry().warp, w.dim, w.inner_jet[0] ** w.dim)
 
 
 def _enclosed_volume(engine, h, n, inner) -> float:

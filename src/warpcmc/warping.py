@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -151,6 +152,29 @@ class WarpingFunction:
     def base_volume(self) -> float:
         """Volume of the sphere factor with its unit round metric."""
         return sphere_volume(self.dim - 1)
+
+    @cached_property
+    def inner_jet(self) -> tuple:
+        """(h, h', h'', h''') at r = 0, the inner boundary or the center; taken once."""
+        return self.jet(0.0)
+
+    @cached_property
+    def curvature_scale(self) -> float:
+        """Largest 2|h''/h| + (n-2)|curvature_defect| on the extrema scan's grid; taken once.
+
+        It is exactly 0.0 for the Euclidean ball, so a tolerance relative to it
+        needs a floor in flat space: a bare ``margin > -tol * curvature_scale /
+        r_bar`` compares an exact 0.0 margin with -0.0 and fails.
+        """
+        radii = _scan_radii(self)
+        h, _, hpp, _ = self.jet(radii)
+        defect = self.curvature_defect(radii)
+        return float(np.max(2.0 * np.abs(hpp / h) + (self.dim - 2) * np.abs(defect)))
+
+    @cached_property
+    def monotone_radius(self) -> float:
+        """``potential_monotone_radius`` of this ambient, taken once."""
+        return potential_monotone_radius(self)
 
     def _in_chart(self, r):
         """Radii r as an array clipped to [0, r_bar]; DomainError outside [0, r_bar).
@@ -435,7 +459,7 @@ def check_conditions(
     if grid_size < 8:
         raise ParameterError("grid_size must be at least 8")
     radii = chebyshev_radii(0.0, w.r_bar, grid_size)
-    h0, hp0, hpp0, _ = w.jet(0.0)
+    h0, hp0, hpp0, _ = w.inner_jet
 
     if w.variant == "boundary":
         reg_margin = min(-abs(hp0), hpp0)
@@ -447,11 +471,7 @@ def check_conditions(
     gap = ricci_gap_margin(w, radii)
     gap_signed = gap if w.variant == "boundary" else np.abs(gap)
 
-    margins = {
-        "monotonicity": hp,
-        "scalar_monotonicity": slope,
-        "ricci_gap": gap_signed,
-    }
+    margins = {"monotonicity": hp, "scalar_monotonicity": slope, "ricci_gap": gap_signed}
     min_margin = {"regularity": reg_margin}
     worst_radius = {"regularity": 0.0}
     for name, values in margins.items():
@@ -459,11 +479,8 @@ def check_conditions(
         min_margin[name] = float(values[i])
         worst_radius[name] = float(radii[i])
 
-    status = {
-        "regularity": "pass" if reg_margin > -tol else "fail",
-        "monotonicity": "pass" if min_margin["monotonicity"] > -tol else "fail",
-        "scalar_monotonicity": "pass" if min_margin["scalar_monotonicity"] > -tol else "fail",
-    }
+    required = CONDITION_NAMES[:3]  # every theorem needs these; the gap selects the tier
+    status = {name: "pass" if min_margin[name] > -tol else "fail" for name in required}
     gap_min = min_margin["ricci_gap"]
     if gap_min > tol:
         status["ricci_gap"] = "pass"
@@ -474,10 +491,7 @@ def check_conditions(
     else:
         status["ricci_gap"] = "fail"
 
-    required_pass = all(
-        status[name] == "pass"
-        for name in ("regularity", "monotonicity", "scalar_monotonicity")
-    )
+    required_pass = all(status[name] == "pass" for name in required)
     if not required_pass:
         conclusion = "none"
     elif status["ricci_gap"] == "pass":
@@ -510,25 +524,29 @@ class ExtremumRecord:
     ricci_distinct: bool
 
 
+def _scan_radii(w: WarpingFunction) -> np.ndarray:
+    """The extrema scan's 256-point Chebyshev grid, without a ball's innermost half-percent."""
+    lo = 0.005 * w.r_bar if w.variant == "ball" else 0.0
+    return chebyshev_radii(lo, w.r_bar, 256)
+
+
 def scan_monotonicity_extrema(
-    w: WarpingFunction,
-    grid_size: int = 256,
-    tol_distinct: float = 1e-9,
-    slope_floor: float | None = None,
+    w: WarpingFunction, slope_floor: float | None = None
 ) -> list[ExtremumRecord]:
     """Locate strict interior extrema of the monotonicity quantity.
 
-    Sign changes of the slope on a scan grid are refined by bisection to
-    1e-8 * r_bar.  At each extremum the record notes whether the two Ricci
-    eigenvalues are distinct there; an extremum with distinct eigenvalues is
-    the seed datum for non-slice constant-mean-curvature spheres, so such
-    radii are flagged for downstream experiments.
+    Sign changes of the slope on a 256-point Chebyshev grid are refined by
+    Brent's method (``find_root``) to 1e-8 * r_bar.  At each extremum the
+    record notes whether the two Ricci eigenvalues differ by more than 1e-9
+    there; an extremum with distinct eigenvalues is the seed datum for
+    non-slice constant-mean-curvature spheres, so such radii are flagged
+    for downstream experiments.
 
     Ambients with constant (often zero) monotonicity quantity produce slope
     values at roundoff level that cross zero spuriously; sign changes whose
     flanking slopes both fall below ``slope_floor`` are discarded as noise.
-    The default floor is 1e-7 of the ambient curvature scale divided by
-    r_bar, which suits closed-form profiles; tabulated profiles inherit the
+    The default floor is 1e-7 of the ambient's ``curvature_scale`` divided
+    by r_bar, which suits closed-form profiles; tabulated profiles inherit the
     noise of their samples through three spline derivatives, so callers who
     know that noise level should raise the floor accordingly.
 
@@ -536,17 +554,10 @@ def scan_monotonicity_extrema(
     the curvature quotients there are 0/0 limits of the warp, and sampled
     profiles cannot resolve them.
     """
-    if grid_size < 64:
-        raise ParameterError("scan grid must have at least 64 points")
-    lo = 0.005 * w.r_bar if w.variant == "ball" else 0.0
-    radii = chebyshev_radii(lo, w.r_bar, grid_size)
+    radii = _scan_radii(w)
     slope = monotonicity_quantity(w, radii)[1]
     if slope_floor is None:
-        h, _, hpp, _ = w.jet(radii)
-        curv_scale = float(
-            np.max(2.0 * np.abs(hpp / h) + (w.dim - 2) * np.abs(w.curvature_defect(radii)))
-        )
-        slope_floor = 1e-7 * curv_scale / w.r_bar
+        slope_floor = 1e-7 * w.curvature_scale / w.r_bar
     records = []
     for i in range(len(radii) - 1):
         a, b = radii[i], radii[i + 1]
@@ -555,35 +566,29 @@ def scan_monotonicity_extrema(
             continue
         if max(abs(sa), abs(sb)) <= slope_floor:
             continue
-        fun = lambda r: monotonicity_quantity(w, r)[1]
-        root = find_root(fun, a, b, xtol=1e-8 * w.r_bar)
+        root = find_root(lambda r: monotonicity_quantity(w, r)[1], a, b, xtol=1e-8 * w.r_bar)
         kind = "max" if sa > 0 else "min"
         value = monotonicity_quantity(w, root)[0]
         radial, tangential = ricci_eigenvalues(w, root)
-        records.append(
-            ExtremumRecord(
-                radius=float(root),
-                kind=kind,
-                value=float(value),
-                ricci_distinct=bool(abs(radial - tangential) > tol_distinct),
-            )
-        )
+        distinct = bool(abs(radial - tangential) > 1e-9)
+        records.append(ExtremumRecord(float(root), kind, float(value), distinct))
     return records
 
 
-def potential_monotone_radius(w: WarpingFunction, grid_size: int = 2048) -> float:
+def potential_monotone_radius(w: WarpingFunction) -> float:
     """Largest radius below which the potential f = h' keeps increasing.
 
-    Returns the first zero of h'' (located by bisection), or r_bar when h''
-    stays positive across the working chart.  Only meaningful for boundary
-    ambients, where h''(0) > 0 starts the potential growing.
+    Returns the first zero of h'' (bracketed on a 2048-point grid and
+    located by Brent's method, ``find_root``), or r_bar when h'' stays
+    positive across the working chart.  Only meaningful for boundary
+    ambients, where h''(0) > 0 starts the potential growing.  The ambient
+    keeps it once as ``monotone_radius``.
     """
     if w.variant != "boundary":
         raise NotApplicableError("potential_monotone_radius needs a boundary-variant ambient")
-    hpp0 = w.jet(0.0)[2]
-    if hpp0 <= 0:
+    if w.inner_jet[2] <= 0:
         raise HypothesisError("potential is not increasing at the inner boundary")
-    radii = np.linspace(0.0, w.r_bar * (1.0 - 1e-12), grid_size)
+    radii = np.linspace(0.0, w.r_bar * (1.0 - 1e-12), 2048)
     hpp = w.jet(radii)[2]
     negative = np.nonzero(hpp <= 0.0)[0]
     if negative.size == 0:
@@ -591,6 +596,4 @@ def potential_monotone_radius(w: WarpingFunction, grid_size: int = 2048) -> floa
     j = negative[0]
     if j == 0:
         return 0.0
-    fun = lambda r: w.jet(r)[2]
-    root = find_root(fun, radii[j - 1], radii[j], xtol=1e-12 * w.r_bar)
-    return float(root)
+    return float(find_root(lambda r: w.jet(r)[2], radii[j - 1], radii[j], xtol=1e-12 * w.r_bar))

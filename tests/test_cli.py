@@ -303,6 +303,33 @@ def test_json_lines_format(tmp_path, capsys):
     assert all(r["verdict"] == "equality" for r in rows)
 
 
+def test_json_lines_check_notes_and_flow_types(tmp_path, capsys):
+    # the header's notes carry the check's comment lines; flow rows keep
+    # ok a JSON boolean and active_count an integer
+    code, _, _ = run(["check", "--model", "schwarzschild", "--m", "1",
+                      "--format", "json-lines", "--out", str(tmp_path / "check")], capsys)
+    assert code == 0
+    files = {p.name: [json.loads(l) for l in p.read_text().splitlines()]
+             for p in (tmp_path / "check").iterdir()}
+    assert sorted(files) == [f"{stem}_schwarzschild.jsonl"
+                             for stem in ("conditions", "extrema", "margins")]
+    head = files["conditions_schwarzschild.jsonl"][0]
+    assert head["notes"] == ["required_pass: true", "conclusion: slice-rigidity"]
+
+    code, _, _ = run(["flow", "--model", "schwarzschild", "--m", "1", "--s", "2",
+                      "--modes", "2,0,0.05", "--t-end", "0.3", "--grid-size", "32",
+                      "--format", "json-lines", "--out", str(tmp_path / "flow")], capsys)
+    assert code == 0
+    trace, audit = (
+        [json.loads(l) for l in (tmp_path / "flow" / f"{stem}_schwarzschild.jsonl")
+         .read_text().splitlines()][1:]
+        for stem in ("flow_trace", "flow_audit")
+    )
+    assert trace and all(type(row["active_count"]) is int for row in trace)
+    assert all(type(row["t"]) is float for row in trace)
+    assert len(audit) == 7 and all(row["ok"] is True for row in audit)
+
+
 def test_area_radius_spec_needs_horizon_family(tmp_path, capsys):
     code, _, err = run(
         ["verify", "--model", "euclidean", "--s", "2.0", "--out", str(tmp_path)],

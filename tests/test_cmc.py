@@ -182,11 +182,13 @@ def test_one_grid_warp_jet_per_iteration(schw3):
     # the geometry report of each iterate carries h and h'; the solve makes
     # no other jet call on the grid.  Off the grid it takes h(0) once, and
     # one scalar jet and one curvature defect per step at the mean radius;
-    # the verdict takes one of each
-    calls, defects = [], []
+    # the verdict takes one of each.  The ambient keeps h(0): a second solve
+    # on it takes no jet at r = 0
+    calls, defects, inner = [], [], []
 
     def counting(r):
         calls.append(np.ndim(r) > 0)
+        inner.append(np.ndim(r) == 0 and r == 0.0)
         return schw3._jet(r)
 
     def counting_defect(r):
@@ -201,6 +203,7 @@ def test_one_grid_warp_jet_per_iteration(schw3):
     assert grid <= result.iterations + 1
     assert len(calls) - grid <= result.iterations + 1
     assert len(defects) <= result.iterations
+    assert sum(inner) == 1
 
     calls.clear()
     defects.clear()
@@ -210,6 +213,11 @@ def test_one_grid_warp_jet_per_iteration(schw3):
     radial, tangential = ricci_eigenvalues(w, verdict.mean_radius)
     assert verdict.ricci_radial == radial
     assert verdict.ricci_tangential == tangential
+
+    inner.clear()
+    again = find_cmc(perturb_slice(w, axisym_grid(3, 48), 2.0, [(1, 0, 0.02)]))
+    assert again.converged
+    assert inner and not any(inner)
 
 
 @functools.cache

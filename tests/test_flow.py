@@ -20,6 +20,7 @@ from warpcmc import (
     HypothesisError,
     NotApplicableError,
     ParameterError,
+    WarpcmcError,
     area_floor_check,
     axisym_grid,
     euclidean_warping,
@@ -32,6 +33,7 @@ from warpcmc import (
     slice_surface,
     step,
 )
+from warpcmc import flow
 from warpcmc.flow import _clipped_jet, _speed_ratio
 
 
@@ -316,3 +318,42 @@ def test_carried_speed_ratio_is_the_ratio_at_the_current_points(schw3, mode):
             state = step(state, 0.01)
     assert np.array_equal(state.points[frozen], held)
     assert np.any(state.active)
+
+
+def test_step_halves_the_substep_until_the_drift_fits(schw3, monkeypatch):
+    # at dt = 0.1 one RK4 pass over this surface misses the drift budget
+    state = init_flow(perturb_slice(schw3, axisym_grid(3, 16), 2.0, [(2, 0, 0.1)]))
+    substeps = []
+    integrate = flow._integrate
+
+    def spy(state, dt, nsub):
+        substeps.append(nsub)
+        return integrate(state, dt, nsub)
+
+    monkeypatch.setattr(flow, "_integrate", spy)
+    new = step(state, 0.1)
+    assert len(substeps) > 1
+    assert substeps == [2**k for k in range(len(substeps))]
+    assert not np.any(new.frozen)
+    drift = np.abs(new.speed_ratio - state.speed_ratio)[state.active]
+    assert np.max(drift) <= flow.SPEED_DRIFT_STEP
+    # the carried warp jet is the jet at the accepted points, bit for bit
+    for carried, at_points in zip(new.warp_jet, _clipped_jet(schw3, new.points)):
+        assert np.array_equal(carried, at_points)
+
+
+def test_uncontrollable_drift_stops_past_4096_substeps(schw3, monkeypatch):
+    # no step meets a negative budget.  The integrator is stubbed out: the
+    # 8191 real RK4 substeps take seconds, and the doubling loop is the test
+    state = init_flow(slice_surface(schw3, axisym_grid(3, 16), 2.0))
+    substeps = []
+
+    def standing(state, dt, nsub):
+        substeps.append(nsub)
+        return state.points, state.velocities
+
+    monkeypatch.setattr(flow, "SPEED_DRIFT_STEP", -1.0)
+    monkeypatch.setattr(flow, "_integrate", standing)
+    with pytest.raises(WarpcmcError, match="not controllable"):
+        step(state, 0.01)
+    assert substeps == [2**k for k in range(13)]

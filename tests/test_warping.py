@@ -7,12 +7,14 @@ the tangential static-tensor eigenvalue equals h/2 times the
 monotonicity slope by direct expansion of both formulas.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from warpcmc import (
+    MODEL_FAMILIES,
     DomainError,
     HypothesisError,
     NotApplicableError,
@@ -332,3 +334,46 @@ def test_find_root_needs_a_sign_change():
     with pytest.raises(HypothesisError, match="no sign change") as info:
         find_root(lambda x: x * x + 1.0, -1.0, 1.0)
     assert isinstance(info.value, WarpcmcError)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("family", sorted(MODEL_FAMILIES))
+def test_ambient_constants_equal_what_their_call_sites_computed(family, n, tmp_path):
+    params = {}
+    if family == "omega-table":
+        s = np.linspace(1.0, 10.0, 400)
+        np.savetxt(tmp_path / "omega.txt", np.column_stack((s, 1.0 - s ** (2.0 - n))))
+        params = {"path": str(tmp_path / "omega.txt")}
+    w = make_model(family, n, **params)
+    assert w.inner_jet == w.jet(0.0)
+    # the slope floor's scale, as scan_monotonicity_extrema used to build it
+    radii = chebyshev_radii(0.005 * w.r_bar if w.variant == "ball" else 0.0, w.r_bar, 256)
+    h, _, hpp, _ = w.jet(radii)
+    scale = np.max(2.0 * np.abs(hpp / h) + (w.dim - 2) * np.abs(w.curvature_defect(radii)))
+    assert w.curvature_scale == float(scale)
+    if family == "euclidean":
+        assert w.curvature_scale == 0.0
+    if w.variant == "boundary":
+        assert w.monotone_radius == potential_monotone_radius(w)
+    else:
+        with pytest.raises(NotApplicableError):
+            w.monotone_radius
+
+
+def test_ambient_constants_are_taken_once(cosine_boundary):
+    # h'' crosses zero inside this chart, so the monotone radius takes the root search
+    calls = []
+
+    def counting(r):
+        calls.append(np.shape(r))
+        return cosine_boundary._jet(r)
+
+    w = dataclasses.replace(cosine_boundary, _jet=counting)
+    first = (w.inner_jet, w.curvature_scale, w.monotone_radius)
+    assert calls
+    calls.clear()
+    assert (w.inner_jet, w.curvature_scale, w.monotone_radius) == first
+    scan_monotonicity_extrema(w)
+    # the slope's jet and its generic curvature defect; the floor reads the kept scale
+    assert calls == [(256,), (256,)]
+    assert first[2] == potential_monotone_radius(cosine_boundary)
