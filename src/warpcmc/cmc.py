@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 from .surface import GraphSurface, _enclosed_volume
-from .warping import WarpingFunction
+from .warping import WarpingFunction, _curvature_jet, _curvature_terms
 
 __all__ = [
     "CmcResult",
@@ -76,14 +76,13 @@ def _mean_radius(engine, radii) -> float:
 def _scaled_gap(warping, r):
     """h(r), the dimensionless Ricci gap h(r)^2 ricci_gap_margin(r) and the Ricci eigenvalues.
 
-    One jet call and one curvature defect; the gap is assembled from h h''
-    and the family's cancellation-free defect, so it is exactly 0 in flat
-    space, and the (radial, tangential) eigenvalues are ``ricci_eigenvalues``'s.
+    One warp jet (``_curvature_jet``); the gap is assembled from h h'' and
+    the family's cancellation-free defect, so it is exactly 0 in flat space,
+    and the (radial, tangential) eigenvalues are ``ricci_eigenvalues``'s.
     """
-    n = warping.dim
-    h, _, hpp, _ = warping.jet(r)
-    defect = warping.curvature_defect(r)
-    return h, h * hpp + h * h * defect, -(n - 1) * hpp / h, (n - 2) * defect - hpp / h
+    h, _, hpp, _, defect = jet = _curvature_jet(warping, r)
+    terms = _curvature_terms(warping.dim, jet)
+    return h, h * hpp + h * h * defect, terms.radial, terms.tangential
 
 
 def find_cmc(

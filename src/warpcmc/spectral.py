@@ -16,7 +16,11 @@ Each engine keeps one real table of the basis functions and their first
 two theta-derivatives, and every transform takes a stack of fields on a
 leading axis, so a frame jet of several fields is one real matrix
 product per order m (full) or per field (axisymmetric).  The full
-engine assembles each frame-jet output per order m before its inverse FFT.
+engine assembles each frame-jet output per order m before its inverse
+FFT, and analyses, floors and sums only the orders m that can keep a
+coefficient above the floor.  Each order is its own product over the
+whole degree axis and the floor zeroes every order left out, so every
+output is the whole band's bit for bit.
 """
 
 from __future__ import annotations
@@ -110,6 +114,9 @@ class SphericalHarmonicEngine:
         self.area_weights = (self.w * (2.0 * math.pi / self.nlon))[:, None]
         self.sphere_area = float(np.sum(self.area_weights * np.ones(self.grid_shape)))
         self._build_tables()
+        # |a_lm| <= c_m max_i |w_i F_im| with c_m = (2 pi / nlon) max_l sum_i |P_l^m(x_i)|,
+        # doubled here against roundoff
+        self._order_bound = 4.0 * math.pi / self.nlon * np.abs(self._tables[0]).sum(-1).max(-1)
         # frame jet of the identity map y: S^2 -> R^3, components on the leading
         # axis: (y, e_theta, e_phi) and the covariant Hessians (-y, 0, -y)
         sin_t, cos_t = self.sin_theta[:, None], self.x[:, None]
@@ -148,30 +155,38 @@ class SphericalHarmonicEngine:
 
     # -- transforms ----------------------------------------------------
 
-    def analyze(self, values: np.ndarray) -> np.ndarray:
-        """Expansion coefficients a[l, m] of a real grid function or a stack of them."""
+    def _weighted_fourier(self, values: np.ndarray) -> np.ndarray:
+        """w_i F_im as (re of every field then im of every field, latitude, m)."""
         values = np.asarray(values, dtype=float)
         if values.ndim not in (2, 3) or values.shape[-2:] != (self.nlat, self.nlon):
             raise ParameterError(f"grid shape must be {(self.nlat, self.nlon)} or a stack of it")
         stack = values.reshape(-1, self.nlat, self.nlon)
         fm = self.w[:, None] * np.fft.rfft(stack, axis=-1)[..., : self.lmax + 1]
-        # columns (m, latitude, re of every field then im of every field)
-        X = np.ascontiguousarray(np.concatenate([fm.real, fm.imag]).transpose(2, 1, 0))
-        a = (2.0 * math.pi / self.nlon) * np.matmul(self._tables[0], X)
-        K = stack.shape[0]
-        alm = (a[..., :K] + 1j * a[..., K:]).transpose(2, 1, 0)
-        return alm.reshape(values.shape[:-2] + alm.shape[1:])
+        return np.concatenate([fm.real, fm.imag])
+
+    def _coefficients(self, fm: np.ndarray, orders) -> np.ndarray:
+        """a[l, m] (K, lmax + 1, len(orders)) of the given orders of ``_weighted_fourier``."""
+        X = np.ascontiguousarray(fm[..., orders].transpose(2, 1, 0))
+        a = (2.0 * math.pi / self.nlon) * np.matmul(self._tables[0][orders], X)
+        K = X.shape[-1] // 2
+        return (a[..., :K] + 1j * a[..., K:]).transpose(2, 1, 0)
+
+    def analyze(self, values: np.ndarray) -> np.ndarray:
+        """Expansion coefficients a[l, m] of a real grid function or a stack of them."""
+        alm = self._coefficients(self._weighted_fourier(values), slice(None))
+        return alm.reshape(np.shape(values)[:-2] + alm.shape[1:])
 
     def _legendre_sums(self, alm: np.ndarray, tables: np.ndarray) -> np.ndarray:
-        """nlon * sum_l T[m, l, i] a[l, m] per table, as (..., m, i, re of each field | im)."""
-        stack = np.asarray(alm, dtype=complex).reshape(-1, self.lmax + 1, self.lmax + 1)
+        """nlon * sum_l T[m, l, i] a[l, m] per table and occupied order, as (..., m, i, re | im)."""
+        stack = np.asarray(alm, dtype=complex).reshape(-1, self.lmax + 1, np.shape(alm)[-1])
+        stack = stack[..., : np.flatnonzero(stack.any(axis=(0, 1))).max(initial=0) + 1]
         B = np.ascontiguousarray(np.concatenate([stack.real, stack.imag]).transpose(2, 1, 0))
-        g = np.matmul(np.swapaxes(tables, -1, -2), B)
+        g = np.matmul(np.swapaxes(tables[..., : B.shape[0], :, :], -1, -2), B)
         g *= self.nlon
         return g
 
     def _spectrum(self, sums: np.ndarray) -> np.ndarray:
-        """Per-order spectra (K, nlat, lmax + 1) of one table's Legendre sums."""
+        """Per-order spectra (K, nlat, orders) of one table's Legendre sums."""
         K = sums.shape[-1] // 2
         spec = sums[..., :K].T.astype(complex, order="C")
         spec.imag = sums[..., K:].T
@@ -182,7 +197,7 @@ class SphericalHarmonicEngine:
         return np.fft.irfft(spec, n=self.nlon, axis=-1)
 
     def synthesize(self, alm: np.ndarray) -> np.ndarray:
-        """Grid values of sum a_lm Y_lm."""
+        """Grid values of sum a_lm Y_lm, summed over the occupied orders (``_legendre_sums``)."""
         grid = self._grid(self._spectrum(self._legendre_sums(alm, self._tables[0])))
         return grid.reshape(np.shape(alm)[:-2] + grid.shape[1:])
 
@@ -216,6 +231,17 @@ class SphericalHarmonicEngine:
         """Quadrature of a grid function over the round sphere."""
         return float(np.sum(np.asarray(values) * self.area_weights))
 
+    def _floor_prefix(self, fm: np.ndarray) -> int:
+        """Count of leading orders that can keep a coefficient, or all if a bound is not finite;
+        the orders with the largest ``_order_bound`` give a lower bound on each field's peak."""
+        bound = self._order_bound * np.hypot(*np.split(np.abs(fm).max(axis=1), 2))
+        provisional = sorted(set(np.argmax(bound, axis=1).tolist()))
+        peak = np.abs(self._coefficients(fm, provisional)).max(axis=(1, 2))
+        if not (np.isfinite(bound).all() and np.isfinite(peak).all()):
+            return self.lmax + 1
+        reach = (bound >= COEFFICIENT_FLOOR * peak[:, None]) & (bound > 0.0)
+        return int(np.flatnonzero(reach.any(axis=0)).max(initial=0)) + 1
+
     def on_frame_jet(self, values: np.ndarray):
         """Value, orthonormal-frame gradient, and covariant Hessian.
 
@@ -224,13 +250,15 @@ class SphericalHarmonicEngine:
         round metric in that frame.  ``values`` is one grid (nlat, nlon)
         or a stack (K, nlat, nlon) on a leading axis, and each output has
         its shape.  Each field drops the coefficients below the floor of
-        its own peak (see COEFFICIENT_FLOOR).  One product covers the three
-        theta tables; each output is assembled per order m, where a phi
+        its own peak (see COEFFICIENT_FLOOR); only the orders that can keep
+        a coefficient are transformed.  One product covers the three theta
+        tables; each output is assembled per order m, where a phi
         derivative is a factor i m, and takes one inverse FFT.
         """
-        alm = _floor_coefficients(self.analyze(values), (-2, -1))
+        fm = self._weighted_fourier(values)
+        alm = _floor_coefficients(self._coefficients(fm, slice(self._floor_prefix(fm))), (-2, -1))
         g, gt, gtt = (self._spectrum(sums) for sums in self._legendre_sums(alm, self._tables))
-        im_s = 1j * np.arange(self.lmax + 1) / self.sin_theta[:, None]  # d/dphi / sin(theta)
+        im_s = 1j * np.arange(g.shape[-1]) / self.sin_theta[:, None]  # d/dphi / sin(theta)
         cot = self.cot_theta[:, None]
         shape = np.shape(values)
         return (

@@ -18,6 +18,7 @@ that jet.  Two boundary behaviours are supported:
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -166,9 +167,7 @@ class WarpingFunction:
         needs a floor in flat space: a bare ``margin > -tol * curvature_scale /
         r_bar`` compares an exact 0.0 margin with -0.0 and fails.
         """
-        radii = _scan_radii(self)
-        h, _, hpp, _ = self.jet(radii)
-        defect = self.curvature_defect(radii)
+        h, _, hpp, _, defect = _curvature_jet(self, _scan_radii(self))
         return float(np.max(2.0 * np.abs(hpp / h) + (self.dim - 2) * np.abs(defect)))
 
     @cached_property
@@ -330,6 +329,29 @@ def tabulated_warping(
 # pointwise curvature data
 
 
+def _curvature_jet(w: WarpingFunction, r):
+    """(h, h', h'', h''', curvature defect) at r from one warp jet; the defect is the
+    ambient's own evaluator where it has one, else ``curvature_defect``'s formula."""
+    h, hp, hpp, hppp = w.jet(r)
+    defect = w.curvature_defect(r) if w._defect is not None else (w.rho - hp * hp) / (h * h)
+    return h, hp, hpp, hppp, defect
+
+
+# Ricci eigenvalues (radial, tangential), gap margin, monotonicity quantity and its slope
+_CurvatureTerms = namedtuple("_CurvatureTerms", "radial tangential gap value slope")
+
+
+def _curvature_terms(n: int, jet) -> _CurvatureTerms:
+    h, hp, hpp, hppp, defect = jet
+    return _CurvatureTerms(
+        radial=-(n - 1) * hpp / h,
+        tangential=(n - 2) * defect - hpp / h,
+        gap=hpp / h + defect,
+        value=2.0 * hpp / h - (n - 2) * defect,
+        slope=2.0 * (h * hppp + (n - 3) * hp * hpp) / (h * h) + 2.0 * (n - 2) * (hp / h) * defect,
+    )
+
+
 def potential_and_field(w: WarpingFunction, r):
     """Static potential f = h'(r) and the radial field coefficient h(r).
 
@@ -346,11 +368,8 @@ def ricci_eigenvalues(w: WarpingFunction, r):
     Returns (radial, tangential); radial has multiplicity 1 along d/dr and
     tangential has multiplicity n-1 on the sphere directions.
     """
-    n = w.dim
-    h, hp, hpp, _ = w.jet(r)
-    radial = -(n - 1) * hpp / h
-    tangential = (n - 2) * w.curvature_defect(r) - hpp / h
-    return radial, tangential
+    terms = _curvature_terms(w.dim, _curvature_jet(w, r))
+    return terms.radial, terms.tangential
 
 
 def monotonicity_quantity(w: WarpingFunction, r):
@@ -359,12 +378,8 @@ def monotonicity_quantity(w: WarpingFunction, r):
     The quantity is 2h''/h - (n-2)(rho - h'^2)/h^2, which equals
     -R/(n-1) for these ambients; the theorems need it non-decreasing.
     """
-    n = w.dim
-    h, hp, hpp, hppp = w.jet(r)
-    defect = w.curvature_defect(r)
-    value = 2.0 * hpp / h - (n - 2) * defect
-    slope = 2.0 * (h * hppp + (n - 3) * hp * hpp) / (h * h) + 2.0 * (n - 2) * (hp / h) * defect
-    return value, slope
+    terms = _curvature_terms(w.dim, _curvature_jet(w, r))
+    return terms.value, terms.slope
 
 
 def scalar_curvature(w: WarpingFunction, r):
@@ -380,8 +395,7 @@ def ricci_gap_margin(w: WarpingFunction, r):
     unique smallest Ricci direction, which upgrades umbilic conclusions to
     genuine slice rigidity.
     """
-    h, _, hpp, _ = w.jet(r)
-    return hpp / h + w.curvature_defect(r)
+    return _curvature_terms(w.dim, _curvature_jet(w, r)).gap
 
 
 def static_tensor(w: WarpingFunction, r):
@@ -392,11 +406,10 @@ def static_tensor(w: WarpingFunction, r):
     a literal zero so the cancellation itself is exercised.
     """
     n = w.dim
-    h, hp, hpp, hppp = w.jet(r)
+    h, hp, hpp, hppp, _ = jet = _curvature_jet(w, r)
     lap_f = hppp + (n - 1) * hpp * hp / h
     radial = lap_f - hppp + hp * (-(n - 1) * hpp / h)
-    _, tang_ric = ricci_eigenvalues(w, r)
-    tangential = lap_f - hp * hpp / h + hp * tang_ric
+    tangential = lap_f - hp * hpp / h + hp * _curvature_terms(n, jet).tangential
     return radial, tangential
 
 
@@ -466,12 +479,11 @@ def check_conditions(
     else:
         reg_margin = -max(abs(h0), abs(hp0 - 1.0), abs(hpp0))
 
-    hp = w.jet(radii)[1]
-    _, slope = monotonicity_quantity(w, radii)
-    gap = ricci_gap_margin(w, radii)
-    gap_signed = gap if w.variant == "boundary" else np.abs(gap)
+    jet = _curvature_jet(w, radii)
+    terms = _curvature_terms(w.dim, jet)
+    gap_signed = terms.gap if w.variant == "boundary" else np.abs(terms.gap)
 
-    margins = {"monotonicity": hp, "scalar_monotonicity": slope, "ricci_gap": gap_signed}
+    margins = {"monotonicity": jet[1], "scalar_monotonicity": terms.slope, "ricci_gap": gap_signed}
     min_margin = {"regularity": reg_margin}
     worst_radius = {"regularity": 0.0}
     for name, values in margins.items():
@@ -568,10 +580,9 @@ def scan_monotonicity_extrema(
             continue
         root = find_root(lambda r: monotonicity_quantity(w, r)[1], a, b, xtol=1e-8 * w.r_bar)
         kind = "max" if sa > 0 else "min"
-        value = monotonicity_quantity(w, root)[0]
-        radial, tangential = ricci_eigenvalues(w, root)
-        distinct = bool(abs(radial - tangential) > 1e-9)
-        records.append(ExtremumRecord(float(root), kind, float(value), distinct))
+        terms = _curvature_terms(w.dim, _curvature_jet(w, root))
+        distinct = bool(abs(terms.radial - terms.tangential) > 1e-9)
+        records.append(ExtremumRecord(float(root), kind, float(terms.value), distinct))
     return records
 
 

@@ -5,15 +5,24 @@ pins every entry of the frame jet in closed form; degree-2 pins the
 Laplacian through the eigenvalue -l(l+n-2).  Tesseral modes of order 3
 and 4 pin the phi-derivative outputs against closed-form Legendre
 functions, and a random band-limited field pins the full Laplacian.
+The full engine's frame jet and synthesis, which skip the orders the
+coefficient floor empties, equal a whole-band reference bit for bit.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warpcmc import ParameterError, get_engine, sphere_volume
-from warpcmc.spectral import AxisymEngine, SphericalHarmonicEngine
+from warpcmc.spectral import (
+    COEFFICIENT_FLOOR,
+    AxisymEngine,
+    SphericalHarmonicEngine,
+    _floor_coefficients,
+)
 
 
 @pytest.fixture(scope="module")
@@ -297,3 +306,128 @@ def test_quadrature_rules_match_scipy(count):
         engine = AxisymEngine(dim, count)
         assert np.max(np.abs(engine.x[::-1] - x)) < 1e-14
         assert np.max(np.abs(engine.w[::-1] - w)) < 1e-14 * w.sum()
+
+
+# -- the band of orders ---------------------------------------------------
+# The reference runs every order: the public analysis, the floor, and the
+# Legendre sums, spectra, output arithmetic and inverse FFTs over all of
+# them, with the whole tables.
+
+
+def _whole_band_spectra(engine, alm, tables):
+    """Per-order spectra of every order, one per table."""
+    L = engine.lmax + 1
+    stack = np.asarray(alm, dtype=complex).reshape(-1, L, L)
+    B = np.ascontiguousarray(np.concatenate([stack.real, stack.imag]).transpose(2, 1, 0))
+    sums = np.matmul(np.swapaxes(tables, -1, -2), B)
+    sums *= engine.nlon
+    K = stack.shape[0]
+    spectra = []
+    for table_sums in sums:
+        spec = table_sums[..., :K].T.astype(complex, order="C")
+        spec.imag = table_sums[..., K:].T
+        spectra.append(spec)
+    return spectra
+
+
+def _whole_band_synthesis(engine, alm):
+    (spec,) = _whole_band_spectra(engine, alm, engine._tables[:1])
+    grid = np.fft.irfft(spec, n=engine.nlon, axis=-1)
+    return grid.reshape(np.shape(alm)[:-2] + grid.shape[1:])
+
+
+def _whole_band_frame_jet(engine, values):
+    alm = _floor_coefficients(engine.analyze(values), (-2, -1))
+    g, gt, gtt = _whole_band_spectra(engine, alm, engine._tables)
+    im_s = 1j * np.arange(engine.lmax + 1) / engine.sin_theta[:, None]
+    cot = engine.cot_theta[:, None]
+    outputs = (g, gt, g * im_s, gtt, (gt - cot * g) * im_s, cot * gt + im_s * (im_s * g))
+    return tuple(np.fft.irfft(out, n=engine.nlon, axis=-1).reshape(np.shape(values)) for out in outputs)
+
+
+def _same_bits(got, want):
+    """Equal values, NaN where NaN, and the same sign bits, so -0.0 is not 0.0."""
+    return np.array_equal(got, want, equal_nan=True) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _assert_banded_equals_whole_band(engine, values):
+    """Every frame-jet output, and the synthesis of the floored coefficients, bit for bit."""
+    got, want = engine.on_frame_jet(values), _whole_band_frame_jet(engine, values)
+    assert len(got) == len(want) == 6
+    for banded, whole in zip(got, want):
+        assert _same_bits(banded, whole)
+    floored = _floor_coefficients(engine.analyze(values), (-2, -1))
+    assert _same_bits(engine.synthesize(floored), _whole_band_synthesis(engine, floored))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    nlat=st.sampled_from([8, 16, 48]),
+    fields=st.lists(
+        st.tuples(
+            st.floats(min_value=-6.0, max_value=6.0),  # log10 of the scale
+            st.floats(min_value=0.0, max_value=1.0),  # top degree, a fraction of lmax
+            st.floats(min_value=0.0, max_value=2.0),  # decay rate per degree
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    log_noise=st.floats(min_value=-17.0, max_value=-13.0),
+    stacked=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_banded_transforms_equal_the_whole_band(nlat, fields, log_noise, stacked, seed):
+    # band-limited fields with decaying spectra, each with its own band and
+    # a scale from 1e-6 to 1e6 on one stack, plus noise at roundoff level
+    # that the floor may or may not drop
+    engine = get_engine("full", 3, nlat)
+    rng = np.random.default_rng(seed)
+    L = engine.lmax + 1
+    degree, order = np.arange(L)[:, None], np.arange(L)
+    alm = rng.normal(size=(len(fields), L, L)) + 1j * rng.normal(size=(len(fields), L, L))
+    alm[..., 0] = alm[..., 0].real
+    for k, (log_scale, band, decay) in enumerate(fields):
+        kept = (degree >= order) & (degree <= round(band * engine.lmax))
+        alm[k] *= 10.0**log_scale * kept * np.exp(-decay * degree)
+    if not stacked:
+        alm = alm[0]
+    clean = engine.synthesize(alm)
+    assert _same_bits(clean, _whole_band_synthesis(engine, alm))
+    peak = np.abs(clean).max(axis=(-2, -1), keepdims=True)
+    _assert_banded_equals_whole_band(engine, clean + 10.0**log_noise * peak * rng.normal(size=clean.shape))
+
+
+@pytest.mark.parametrize("nlat", [16, 48])
+@pytest.mark.parametrize("ratio", [1.01, 0.99])
+def test_top_order_coefficient_at_the_floor(nlat, ratio):
+    engine = get_engine("full", 3, nlat)
+    L = engine.lmax
+    # a[L, L] is ratio times the floor of the peak a[0, 0] = 1
+    field = engine.mode(0, 0) + engine.mode(L, L, math.sqrt(2.0) * ratio * COEFFICIENT_FLOOR)
+    kept = _floor_coefficients(engine.analyze(field), (-2, -1))[L, L]
+    assert (kept != 0.0) == (ratio > 1.0)
+    _assert_banded_equals_whole_band(engine, field)
+    _assert_banded_equals_whole_band(engine, np.stack([engine.mode(1, 1), field]))
+
+
+def test_each_field_is_banded_against_its_own_peak(full):
+    # the second field sits 1e16 below the first, under the first's floor
+    values = np.stack([1e8 * full.mode(0, 0), 1e-8 * full.mode(full.lmax, full.lmax)])
+    _assert_banded_equals_whole_band(full, values)
+    assert np.max(np.abs(full.on_frame_jet(values)[0][1])) > 1e-9
+
+
+def test_zero_and_constant_fields(full):
+    zero, constant = np.zeros(full.grid_shape), np.full(full.grid_shape, 2.5)
+    for values in (zero, constant, np.stack([zero, constant, full.mode(5, -3)])):
+        _assert_banded_equals_whole_band(full, values)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_node_keeps_every_order(full, bad):
+    field = full.mode(2, 1) + 3.0
+    broken = field.copy()
+    broken[3, 5] = bad
+    with np.errstate(invalid="ignore"):
+        _assert_banded_equals_whole_band(full, broken)
+        _assert_banded_equals_whole_band(full, np.stack([broken, field]))

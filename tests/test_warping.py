@@ -374,6 +374,10 @@ def test_ambient_constants_are_taken_once(cosine_boundary):
     calls.clear()
     assert (w.inner_jet, w.curvature_scale, w.monotone_radius) == first
     scan_monotonicity_extrema(w)
-    # the slope's jet and its generic curvature defect; the floor reads the kept scale
-    assert calls == [(256,), (256,)]
+    # one jet gives the slope and its generic curvature defect; the floor reads the kept scale
+    assert calls == [(256,)]
+    calls.clear()
+    # the three margins and the regularity check take one jet between them
+    assert check_conditions(w).min_margin == check_conditions(cosine_boundary).min_margin
+    assert calls == [(256,)]
     assert first[2] == potential_monotone_radius(cosine_boundary)
