@@ -112,7 +112,6 @@ class FlowTrace:
     """
 
     dim: int
-    variant: str
     times: np.ndarray
     q_values: np.ndarray
     areas: np.ndarray
@@ -433,7 +432,6 @@ def run_flow(
     swept = _cumulative_swept(np.asarray(samples), dt, steps)
     trace = FlowTrace(
         dim=state.dim,
-        variant=state.warping.variant,
         times=times,
         q_values=qs,
         areas=areas,

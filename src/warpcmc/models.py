@@ -40,6 +40,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, ParameterError
+from .spectral import TABLE_BUDGET_BYTES
 from .warping import (
     WarpingFunction,
     euclidean_warping,
@@ -79,7 +80,6 @@ class OmegaProfile:
     s_floor: float
     s_max: float
     omega: Callable[[np.ndarray], tuple]
-    kind: str = "closed-form"
     params: dict = field(default_factory=dict)
     # optional direct evaluator of 1 - omega; evaluating it as a difference
     # cancels wherever omega is close to 1, and (1 - omega)/s^2 feeds the
@@ -191,7 +191,12 @@ def admissibility(family: str, n: int, params: dict) -> tuple[bool, str]:
     elif m <= 0:
         return False, f"mass must be positive, got m = {m}"
     elif family == "desitter-schwarzschild" and p["kappa"] > 0:
-        bound = n**n / (4.0 * (n - 2) ** (n - 2)) * m**2 * p["kappa"] ** (n - 2)
+        kappa = p["kappa"]
+        try:
+            bound = n**n / (4.0 * (n - 2) ** (n - 2)) * m**2 * kappa ** (n - 2)
+        except OverflowError:  # n**n passes the float range from n = 144: take logs
+            log_bound = n * math.log(n) - (n - 2) * math.log((n - 2) / kappa) + 2.0 * math.log(m / 2)
+            bound = math.exp(log_bound) if log_bound < 700.0 else math.inf
         if bound >= 1.0:
             return False, (
                 f"n^n/(4(n-2)^(n-2)) m^2 kappa^(n-2) = {bound:.6g} >= 1; "
@@ -301,6 +306,8 @@ def load_omega_table(path, n: int, s_max: float | None = None) -> OmegaProfile:
     data = np.loadtxt(path, comments="#", dtype=float)
     if data.ndim != 2 or data.shape[1] != 2:
         raise ParameterError(f"{path}: expected two columns (s, omega)")
+    if not np.isfinite(data).all():
+        raise ParameterError(f"{path}: every sample must be finite")
     s, om = data[:, 0], data[:, 1]
     if s.size < 8:
         raise ParameterError(f"{path}: need at least 8 samples")
@@ -310,7 +317,7 @@ def load_omega_table(path, n: int, s_max: float | None = None) -> OmegaProfile:
         raise ParameterError(f"{path}: first row must sit on the horizon (omega = 0)")
     omega = _quintic_spline(s, om, 2)
     ceiling = float(s[-1]) if s_max is None else min(float(s[-1]), s_max)
-    return OmegaProfile("omega-table", n, float(s[0]), ceiling, omega, kind="tabulated")
+    return OmegaProfile("omega-table", n, float(s[0]), ceiling, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +332,9 @@ _ORACLE_RULE = leggauss(32)
 # knot intervals per omega call while F is tabulated: 256 x 8 = 2048 nodes
 # bounds the size of the temporaries a single omega evaluation allocates
 PANEL_BLOCK = 256
+# a build peaks at 224 bytes per knot plus about 0.1 MB (tracemalloc, 1e4 to 1e6
+# knots, each kind of profile); the extra byte per knot covers that 0.1 MB
+BUILD_BYTES_PER_KNOT = 225
 
 
 def _panel_nodes(edges, x, w):
@@ -529,10 +539,13 @@ def omega_to_warping(profile: OmegaProfile, knots: int = 2048) -> OmegaBackedWar
     resampled on a uniform r grid of knots - 1 intervals, and the
     ``HermiteTable`` on that grid is the one stored representation of h.
     Jets then come from the exact chain-rule relations, so the table only
-    ever enters through the r -> s lookup.
+    ever enters through the r -> s lookup.  A knot count whose build would
+    take more than ``TABLE_BUDGET_BYTES`` is refused before anything is built.
     """
     if knots < 64:
         raise ParameterError("need at least 64 knots")
+    if knots * BUILD_BYTES_PER_KNOT > TABLE_BUDGET_BYTES:
+        raise ParameterError(f"{knots} knots exceed the {TABLE_BUDGET_BYTES >> 20} MiB build budget")
     f_knots, s_knots = _arc_length_knots(profile, knots)
     # roundoff residual of omega at the declared horizon; absorbing it makes
     # h'(0) exactly zero instead of sqrt(residual) ~ 1e-8.  omega may round
@@ -564,23 +577,14 @@ def omega_to_warping(profile: OmegaProfile, knots: int = 2048) -> OmegaBackedWar
             sq = np.sqrt(np.maximum(om - omega_shift, 0.0))
         return s, sq, 0.5 * om1, 0.5 * om2 * sq
 
-    defect = None
-    if profile.one_minus_omega is not None:
-
-        def defect(r):
-            s = table(r)
-            return profile.one_minus_omega(s) / (s * s)
-
+    one_minus_omega = profile.one_minus_omega
     return OmegaBackedWarping(
         name=profile.name,
         dim=profile.dim,
         r_bar=r_bar,
-        rho=1.0,
         variant="boundary",
-        kind=profile.kind,
         _jet=jet,
-        params=dict(profile.params),
-        _defect=defect,
+        _defect=None if one_minus_omega is None else lambda s: one_minus_omega(s) / (s * s),
         profile=profile,
         _h_table=table,
     )

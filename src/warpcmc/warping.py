@@ -4,10 +4,11 @@ An ambient here is a manifold (0, r_bar) x S^{n-1} carrying the metric
 
     g = dr (x) dr + h(r)^2 g_S,
 
-where g_S is the round metric of curvature rho on the sphere factor.  All
-curvature data of g reduces to the scalar jet (h, h', h'', h''') of the
-warping profile, and every operation in this module is a closed formula in
-that jet.  Two boundary behaviours are supported:
+where g_S is the unit round metric on the sphere factor; a factor of
+curvature rho is the unit one with h/sqrt(rho) in place of h.  All curvature
+data of g reduces to the scalar jet (h, h', h'', h''') of the warping
+profile, and every operation in this module is a closed formula in that
+jet.  Two boundary behaviours are supported:
 
 * ``boundary``: h(0) > 0, h'(0) = 0, h''(0) > 0, the inner boundary is a
   minimal hypersurface (a horizon).
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -57,8 +58,11 @@ CONDITION_NAMES = ("regularity", "monotonicity", "scalar_monotonicity", "ricci_g
 
 
 def sphere_volume(k: int) -> float:
-    """Volume of the unit round sphere S^k."""
-    return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
+    """Volume of the unit round sphere S^k; ParameterError from k = 343, where Gamma overflows."""
+    try:
+        return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
+    except OverflowError:
+        raise ParameterError(f"dimension too large: the volume of S^{k} overflows") from None
 
 
 def find_root(f: Callable[[float], float], a: float, b: float, xtol: float = 1e-300) -> float:
@@ -118,27 +122,18 @@ class WarpingFunction:
         Ambient dimension n (the sphere factor is S^{n-1}).
     r_bar : float
         Outer radius of the working chart; the domain is [0, r_bar).
-    rho : float
-        Curvature of the sphere-factor metric g_S (1 for the unit sphere).
     variant : str
         Either ``boundary`` or ``ball``.
-    kind : str
-        ``closed-form`` when the jet comes from analytic expressions,
-        ``tabulated`` when it comes from a spline of sampled data.
-    params : dict
-        Family parameters, recorded in output headers.
     """
 
     name: str
     dim: int
     r_bar: float
-    rho: float
     variant: str
-    kind: str
     _jet: Callable[[np.ndarray], tuple]
-    params: dict = field(default_factory=dict)
-    # optional stable evaluator for (rho - h'^2)/h^2; the generic jet route
-    # cancels catastrophically near a ball center, where rho - h'^2 = O(r^2)
+    # optional stable evaluator of (1 - h'^2)/h^2 as a function of h; the
+    # generic jet route cancels catastrophically near a ball center, where
+    # 1 - h'^2 = O(r^2)
     _defect: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
@@ -205,21 +200,13 @@ class WarpingFunction:
         return h, hp, hpp, hppp
 
     def curvature_defect(self, r):
-        """Evaluate (rho - h'(r)^2)/h(r)^2, the sphere-factor curvature excess.
+        """Evaluate (1 - h'(r)^2)/h(r)^2, the sphere-factor curvature excess.
 
         Families with a closed form supply a cancellation-free evaluator;
-        otherwise the quantity is assembled from the jet.  The domain is
-        that of ``jet``.
+        otherwise the quantity is assembled from the jet (``_curvature_jet``).
+        The domain is that of ``jet``.
         """
-        arr = self._in_chart(r)
-        if self._defect is not None:
-            out = np.asarray(self._defect(arr), dtype=float)
-        else:
-            h, hp, _, _ = self._jet(arr)
-            out = (self.rho - hp * hp) / (h * h)
-        if np.ndim(r) == 0:
-            return float(out)
-        return out
+        return _like(r, _curvature_jet(self, r))[4]
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +221,7 @@ def euclidean_warping(n: int, r_bar: float = 10.0) -> WarpingFunction:
         zero = np.zeros_like(r)
         return r.copy(), one, zero, zero.copy()
 
-    return WarpingFunction(
-        "euclidean", n, r_bar, 1.0, "ball", "closed-form", jet,
-        _defect=lambda r: np.zeros_like(r),
-    )
+    return WarpingFunction("euclidean", n, r_bar, "ball", jet, lambda h: np.zeros_like(h))
 
 
 def spherical_warping(n: int, curvature: float = 1.0, r_bar: float | None = None) -> WarpingFunction:
@@ -259,10 +243,9 @@ def spherical_warping(n: int, curvature: float = 1.0, r_bar: float | None = None
             -sc * sc * np.cos(sc * r),
         )
 
+    # 1 - h'^2 = 1 - cos^2 = c h^2 identically
     return WarpingFunction(
-        "sphere", n, r_bar, 1.0, "ball", "closed-form", jet, {"curvature": curvature},
-        # rho - h'^2 = 1 - cos^2 = c h^2 identically
-        _defect=lambda r: np.full_like(r, curvature),
+        "sphere", n, r_bar, "ball", jet, lambda h: np.full_like(h, curvature)
     )
 
 
@@ -280,10 +263,9 @@ def hyperbolic_warping(n: int, curvature: float = 1.0, r_bar: float = 10.0) -> W
             sc * sc * np.cosh(sc * r),
         )
 
+    # 1 - h'^2 = 1 - cosh^2 = -c h^2 identically
     return WarpingFunction(
-        "hyperbolic", n, r_bar, 1.0, "ball", "closed-form", jet, {"curvature": curvature},
-        # rho - h'^2 = 1 - cosh^2 = -c h^2 identically
-        _defect=lambda r: np.full_like(r, -curvature),
+        "hyperbolic", n, r_bar, "ball", jet, lambda h: np.full_like(h, -curvature)
     )
 
 
@@ -306,7 +288,6 @@ def tabulated_warping(
     radii: Sequence[float],
     values: Sequence[float],
     variant: str,
-    rho: float = 1.0,
 ) -> WarpingFunction:
     """Warping profile from sampled (r, h) data via a quintic spline.
 
@@ -317,12 +298,14 @@ def tabulated_warping(
     values = np.asarray(values, dtype=float)
     if radii.ndim != 1 or radii.shape != values.shape or radii.size < 8:
         raise ParameterError("need matching 1-d arrays with at least 8 samples")
+    if not (np.isfinite(radii).all() and np.isfinite(values).all()):
+        raise ParameterError(f"table {name!r}: every sample must be finite")
     if not np.all(np.diff(radii) > 0):
         raise ParameterError("radii must be strictly increasing")
     if radii[0] > 1e-12 * radii[-1]:
         raise ParameterError("table must start at r = 0")
     jet = _quintic_spline(radii, values, 3)
-    return WarpingFunction(name, n, float(radii[-1]), rho, variant, "tabulated", jet)
+    return WarpingFunction(name, n, float(radii[-1]), variant, jet)
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +313,21 @@ def tabulated_warping(
 
 
 def _curvature_jet(w: WarpingFunction, r):
-    """(h, h', h'', h''', curvature defect) at r from one warp jet; the defect is the
-    ambient's own evaluator where it has one, else ``curvature_defect``'s formula."""
+    """(h, h', h'', h''', curvature defect) at r from one warp jet.
+
+    The defect is the ambient's evaluator of h where it has one, else
+    (1 - h'^2)/h^2.  A scalar h is a numpy float, so that a scalar at a
+    ball's center divides by zero as an array does, to inf or nan.
+    """
     h, hp, hpp, hppp = w.jet(r)
-    defect = w.curvature_defect(r) if w._defect is not None else (w.rho - hp * hp) / (h * h)
+    h = np.float64(h) if np.ndim(r) == 0 else h
+    defect = (1.0 - hp * hp) / (h * h) if w._defect is None else w._defect(h)
     return h, hp, hpp, hppp, defect
+
+
+def _like(r, values) -> tuple:
+    """``values`` as floats for a scalar radius r, unchanged for an array."""
+    return tuple(map(float, values)) if np.ndim(r) == 0 else tuple(values)
 
 
 # Ricci eigenvalues (radial, tangential), gap margin, monotonicity quantity and its slope
@@ -350,6 +343,11 @@ def _curvature_terms(n: int, jet) -> _CurvatureTerms:
         value=2.0 * hpp / h - (n - 2) * defect,
         slope=2.0 * (h * hppp + (n - 3) * hp * hpp) / (h * h) + 2.0 * (n - 2) * (hp / h) * defect,
     )
+
+
+def _curvature_terms_at(w: WarpingFunction, r) -> _CurvatureTerms:
+    """``_curvature_terms`` of the one warp jet at r, as floats for a scalar r."""
+    return _CurvatureTerms(*_like(r, _curvature_terms(w.dim, _curvature_jet(w, r))))
 
 
 def potential_and_field(w: WarpingFunction, r):
@@ -368,17 +366,17 @@ def ricci_eigenvalues(w: WarpingFunction, r):
     Returns (radial, tangential); radial has multiplicity 1 along d/dr and
     tangential has multiplicity n-1 on the sphere directions.
     """
-    terms = _curvature_terms(w.dim, _curvature_jet(w, r))
+    terms = _curvature_terms_at(w, r)
     return terms.radial, terms.tangential
 
 
 def monotonicity_quantity(w: WarpingFunction, r):
     """Scalar-curvature monotonicity quantity and its radial slope.
 
-    The quantity is 2h''/h - (n-2)(rho - h'^2)/h^2, which equals
+    The quantity is 2h''/h - (n-2)(1 - h'^2)/h^2, which equals
     -R/(n-1) for these ambients; the theorems need it non-decreasing.
     """
-    terms = _curvature_terms(w.dim, _curvature_jet(w, r))
+    terms = _curvature_terms_at(w, r)
     return terms.value, terms.slope
 
 
@@ -395,7 +393,7 @@ def ricci_gap_margin(w: WarpingFunction, r):
     unique smallest Ricci direction, which upgrades umbilic conclusions to
     genuine slice rigidity.
     """
-    return _curvature_terms(w.dim, _curvature_jet(w, r)).gap
+    return _curvature_terms_at(w, r).gap
 
 
 def static_tensor(w: WarpingFunction, r):
@@ -410,7 +408,7 @@ def static_tensor(w: WarpingFunction, r):
     lap_f = hppp + (n - 1) * hpp * hp / h
     radial = lap_f - hppp + hp * (-(n - 1) * hpp / h)
     tangential = lap_f - hp * hpp / h + hp * _curvature_terms(n, jet).tangential
-    return radial, tangential
+    return _like(r, (radial, tangential))
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +432,6 @@ class ConditionReport:
     conclusion tiers recorded in ``conclusion``.
     """
 
-    ambient: str
-    variant: str
-    dim: int
     tol: float
     radii: np.ndarray
     margins: dict
@@ -460,7 +455,7 @@ def check_conditions(
     * ``monotonicity``: h' > 0 on the open chart, margin h'(r).
     * ``scalar_monotonicity``: the monotonicity quantity is non-decreasing,
       margin = its slope.
-    * ``ricci_gap``: margin h''/h + (rho - h'^2)/h^2.  Boundary variant needs
+    * ``ricci_gap``: margin h''/h + (1 - h'^2)/h^2.  Boundary variant needs
       it strictly positive; ball variant needs it bounded away from zero in
       absolute value.  An identically vanishing margin (space forms) is
       reported as ``degenerate``: the strict hypothesis fails but every
@@ -512,9 +507,6 @@ def check_conditions(
         conclusion = "umbilic-only"
 
     return ConditionReport(
-        ambient=w.name,
-        variant=w.variant,
-        dim=w.dim,
         tol=tol,
         radii=radii,
         margins=margins,
@@ -580,9 +572,9 @@ def scan_monotonicity_extrema(
             continue
         root = find_root(lambda r: monotonicity_quantity(w, r)[1], a, b, xtol=1e-8 * w.r_bar)
         kind = "max" if sa > 0 else "min"
-        terms = _curvature_terms(w.dim, _curvature_jet(w, root))
-        distinct = bool(abs(terms.radial - terms.tangential) > 1e-9)
-        records.append(ExtremumRecord(float(root), kind, float(terms.value), distinct))
+        terms = _curvature_terms_at(w, root)
+        distinct = abs(terms.radial - terms.tangential) > 1e-9
+        records.append(ExtremumRecord(float(root), kind, terms.value, distinct))
     return records
 
 

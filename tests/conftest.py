@@ -76,7 +76,7 @@ def cosine_boundary():
             -(math.pi / L) * np.sin(t),
         )
 
-    return WarpingFunction("cosine", 3, L, 1.0, "boundary", "closed-form", jet)
+    return WarpingFunction("cosine", 3, L, "boundary", jet)
 
 
 @pytest.fixture(scope="session")

@@ -142,7 +142,7 @@ def _fd_static_tensor(w, r, delta=1e-4):
     hppp = (w.jet(r + delta)[2] - w.jet(r - delta)[2]) / (2.0 * delta)
     lap_f = hppp + (n - 1) * (hp / h) * hpp
     ric_rad = -(n - 1) * hpp / h
-    ric_tan = (n - 2) * (w.rho - hp * hp) / (h * h) - hpp / h
+    ric_tan = (n - 2) * (1.0 - hp * hp) / (h * h) - hpp / h
     radial = lap_f - hppp + hp * ric_rad
     tangential = lap_f - (hp / h) * hpp + hp * ric_tan
     return radial, tangential

@@ -172,6 +172,37 @@ def test_nan_input_exits_2(tmp_path, capsys, args, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ([cmd, "--model", "schwarzschild", "--n", "345", "--s", "2"], "dimension too large")
+        for cmd in ("verify", "flow", "cmc")
+    ]
+    + [(["check", "--model", "omega-table", "--path", "{table}"], "{table}: every sample")],
+)
+def test_out_of_range_model_input_exits_2(tmp_path, capsys, args, message):
+    s = np.linspace(1.0, 10.0, 400)
+    omega = 1.0 - 1.0 / s
+    omega[50] = np.nan
+    table = str(tmp_path / "t.txt")
+    np.savetxt(table, np.column_stack((s, omega)))
+    args = [a.format(table=table) for a in args]
+    code, _, err = run([*args, "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert message.format(table=table) in err
+
+
+def test_kappa_bound_past_the_float_range_completes(tmp_path, capsys):
+    # n^n overflows a float from n = 144; the bound is then taken in logs
+    code, out, _ = run(
+        ["check", "--model", "desitter-schwarzschild", "--n", "150", "--kappa", "0.1",
+         "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0
+    assert "conclusion:" in out
+
+
 def test_flow_audit_and_determinism(tmp_path, capsys):
     args = [
         "flow", "--model", "schwarzschild", "--m", "1", "--s", "2",

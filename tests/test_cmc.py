@@ -191,9 +191,9 @@ def test_one_grid_warp_jet_per_iteration(schw3):
         inner.append(np.ndim(r) == 0 and r == 0.0)
         return schw3._jet(r)
 
-    def counting_defect(r):
-        defects.append(r)
-        return schw3._defect(r)
+    def counting_defect(h):
+        defects.append(h)
+        return schw3._defect(h)
 
     w = dataclasses.replace(schw3, _jet=counting, _defect=counting_defect)
     surface = perturb_slice(w, axisym_grid(3, 48), 2.0, [(2, 0, 0.05), (1, 0, 0.03)])

@@ -7,6 +7,7 @@ sqrt(2) + log(1 + sqrt(2)).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,11 @@ def test_admissibility_messages():
     assert ok
     ok, _ = admissibility("schwarzschild", 3, {"m": -1.0})
     assert not ok
+    # n^n passes the float range from n = 144; the kappa bound then takes logs
+    assert admissibility("desitter-schwarzschild", 150, {"m": 1.0, "kappa": 0.1})[0]
+    ok, msg = admissibility("desitter-schwarzschild", 150, {"m": 1.0, "kappa": 0.95})
+    assert not ok
+    assert "merge or vanish" in msg
 
 
 def test_omega_tables_are_admissible_and_have_no_closed_form_horizon():
@@ -331,6 +337,26 @@ def test_load_omega_table_guards(tmp_path):
     np.savetxt(off, np.column_stack([s, 0.5 + 0.1 * s]))
     with pytest.raises(ParameterError, match="horizon"):
         load_omega_table(off, 3)
+    for bad in (np.nan, np.inf):
+        holey = tmp_path / "holey.txt"
+        s = np.linspace(1.0, 10.0, 40)
+        om = 1.0 - 1.0 / s
+        om[5] = bad
+        np.savetxt(holey, np.column_stack([s, om]))
+        with pytest.raises(ParameterError, match="holey.txt"):
+            load_omega_table(holey, 3)
+
+
+def test_knot_count_is_checked_before_allocating():
+    # a build takes about 224 bytes per knot: 10^9 knots would ask for 200 GiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="budget"):
+            make_model("schwarzschild", 3, knots=10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_positive_kappa_window_stops_at_upper_horizon():

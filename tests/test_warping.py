@@ -37,8 +37,9 @@ from warpcmc import (
     static_tensor,
     tabulated_warping,
 )
+from warpcmc import models
 from warpcmc.errors import WarpcmcError
-from warpcmc.warping import find_root
+from warpcmc.warping import _curvature_jet, find_root
 from conftest import bump_quantity
 
 
@@ -46,6 +47,10 @@ def test_sphere_volume_closed_forms():
     assert sphere_volume(1) == pytest.approx(2.0 * math.pi, rel=1e-15)
     assert sphere_volume(2) == pytest.approx(4.0 * math.pi, rel=1e-15)
     assert sphere_volume(3) == pytest.approx(2.0 * math.pi**2, rel=1e-15)
+    # Gamma((k + 1)/2) overflows a float from k = 343
+    assert sphere_volume(342) > 0.0
+    with pytest.raises(ParameterError, match="S\\^343"):
+        sphere_volume(343)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -97,7 +102,7 @@ def test_schwarzschild_quantity_vanishes(schw3):
 
 def test_reissner_nordstrom_quantity_closed_form(rn3):
     n = rn3.dim
-    q = rn3.params["q"]
+    q = rn3.profile.params["q"]
     radii = np.linspace(1e-3, rn3.r_bar * 0.999, 60)
     s = rn3.jet(radii)[0]
     value, _ = monotonicity_quantity(rn3, radii)
@@ -291,9 +296,15 @@ def test_constructor_guards():
     with pytest.raises(ParameterError):
         spherical_warping(3, curvature=-1.0)
     with pytest.raises(ParameterError):
-        WarpingFunction("x", 3, 1.0, 1.0, "weird", "closed-form", lambda r: r)
+        WarpingFunction("x", 3, 1.0, "weird", lambda r: r)
     with pytest.raises(ParameterError):
         tabulated_warping("short", 3, [0.0, 1.0], [0.0, 1.0], "ball")
+    radii = np.linspace(0.0, 1.0, 16)
+    for bad in (np.nan, np.inf):
+        values = radii.copy()
+        values[5] = bad
+        with pytest.raises(ParameterError, match="'holey'"):
+            tabulated_warping("holey", 3, radii, values, "ball")
 
 
 def test_tabulated_requires_zero_start():
@@ -351,6 +362,10 @@ def test_ambient_constants_equal_what_their_call_sites_computed(family, n, tmp_p
     h, _, hpp, _ = w.jet(radii)
     scale = np.max(2.0 * np.abs(hpp / h) + (w.dim - 2) * np.abs(w.curvature_defect(radii)))
     assert w.curvature_scale == float(scale)
+    # one curvature path: the defect is the curvature jet's, bit for bit
+    for r in (0.5 * w.r_bar, radii):
+        got, want = w.curvature_defect(r), _curvature_jet(w, r)[4]
+        assert np.asarray(got).tobytes() == np.asarray(want, dtype=float).tobytes()
     if family == "euclidean":
         assert w.curvature_scale == 0.0
     if w.variant == "boundary":
@@ -381,3 +396,42 @@ def test_ambient_constants_are_taken_once(cosine_boundary):
     assert check_conditions(w).min_margin == check_conditions(cosine_boundary).min_margin
     assert calls == [(256,)]
     assert first[2] == potential_monotone_radius(cosine_boundary)
+
+
+CURVATURE_QUANTITIES = [ricci_gap_margin, monotonicity_quantity, ricci_eigenvalues, static_tensor]
+
+
+def test_each_curvature_quantity_looks_h_up_once(schw3, monkeypatch):
+    # one warp jet per call: the defect comes from the jet's h, not a second lookup
+    calls = []
+    lookup = models.HermiteTable.__call__
+
+    def counting(table, r):
+        calls.append(np.ndim(r))
+        return lookup(table, r)
+
+    monkeypatch.setattr(models.HermiteTable, "__call__", counting)
+    for quantity in CURVATURE_QUANTITIES:
+        for r in (0.5, np.linspace(0.1, 1.0, 5)):
+            calls.clear()
+            quantity(schw3, r)
+            assert calls == [np.ndim(r)], quantity.__name__
+    # the slope grid and the kept curvature scale; Schwarzschild has no extremum
+    calls.clear()
+    assert scan_monotonicity_extrema(dataclasses.replace(schw3)) == []
+    assert calls == [1, 1]
+
+
+@pytest.mark.parametrize(
+    "quantity", CURVATURE_QUANTITIES + [lambda w, r: w.curvature_defect(r)]
+)
+def test_a_scalar_at_a_ball_center_is_the_array_value(quantity):
+    # no closed-form defect, and h(0) = 0: a scalar divides by zero as an array does
+    radii = np.linspace(0.0, 2.0, 41)
+    w = tabulated_warping("sinh", 3, radii, np.sinh(radii), "ball")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scalar, array = quantity(w, 0.0), quantity(w, np.array([0.0]))
+    scalar = scalar if isinstance(scalar, tuple) else (scalar,)
+    assert all(type(v) is float for v in scalar)
+    assert not np.isfinite(scalar).all()
+    assert np.array_equal(scalar, np.ravel(array), equal_nan=True)
