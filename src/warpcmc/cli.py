@@ -4,9 +4,9 @@ Subcommands: ``check`` (structure conditions), ``verify`` (integral
 identities), ``flow`` (conformal flow plus monotonicity audit),
 ``cmc`` (CMC corpus experiments), ``models`` (list built-ins).
 
-A run is described by a JSON config document.  Each option is one row
-of the option tables below, and a flag overrides the config key named
-by the dotted path in its row; the output directory resolves as flag,
+A run is described by a JSON config document whose keys are exactly the
+dotted paths of the option rows below, one row per option; each flag
+overrides its row's key, and the output directory resolves as flag,
 then WARPCMC_OUTDIR, then config, then the working directory.  Output
 files are plain comma-separated tables (or json-lines) with '#'
 header lines carrying the tool version, model spec, and resolution;
@@ -38,13 +38,7 @@ from .errors import (
     WarpcmcError,
 )
 from .flow import FLOW_JACOBIAN_CUT, AuditRow, area_floor_check, monotonicity_audit, run_flow
-from .identities import (
-    TOL_HEINTZE_KARCHER,
-    TOL_MINKOWSKI,
-    hk_check,
-    minkowski_check,
-    minkowski_weighted_check,
-)
+from .identities import hk_check, minkowski_check, minkowski_weighted_check
 from .models import MODEL_FAMILIES, OmegaBackedWarping, make_model
 from .surface import (
     GraphSurface,
@@ -55,7 +49,6 @@ from .surface import (
 from .warping import (
     CONDITION_GRID_SIZE,
     CONDITION_NAMES,
-    TOL_CONDITION,
     check_conditions,
     scan_monotonicity_extrema,
 )
@@ -64,18 +57,13 @@ __all__ = ["main"]
 
 DEFAULTS = {
     "model": {"family": "schwarzschild", "n": 3},
-    "grid": {"mode": "axisym", "size": 128, "condition_size": CONDITION_GRID_SIZE},
+    "grid": {"mode": "axisym", "size": 128},
     "surface": {"radius": None, "s": None, "modes": []},
     "flow": {"t_end": 1.0, "dt_max": None, "record_every": 1, "epsilon_cut": FLOW_JACOBIAN_CUT},
     "cmc": {
         "tol": CMC_TOL,
         "max_iter": CMC_MAX_ITER,
         "corpus": {"count": 0, "seed": 1, "amplitude": 0.05, "max_degree": 4},
-    },
-    "tolerances": {
-        "condition": TOL_CONDITION,
-        "minkowski": TOL_MINKOWSKI,
-        "heintze_karcher": TOL_HEINTZE_KARCHER,
     },
     "output": {"dir": None, "format": "table"},
 }
@@ -130,16 +118,6 @@ FAMILY_TABLE = [
     (family, spec["variant"], ", ".join(spec["params"]))
     for family, spec in MODEL_FAMILIES.items()
 ]
-
-
-def _deep_update(base: dict, other: dict) -> dict:
-    """Merge ``other`` into ``base``; a None in ``other`` leaves the base value."""
-    for key, value in other.items():
-        if isinstance(value, dict) and isinstance(base.get(key), dict):
-            _deep_update(base[key], value)
-        elif value is not None:
-            base[key] = value
-    return base
 
 
 def _fmt(value) -> str:
@@ -219,11 +197,32 @@ def _load_config(path: str | None) -> dict:
     cfg = copy.deepcopy(DEFAULTS)
     if path:
         with open(path, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except ValueError as exc:  # invalid JSON, or text that is not UTF-8
+                raise ParameterError(f"{path}: not a JSON document: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ParameterError(f"{path}: config must be a JSON object")
-        _deep_update(cfg, loaded)
+        _merge(cfg, loaded, path)
     return cfg
+
+
+def _merge(cfg: dict, doc: dict, source: str, prefix: str = "") -> None:
+    """Merge a loaded document into ``cfg``; a key whose value is None keeps its default.
+
+    A key that no option row declares, or a section that is not an
+    object, is a ParameterError that names it.
+    """
+    for key, value in doc.items():
+        path = prefix + key
+        if path in CONFIG_SECTIONS:
+            if not isinstance(value, dict):
+                raise ParameterError(f"{source}: config section {path} must be an object")
+            _merge(cfg[key], value, source, path + ".")
+        elif path not in CONFIG_TYPES:
+            raise ParameterError(f"{source}: unknown config key {path}")
+        elif value is not None:
+            cfg[key] = value
 
 
 def _parse_modes(value):
@@ -239,20 +238,16 @@ def _parse_modes(value):
     return modes
 
 
-# what each config value converts to: the type its option row declares, else
-# (keys without a flag) the type of its default; choices are checked where read
+# the config keys, each the dotted path of one option row, and what its value
+# converts to: the type the row declares (a choice is a str, checked where read)
 CONFIG_TYPES = {
-    f"{section}.{key}": type(value)
-    for section, values in DEFAULTS.items()
-    for key, value in values.items()
-    if value is not None and not isinstance(value, dict)
-}
-CONFIG_TYPES.update(
-    (path, kind)
+    path: str if isinstance(kind, tuple) else kind
     for _, path, kind, _ in COMMON_OPTIONS + SURFACE_OPTIONS + FLOW_OPTIONS + CMC_OPTIONS
-    if path and not isinstance(kind, tuple)
-)
+    if path
+}
 CONFIG_TYPES["surface.modes"] = _parse_modes
+# the objects that hold them: model, grid, ..., cmc and cmc.corpus
+CONFIG_SECTIONS = {path[:i] for path in CONFIG_TYPES for i, c in enumerate(path) if c == "."}
 
 
 def _apply_flags(cfg: dict, args: argparse.Namespace) -> dict:
@@ -273,23 +268,19 @@ def _apply_flags(cfg: dict, args: argparse.Namespace) -> dict:
             functools.reduce(dict.__getitem__, parents, cfg)[key] = value
     for path, convert in CONFIG_TYPES.items():
         *parents, key = path.split(".")
+        node = functools.reduce(dict.__getitem__, parents, cfg)
+        value = node.get(key)
         try:
-            node = functools.reduce(dict.__getitem__, parents, cfg)
-            value = node.get(key)
             inexact = convert is int and isinstance(value, float) and not value.is_integer()
             if inexact or convert in (int, float) and isinstance(value, bool):
                 raise ValueError(f"{value!r} is not {'an integer' if convert is int else 'a number'}")
             if value is not None:
                 node[key] = convert(value)
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ParameterError(f"config value {path}: {exc}") from exc
 
-    for name in DEFAULTS["tolerances"]:
-        if not (cfg["tolerances"][name] > 0.0):
-            raise ParameterError(f"tolerance {name} must be positive")
-    for key in ("size", "condition_size"):
-        if not (8 <= cfg["grid"][key] <= 4096):
-            raise ParameterError(f"grid {key.replace('_', ' ')} must lie in [8, 4096]")
+    if not (8 <= cfg["grid"]["size"] <= 4096):
+        raise ParameterError("grid size must lie in [8, 4096]")
     return cfg
 
 
@@ -342,12 +333,10 @@ def _build_surface(cfg: dict, w, engine):
 
 def cmd_check(cfg: dict) -> int:
     w = _build_model(cfg)
-    tol = cfg["tolerances"]["condition"]
-    grid = cfg["grid"]["condition_size"]
-    report = check_conditions(w, grid_size=grid, tol=tol)
+    report = check_conditions(w)
     records = scan_monotonicity_extrema(w)
 
-    emitter = Emitter(cfg, w, f"mode=radial size={grid}")
+    emitter = Emitter(cfg, w, f"mode=radial size={CONDITION_GRID_SIZE}")
     rows = [
         (name, report.status[name], report.min_margin[name], report.worst_radius[name])
         for name in CONDITION_NAMES
@@ -384,11 +373,10 @@ def cmd_verify(cfg: dict) -> int:
     w = _build_model(cfg)
     engine = _build_engine(cfg, w)
     surface = _build_surface(cfg, w, engine)
-    tolerances = cfg["tolerances"]
-    reports = [minkowski_check(surface, tol=tolerances["minkowski"])]
+    reports = [minkowski_check(surface)]
     if w.variant == "boundary":
-        reports.append(minkowski_weighted_check(surface, tol=tolerances["minkowski"]))
-    reports.append(hk_check(surface, tol=tolerances["heintze_karcher"]))
+        reports.append(minkowski_weighted_check(surface))
+    reports.append(hk_check(surface))
 
     emitter = Emitter(cfg, w, f"mode={engine.kind} size={cfg['grid']['size']}")
     rows = [

@@ -38,6 +38,8 @@ __all__ = [
 CMC_TOL = 1e-7
 CMC_MAX_ITER = 2000
 SLICE_TOL_FACTOR = 1e-5
+# a converged solve whose umbilicity deficit is below this is umbilic
+DEFICIT_TOL = 1e-5
 # a dimensionless Ricci gap h^2 * ricci_gap_margin at or below this is
 # degenerate: the slice Jacobi operator has the degree-1 kernel of the
 # space-form translations, and no umbilic solve certifies a slice
@@ -190,8 +192,6 @@ class RigidityVerdict:
     """
 
     mean_radius: float
-    deficit: float
-    is_slice: bool
     gap_margin: float
     ricci_radial: float
     ricci_tangential: float
@@ -199,16 +199,12 @@ class RigidityVerdict:
     conclusion: str
 
 
-def umbilicity_verdict(
-    result: CmcResult,
-    ambient: WarpingFunction,
-    deficit_tol: float = 1e-5,
-    gap_tol: float = GAP_TOL,
-) -> RigidityVerdict:
+def umbilicity_verdict(result: CmcResult, ambient: WarpingFunction) -> RigidityVerdict:
     """Classify a converged CMC solve by the eigenvalue-gap dichotomy.
 
-    The gap is judged scale-free, by h^2 ricci_gap_margin at the mean
-    radius against ``gap_tol``; ``gap_margin`` reports the raw margin.
+    The solve is umbilic when its deficit is below DEFICIT_TOL.  The gap
+    is judged scale-free, by h^2 ricci_gap_margin at the mean radius
+    against GAP_TOL; ``gap_margin`` reports the raw margin.
     """
     if not result.converged:
         raise ParameterError("the rigidity verdict needs a converged result")
@@ -216,20 +212,18 @@ def umbilicity_verdict(
     h, gap, radial, tangential = _scaled_gap(ambient, mean_r)
     effective = gap if ambient.variant == "boundary" else abs(gap)
 
-    umbilic = result.umbilicity_deficit < deficit_tol
-    alarm = bool(effective > gap_tol and umbilic and not result.is_slice)
+    umbilic = result.umbilicity_deficit < DEFICIT_TOL
+    alarm = bool(effective > GAP_TOL and umbilic and not result.is_slice)
     if alarm:
         conclusion = "alarm"
     elif not umbilic:
         conclusion = "inconclusive"
-    elif effective > gap_tol:
+    elif effective > GAP_TOL:
         conclusion = "slice-rigidity-confirmed"
     else:
         conclusion = "umbilic-degenerate-gap"
     return RigidityVerdict(
         mean_radius=mean_r,
-        deficit=result.umbilicity_deficit,
-        is_slice=result.is_slice,
         gap_margin=float(gap / (h * h)),
         ricci_radial=float(radial),
         ricci_tangential=float(tangential),

@@ -62,6 +62,10 @@ FLOW_JACOBIAN_CUT = 1e-4
 # more than this is retried with half the substep until it complies
 SPEED_DRIFT_STEP = 1e-11
 
+# the absolute tolerances of the riccati_bound row and of the floor rows
+TOL_RICCATI = 1e-5
+TOL_FLOOR = 1e-6
+
 
 class FlowExhausted(WarpcmcError):
     """Every node has left the smooth regime; the flow ended normally."""
@@ -468,17 +472,13 @@ class FloorReport(MonotonicityAudit):
     """Audit rows of the horizon floors of one flow state."""
 
 
-def monotonicity_audit(
-    trace: FlowTrace,
-    weighted_volumes,
-    tol_riccati: float = 1e-5,
-) -> MonotonicityAudit:
+def monotonicity_audit(trace: FlowTrace, weighted_volumes) -> MonotonicityAudit:
     """Audit the monotone quantities sampled by a flow trace.
 
     Rows, in order: q_decreasing, the largest rise of Q between records
     (tol 1e-7 |Q(0)|); swept_dominated, the least of Q(0) - Q minus the
     swept weighted volume (tol 1e-6 |Q(0)|); riccati_bound, the largest
-    node-wise excess of d/dt (f/H) over -f^2/(n-1) (tol ``tol_riccati``);
+    node-wise excess of d/dt (f/H) over -f^2/(n-1) (tol ``TOL_RICCATI``);
     area_decreasing, the largest rise of the area (tol 1e-7 area(0)).
     """
     wv = np.asarray(weighted_volumes, dtype=float)
@@ -516,7 +516,7 @@ def monotonicity_audit(
         (
             AuditRow("q_decreasing", q_slack, q_tol, q_slack <= q_tol),
             AuditRow("swept_dominated", swept_slack, swept_tol, swept_slack >= -swept_tol),
-            AuditRow("riccati_bound", riccati_slack, tol_riccati, riccati_slack <= tol_riccati),
+            AuditRow("riccati_bound", riccati_slack, TOL_RICCATI, riccati_slack <= TOL_RICCATI),
             AuditRow("area_decreasing", area_slack, area_tol, area_slack <= area_tol),
         )
     )
@@ -535,14 +535,14 @@ def radial_alignment(state: FlowState) -> float:
     return float(np.min(state.report.nu_radial[state.active]))
 
 
-def area_floor_check(state: FlowState, tol: float = 1e-6) -> FloorReport:
+def area_floor_check(state: FlowState) -> FloorReport:
     """Check the boundary area floor and its companion bounds.
 
     Rows, in order: area_floor, the area of the active surface less the
-    inner boundary area h(0)^{n-1} vol(N) (tol ``tol``);
+    inner boundary area h(0)^{n-1} vol(N) (tol ``TOL_FLOOR``);
     weighted_minkowski, int (H/f) <X, nu> less (n-1) area
-    (tol ``tol`` max(area, 1)); q_floor, Q less the boundary volume term
-    h(0)^n vol(N) scaled by the worst radial alignment (tol ``tol``).
+    (tol ``TOL_FLOOR`` max(area, 1)); q_floor, Q less the boundary volume
+    term h(0)^n vol(N) scaled by the worst radial alignment (tol ``TOL_FLOOR``).
     """
     if state.warping.variant != "boundary":
         raise NotApplicableError("the area floor concerns boundary-type ambients")
@@ -554,12 +554,12 @@ def area_floor_check(state: FlowState, tol: float = 1e-6) -> FloorReport:
     ratio = np.where(active, rep.mean_curvature / np.where(active, rep.potential, 1.0), 0.0)
     lhs = _masked_sum(state.engine, ratio * rep.support * rep.area_density, active)
     bound = (n - 1) * area
-    mink_tol = tol * max(area, 1.0)
-    q_floor = align * h0**n * base
+    mink_tol = TOL_FLOOR * max(area, 1.0)
+    q, q_floor = state.q_value, align * h0**n * base
     return FloorReport(
         (
-            AuditRow("area_floor", area - floor, tol, area >= floor - tol),
+            AuditRow("area_floor", area - floor, TOL_FLOOR, area >= floor - TOL_FLOOR),
             AuditRow("weighted_minkowski", lhs - bound, mink_tol, lhs <= bound + mink_tol),
-            AuditRow("q_floor", state.q_value - q_floor, tol, state.q_value >= q_floor - tol),
+            AuditRow("q_floor", q - q_floor, TOL_FLOOR, q >= q_floor - TOL_FLOOR),
         )
     )

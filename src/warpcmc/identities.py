@@ -50,31 +50,31 @@ def _scale(lhs: float, rhs: float) -> float:
     return max(abs(lhs), abs(rhs), 1e-300)
 
 
-def minkowski_check(surface: GraphSurface, tol: float = TOL_MINKOWSKI) -> IdentityReport:
+def minkowski_check(surface: GraphSurface) -> IdentityReport:
     """Flux identity: integral of H <X, nu> equals (n-1) integral of f.
 
     Holds exactly on every closed hypersurface of these ambients;
-    failures beyond tolerance indicate discretization error, not
-    geometry.
+    failures beyond TOL_MINKOWSKI (relative) indicate discretization
+    error, not geometry.
     """
     rep = surface.geometry()
     n = surface.warping.dim
     lhs = surface.integrate(rep.mean_curvature * rep.support)
     rhs = (n - 1.0) * surface.integrate(rep.potential)
     resid = lhs - rhs
-    verdict = "equality" if abs(resid) <= tol * _scale(lhs, rhs) else "violated"
+    verdict = "equality" if abs(resid) <= TOL_MINKOWSKI * _scale(lhs, rhs) else "violated"
     return IdentityReport(
         name="minkowski",
         lhs=lhs,
         rhs=rhs,
         residual=resid,
-        tol=tol,
+        tol=TOL_MINKOWSKI,
         verdict=verdict,
         detail={"area": rep.area},
     )
 
 
-def minkowski_weighted_check(surface: GraphSurface, tol: float = TOL_MINKOWSKI) -> IdentityReport:
+def minkowski_weighted_check(surface: GraphSurface) -> IdentityReport:
     """Weighted flux inequality: integral of (H/f) <X, nu> at most (n-1) area.
 
     Needs a boundary-variant ambient whose potential is still strictly
@@ -101,7 +101,7 @@ def minkowski_weighted_check(surface: GraphSurface, tol: float = TOL_MINKOWSKI) 
         rep.warp * rep.potential_slope * (1.0 - rep.nu_radial**2) / rep.potential**2
     )
     scale = _scale(lhs, rhs)
-    if abs(resid) <= tol * scale:
+    if abs(resid) <= TOL_MINKOWSKI * scale:
         verdict = "equality"
     elif resid < 0.0:
         verdict = "inequality-satisfied"
@@ -112,13 +112,13 @@ def minkowski_weighted_check(surface: GraphSurface, tol: float = TOL_MINKOWSKI) 
         lhs=lhs,
         rhs=rhs,
         residual=resid,
-        tol=tol,
+        tol=TOL_MINKOWSKI,
         verdict=verdict,
         detail={"slack": slack, "monotone_radius": r1, "max_radius": rho_max},
     )
 
 
-def hk_check(surface: GraphSurface, tol: float = TOL_HEINTZE_KARCHER) -> IdentityReport:
+def hk_check(surface: GraphSurface) -> IdentityReport:
     """Volumetric inequality for mean-convex surfaces.
 
     (n-1) times the integral of f/H must not fall below n times the
@@ -136,7 +136,7 @@ def hk_check(surface: GraphSurface, tol: float = TOL_HEINTZE_KARCHER) -> Identit
     rhs = n * surface.enclosed_weighted_volume() + boundary_term
     resid = lhs - rhs
     scale = _scale(lhs, rhs)
-    if abs(resid) <= tol * scale:
+    if abs(resid) <= TOL_HEINTZE_KARCHER * scale:
         verdict = "equality"
     elif resid > 0.0:
         verdict = "inequality-satisfied"
@@ -147,7 +147,7 @@ def hk_check(surface: GraphSurface, tol: float = TOL_HEINTZE_KARCHER) -> Identit
         lhs=lhs,
         rhs=rhs,
         residual=resid,
-        tol=tol,
+        tol=TOL_HEINTZE_KARCHER,
         verdict=verdict,
         detail={
             "min_mean_curvature": h_min,

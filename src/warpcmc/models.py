@@ -303,7 +303,10 @@ def load_omega_table(path, n: int, s_max: float | None = None) -> OmegaProfile:
     omega = 0; s must be strictly increasing.  Derivatives come from a
     quintic spline of the samples (``warping._quintic_spline``).
     """
-    data = np.loadtxt(path, comments="#", dtype=float)
+    try:
+        data = np.loadtxt(path, comments="#", dtype=float)
+    except ValueError as exc:  # a non-numeric entry or a ragged row
+        raise ParameterError(f"{path}: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != 2:
         raise ParameterError(f"{path}: expected two columns (s, omega)")
     if not np.isfinite(data).all():

@@ -57,7 +57,6 @@ class GeometryReport:
     pointwise umbilicity defect.
     """
 
-    mode: str
     area: float
     radii: np.ndarray
     warp: np.ndarray
@@ -185,7 +184,6 @@ def parametrized_geometry(warping, engine, radius_jet, sphere_jet, orient=None):
         sign = np.where(n_r * orient[0] + hh * sphere_part > 0.0, -1.0, 1.0)
         n_r, nu_sphere, mean = sign * n_r, sign * nu_sphere, sign * mean
     report = GeometryReport(
-        mode=engine.kind,
         area=engine.integrate(density),
         radii=rr,
         warp=h,

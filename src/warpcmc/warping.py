@@ -432,7 +432,6 @@ class ConditionReport:
     conclusion tiers recorded in ``conclusion``.
     """
 
-    tol: float
     radii: np.ndarray
     margins: dict
     min_margin: dict
@@ -442,10 +441,8 @@ class ConditionReport:
     conclusion: str
 
 
-def check_conditions(
-    w: WarpingFunction, grid_size: int = CONDITION_GRID_SIZE, tol: float = TOL_CONDITION
-) -> ConditionReport:
-    """Evaluate the structure conditions of the rigidity theorems on a grid.
+def check_conditions(w: WarpingFunction) -> ConditionReport:
+    """Evaluate the structure conditions on CONDITION_GRID_SIZE Chebyshev radii.
 
     Conditions checked, with their margin functions:
 
@@ -461,12 +458,11 @@ def check_conditions(
       reported as ``degenerate``: the strict hypothesis fails but every
       weaker conclusion survives.
 
-    Pass/fail for the first three uses a -tol slack on the minimum margin;
-    the gap condition requires min margin > +tol to count as strict.
+    Pass/fail for the first three uses a -TOL_CONDITION slack on the minimum
+    margin; the gap condition requires min margin > +TOL_CONDITION to count
+    as strict.
     """
-    if grid_size < 8:
-        raise ParameterError("grid_size must be at least 8")
-    radii = chebyshev_radii(0.0, w.r_bar, grid_size)
+    radii = chebyshev_radii(0.0, w.r_bar, CONDITION_GRID_SIZE)
     h0, hp0, hpp0, _ = w.inner_jet
 
     if w.variant == "boundary":
@@ -487,11 +483,11 @@ def check_conditions(
         worst_radius[name] = float(radii[i])
 
     required = CONDITION_NAMES[:3]  # every theorem needs these; the gap selects the tier
-    status = {name: "pass" if min_margin[name] > -tol else "fail" for name in required}
+    status = {name: "pass" if min_margin[name] > -TOL_CONDITION else "fail" for name in required}
     gap_min = min_margin["ricci_gap"]
-    if gap_min > tol:
+    if gap_min > TOL_CONDITION:
         status["ricci_gap"] = "pass"
-    elif gap_min > -tol or w.variant == "ball":
+    elif gap_min > -TOL_CONDITION or w.variant == "ball":
         # ball margins are absolute values, so a small minimum can only mean
         # the margin touches zero, never that it goes negative
         status["ricci_gap"] = "degenerate"
@@ -507,7 +503,6 @@ def check_conditions(
         conclusion = "umbilic-only"
 
     return ConditionReport(
-        tol=tol,
         radii=radii,
         margins=margins,
         min_margin=min_margin,

@@ -192,6 +192,16 @@ def test_out_of_range_model_input_exits_2(tmp_path, capsys, args, message):
     assert message.format(table=table) in err
 
 
+def test_non_numeric_omega_table_row_exits_2(tmp_path, capsys):
+    table = tmp_path / "t.txt"
+    table.write_text("1 0\nx y\n2 0.5\n")
+    code, _, err = run(
+        ["check", "--model", "omega-table", "--path", str(table), "--out", str(tmp_path)], capsys
+    )
+    assert code == 2
+    assert err.startswith(f"error: {table}: ")
+
+
 def test_kappa_bound_past_the_float_range_completes(tmp_path, capsys):
     # n^n overflows a float from n = 144; the bound is then taken in logs
     code, out, _ = run(
@@ -377,28 +387,41 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+# (command, config document or raw text, flags, the key or file the error names)
+MALFORMED_CONFIGS = [
+    # the condition grid and the tolerances are library constants, not config keys
+    ("check", {"grid": {"condition_size": "abc"}}, [], "grid.condition_size"),
+    ("cmc", {"cmc": {"tol": "x"}}, [], "cmc.tol"),
+    ("check", {"model": {"m": "abc"}}, [], "model.m"),
+    ("check", {"tolerances": {"condition": "x"}}, [], "tolerances"),
+    ("check", {"grid": {"condition_size": 4}}, [], "grid.condition_size"),
+    # an int path takes no fractional or infinite float, a number path no boolean
+    ("check", {"grid": {"size": 24.7}}, [], "grid.size"),
+    ("cmc", {"cmc": {"corpus": {"count": True}}}, [], "cmc.corpus.count"),
+    ("check", {"tolerances": {"condition": True}}, [], "tolerances"),
+    ("check", {"grid": {"size": float("inf")}}, [], "grid.size"),
+    # a misspelled key, and a section that is not an object, with a flag or without
+    ("cmc", {"cmc": {"corpus": {"cout": 3}}}, [], "cmc.corpus.cout"),
+    ("check", {"grid": 5}, [], "grid"),
+    ("verify", {"grid": 5}, ["--grid-size", "16"], "grid"),
+    # invalid JSON names the file
+    ("check", '{"grid": ', [], "bad.json"),
+]
+
+
 @pytest.mark.parametrize(
-    "command, config",
-    [
-        ("check", {"grid": {"condition_size": "abc"}}),
-        ("cmc", {"cmc": {"tol": "x"}}),
-        ("check", {"model": {"m": "abc"}}),
-        ("check", {"tolerances": {"condition": "x"}}),
-        # outside the [8, 4096] range that grid.size has too
-        ("check", {"grid": {"condition_size": 4}}),
-        # an int path takes no fractional or infinite float, a number path no boolean
-        ("check", {"grid": {"size": 24.7}}),
-        ("cmc", {"cmc": {"corpus": {"count": True}}}),
-        ("check", {"tolerances": {"condition": True}}),
-        ("check", {"grid": {"size": float("inf")}}),
-    ],
+    "command, config, flags, named",
+    MALFORMED_CONFIGS,
+    ids=[f"{case[0]}-config{i}" for i, case in enumerate(MALFORMED_CONFIGS)],
 )
-def test_malformed_config_value_exits_2(tmp_path, capsys, command, config):
+def test_malformed_config_value_exits_2(tmp_path, capsys, command, config, flags, named):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(config))
-    code, _, err = run([command, "--config", str(path), "--out", str(tmp_path)], capsys)
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
+    code, _, err = run(
+        [command, "--config", str(path), "--out", str(tmp_path), *flags], capsys
+    )
     assert code == 2
-    assert err.startswith("error:")
+    assert err.startswith("error:") and named in err
 
 
 @pytest.mark.parametrize("size", [24, 24.0, "24"])

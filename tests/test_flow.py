@@ -34,7 +34,7 @@ from warpcmc import (
     step,
 )
 from warpcmc import flow
-from warpcmc.flow import _clipped_jet, _speed_ratio
+from warpcmc.flow import TOL_FLOOR, _clipped_jet, _speed_ratio
 
 
 @pytest.fixture(scope="module")
@@ -219,8 +219,8 @@ def test_zero_q_fails_only_q_floor(schw_boundary_final):
 
 
 def test_floor_rows_carry_the_applied_tolerance(schw_boundary_final):
-    t = 3e-5
-    floor = area_floor_check(schw_boundary_final, tol=t)
+    t = TOL_FLOOR
+    floor = area_floor_check(schw_boundary_final)
     area = schw_boundary_final.report.area
     assert [(row.check, row.tol) for row in floor.rows] == [
         ("area_floor", t), ("weighted_minkowski", t * max(area, 1.0)), ("q_floor", t)
@@ -282,7 +282,6 @@ def test_init_flow_report_is_the_graph_geometry(schw3, mode):
         engine, modes = axisym_grid(3, 48), [(2, 0, 0.1), (3, 0, 0.05)]
     surface = perturb_slice(schw3, engine, 2.0, modes)
     flowed, graph = init_flow(surface).report, surface.geometry()
-    assert flowed.mode == graph.mode == mode
     assert flowed.area == graph.area
     for name in (
         "radii",

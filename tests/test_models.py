@@ -255,7 +255,7 @@ def test_horizon_jet_is_regular_across_parameters(family, n):
         w = make_model(family, n, **params)
         assert w.jet(0.0)[1] == 0.0
         assert not np.any(w.jet(np.zeros(3))[1])
-        assert check_conditions(w, grid_size=16).status["regularity"] == "pass"
+        assert check_conditions(w).status["regularity"] == "pass"
 
 
 def test_omega_form_margins_match_warp_form(schw3, rn3):

@@ -1,6 +1,7 @@
 """The package namespace: ``warpcmc.__all__`` is assembled from the modules."""
 
 import warpcmc
+from warpcmc import cmc, flow, identities, warping
 
 # names the package has exported since before __all__ was assembled from
 # the modules; each must stay importable from the package
@@ -33,3 +34,13 @@ def test_all_has_no_duplicates_and_every_name_resolves():
 def test_all_keeps_every_stable_name():
     assert set(STABLE_NAMES) <= set(warpcmc.__all__)
 
+
+def test_verdict_tolerances_keep_their_values():
+    """Each verdict tolerance is a module constant, no longer a parameter."""
+    assert warping.TOL_CONDITION == 1e-9
+    assert identities.TOL_MINKOWSKI == 1e-8
+    assert identities.TOL_HEINTZE_KARCHER == 1e-6
+    assert flow.TOL_RICCATI == 1e-5
+    assert flow.TOL_FLOOR == 1e-6
+    assert cmc.DEFICIT_TOL == 1e-5
+    assert cmc.GAP_TOL == 1e-9
