@@ -196,11 +196,13 @@ class Emitter:
 def _load_config(path: str | None) -> dict:
     cfg = copy.deepcopy(DEFAULTS)
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
-            except ValueError as exc:  # invalid JSON, or text that is not UTF-8
-                raise ParameterError(f"{path}: not a JSON document: {exc}") from exc
+        except OSError as exc:
+            raise ParameterError(f"cannot read the config file: {exc}") from exc
+        except ValueError as exc:  # invalid JSON, or text that is not UTF-8
+            raise ParameterError(f"{path}: not a JSON document: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ParameterError(f"{path}: config must be a JSON object")
         _merge(cfg, loaded, path)

@@ -305,6 +305,8 @@ def load_omega_table(path, n: int, s_max: float | None = None) -> OmegaProfile:
     """
     try:
         data = np.loadtxt(path, comments="#", dtype=float)
+    except OSError as exc:
+        raise ParameterError(f"cannot read the omega table: {exc}") from exc
     except ValueError as exc:  # a non-numeric entry or a ragged row
         raise ParameterError(f"{path}: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != 2:

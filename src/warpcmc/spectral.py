@@ -3,10 +3,13 @@
 Two engines cover the two symmetry modes.  The full engine works on
 S^2 (ambient dimension 3) with a Gauss-Legendre latitude grid, uniform
 longitudes, and normalized associated Legendre tables; the axisymmetric
-engine works in any dimension on functions of the polar angle alone,
-with Gauss-Jacobi nodes and normalized Gegenbauer polynomials.  The
-Gauss-Legendre rule is numpy's ``leggauss``; the Gauss-Jacobi rule is
-computed here by Golub-Welsch.
+engine works in any dimension on functions of the polar angle alone.
+The Gauss-Legendre rule is numpy's ``leggauss``.  The axisymmetric
+engine builds everything from one orthonormal three-term recurrence for
+the weight (1 - x^2)^((n-3)/2): its values and their first two
+x-derivatives are the tables, the eigenvalues of its Jacobi matrix are
+the nodes, and the Christoffel numbers read from the value table are
+the weights.
 
 Both expose the same small surface: analysis and synthesis, quadrature
 that integrates over the whole round sphere, per-degree spectral
@@ -53,23 +56,15 @@ COEFFICIENT_FLOOR = 1e-12
 TABLE_BUDGET_BYTES = 512 * 2**20
 
 
-def _gauss_jacobi(count: int, alpha: float):
-    """Gauss-Jacobi rule for the weight (1 - x^2)^alpha on [-1, 1], ascending.
-
-    Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
-    the symmetric tridiagonal Jacobi matrix of the orthonormal polynomials,
-    and each weight is the integral of the weight function times the
-    squared first component of its eigenvector.  The rule is symmetrized
-    about x = 0, as the weight is.
-    """
-    k = np.arange(1.0, count)
-    a2 = 2.0 * alpha
-    offdiag = np.sqrt(k * (k + a2) / ((2.0 * k + a2 + 1.0) * (2.0 * k + a2 - 1.0)))
-    x, vectors = np.linalg.eigh(np.diag(offdiag, 1) + np.diag(offdiag, -1))
-    # log of the integral of the weight, 2^(2 alpha + 1) Gamma(alpha + 1)^2 / Gamma(2 alpha + 2)
-    log_mu0 = (a2 + 1.0) * math.log(2.0) + 2.0 * math.lgamma(alpha + 1.0) - math.lgamma(a2 + 2.0)
-    w = math.exp(log_mu0) * vectors[0] ** 2
-    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+def _jacobi_nodes(offdiag: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the symmetric tridiagonal matrix with zero diagonal and
+    this off-diagonal, symmetrized about 0 and in descending order."""
+    count = offdiag.size + 1
+    jacobi = np.zeros((count, count))
+    i = np.arange(1, count)
+    jacobi[i, i - 1] = jacobi[i - 1, i] = offdiag
+    x = np.linalg.eigvalsh(jacobi)
+    return 0.5 * (x[::-1] - x)
 
 
 def _floor_coefficients(coeff: np.ndarray, axes) -> np.ndarray:
@@ -272,14 +267,19 @@ class SphericalHarmonicEngine:
 
 
 class AxisymEngine:
-    """Gegenbauer transform for axisymmetric functions on S^{n-1}.
+    """Transform for axisymmetric functions on S^{n-1}.
 
-    Functions depend on the polar angle alone; nodes are Gauss-Jacobi
-    points for the weight (1 - x^2)^{(n-3)/2}, which is the transverse
-    sphere volume factor, so quadrature sums are exact against the full
-    round measure.  Basis functions are Gegenbauer polynomials in
-    cos(theta) normalized against that measure; in ambient dimension 3
-    they reduce to the zonal spherical harmonics.
+    Functions depend on the polar angle alone.  The basis is the
+    polynomials G_l in x = cos(theta) orthonormal for the weight
+    (1 - x^2)^{(n-3)/2} on [-1, 1], the transverse sphere volume factor,
+    built by their three-term recurrence x G_l = b_{l+1} G_{l+1} +
+    b_l G_{l-1} (Gegenbauer polynomials, normalized as they are made).
+    The nodes are the eigenvalues of the Jacobi matrix of that
+    recurrence and the weights the Christoffel numbers 1 / sum_l G_l(x_i)^2
+    (Golub & Welsch, Math. Comp. 23, 1969), so quadrature sums are exact
+    against the full round measure.  Coefficients are taken against G_l;
+    ``mode`` scales G_l to unit norm on the round S^{n-1}, where in ambient
+    dimension 3 it is the zonal spherical harmonic.
 
     Grids are (npoints,) and coefficients (lmax + 1,), or stacks of
     them on one leading axis.
@@ -296,51 +296,42 @@ class AxisymEngine:
         self.npoints = int(points)
         self.grid_shape = (self.npoints,)
         self.lmax = self.npoints - 1
-        alpha = 0.5 * (dim - 3)
-        x, w = _gauss_jacobi(self.npoints, alpha)
-        order = np.argsort(-x)
-        self.x = x[order]
-        self.w = w[order]
+        # b_1 .. b_{N-1}, the recurrence's coefficients and its Jacobi matrix's
+        # off-diagonal, with a2 = n - 3 twice the weight's exponent
+        a2 = float(dim - 3)
+        k = np.arange(1.0, self.npoints)
+        b = np.sqrt(k * (k + a2) / ((2.0 * k + a2 + 1.0) * (2.0 * k + a2 - 1.0)))
+        self.x = _jacobi_nodes(b)
         self.theta = np.arccos(self.x)
         self.sin_theta = np.sqrt(1.0 - self.x * self.x)
         self.cot_theta = self.x / self.sin_theta
         self.transverse_volume = sphere_volume(dim - 2)
+        self._build_tables(b)
+        # Gauss-Jacobi weights, which sum to the weight's integral
+        self.w = 1.0 / np.einsum("li,li->i", self._tables[0], self._tables[0])
         self.area_weights = self.transverse_volume * self.w
         self.sphere_area = float(np.sum(self.area_weights * np.ones(self.grid_shape)))
-        self._build_tables()
         # meridian data of the identity map beta = theta: cot(beta),
         # sin(beta)/sin(theta), beta' and beta''
         self.identity_jet = (self.cot_theta, 1.0, 1.0, 0.0)
 
-    def _gegenbauer_rows(self, lam: float, count: int) -> np.ndarray:
-        """Unnormalized C_l^lam(x) for l = 0..count-1 by recurrence."""
-        rows = np.zeros((count, self.npoints))  # count >= 6 at 8 or more nodes
-        rows[0] = 1.0
-        rows[1] = 2.0 * lam * self.x
-        for l in range(2, count):
-            rows[l] = (
-                2.0 * self.x * (l + lam - 1.0) * rows[l - 1]
-                - (l + 2.0 * lam - 2.0) * rows[l - 2]
-            ) / l
-        return rows
+    def _build_tables(self, b: np.ndarray):
+        """T[k, l, i]: k-th derivative in x = cos(theta) of G_l at node i.
 
-    def _build_tables(self):
-        """T[k, l, i]: k-th derivative in x = cos(theta) of G_l at node i."""
-        L = self.lmax
-        lam = 0.5 * (self.dim - 2)
-        T = np.zeros((3, L + 1, self.npoints))
-        T[0] = self._gegenbauer_rows(lam, L + 1)
-        T[1, 1:] = 2.0 * lam * self._gegenbauer_rows(lam + 1.0, L)
-        T[2, 2:] = 4.0 * lam * (lam + 1.0) * self._gegenbauer_rows(lam + 2.0, L - 1)
-        l = np.arange(L + 1, dtype=float)
-        log_norm = (
-            math.log(math.pi)
-            + (1.0 - 2.0 * lam) * math.log(2.0)
-            + np.array([math.lgamma(k + 2.0 * lam) - math.lgamma(k + 1.0) for k in range(L + 1)])
-            - np.log(l + lam)
-            - 2.0 * math.lgamma(lam)
-        )
-        T *= 1.0 / np.sqrt(self.transverse_volume * np.exp(log_norm))[:, None]
+        The recurrence, with coefficients b_1 .. b_{N-1}, runs on the values and, differentiated once and
+        twice, on the derivatives.  G_0 is the constant of unit norm: the
+        weight integrates to |S^{n-1}| / |S^{n-2}|.
+        """
+        x = self.x
+        T = np.zeros((3, self.npoints, self.npoints))
+        G, dG, d2G = T
+        G[0] = math.sqrt(self.transverse_volume / sphere_volume(self.dim - 1))
+        G[1] = x * G[0] / b[0]
+        dG[1] = G[0] / b[0]
+        for l in range(1, self.lmax):
+            G[l + 1] = (x * G[l] - b[l - 1] * G[l - 1]) / b[l]
+            dG[l + 1] = (x * dG[l] + G[l] - b[l - 1] * dG[l - 1]) / b[l]
+            d2G[l + 1] = (x * d2G[l] + 2.0 * dG[l] - b[l - 1] * d2G[l - 1]) / b[l]
         self._tables = T
 
     # -- transforms ----------------------------------------------------
@@ -349,7 +340,7 @@ class AxisymEngine:
         values = np.asarray(values, dtype=float)
         if values.ndim not in (1, 2) or values.shape[-1] != self.npoints:
             raise ParameterError(f"grid shape must be {(self.npoints,)} or a stack of it")
-        return np.matmul(self._tables[0], (self.area_weights * values)[..., None])[..., 0]
+        return np.matmul(self._tables[0], (self.w * values)[..., None])[..., 0]
 
     def _theta_jet(self, coeff: np.ndarray, order: int) -> list:
         """f and its theta-derivatives up to ``order`` from one product with the table.
@@ -375,13 +366,13 @@ class AxisymEngine:
         return self.synthesize(self.analyze(values) * np.asarray(factor, dtype=float))
 
     def mode(self, l: int, m: int = 0, amplitude: float = 1.0) -> np.ndarray:
-        """Grid values of the degree-l zonal basis function."""
+        """Grid values of the degree-l zonal basis function, of unit norm on S^{n-1}."""
         if m != 0:
             raise ParameterError("axisymmetric mode carries no azimuthal order")
         if not (0 <= l <= self.lmax):
             raise ParameterError(f"degree {l} outside [0, {self.lmax}]")
         coeff = np.zeros(self.lmax + 1)
-        coeff[l] = amplitude
+        coeff[l] = amplitude / math.sqrt(self.transverse_volume)
         return self.synthesize(coeff)
 
     # -- geometry helpers ----------------------------------------------
@@ -409,7 +400,8 @@ _ENGINES: dict = {}
 def get_engine(kind: str, dim: int, size: int):
     """Shared engine cache; tables are reused across surfaces.
 
-    Tables take 3 size^3 (full) or 3 size^2 (axisym) doubles; sizes over
+    Tables take 3 size^3 (full) doubles, or 3 size^2 (axisym) plus the
+    size^2 of the node solve's Jacobi matrix; sizes over
     TABLE_BUDGET_BYTES are refused before anything is allocated.
     """
     key = (kind, int(dim), int(size))
@@ -418,10 +410,10 @@ def get_engine(kind: str, dim: int, size: int):
             raise ParameterError(f"unknown engine kind {kind!r}")
         if kind == "full" and dim != 3:
             raise ParameterError("the full engine is implemented for ambient dimension 3")
-        need = 3 * int(size) ** (3 if kind == "full" else 2) * 8
+        need = (3 * int(size) ** 3 if kind == "full" else 4 * int(size) ** 2) * 8
         if need > TABLE_BUDGET_BYTES:
             raise ParameterError(
-                f"{kind} engine of size {size} needs {need} bytes of tables "
+                f"{kind} engine of size {size} needs {need} bytes "
                 f"({need / 2**20:.0f} MiB), over the {TABLE_BUDGET_BYTES // 2**20} MiB budget"
             )
         if kind == "full":

@@ -387,6 +387,35 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["check", "--config", "{missing}"], ["check", "--model", "omega-table", "--path", "{missing}"]],
+    ids=["config", "omega-table"],
+)
+def test_missing_input_file_exits_2(tmp_path, capsys, args):
+    missing = str(tmp_path / "nope")
+    code, _, err = run([a.format(missing=missing) for a in args] + ["--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert missing in err
+
+
+def test_unwritable_out_exits_1(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, _, _ = run(["check", "--out", str(blocker / "sub")], capsys)
+    assert code == 1
+
+
+@pytest.mark.parametrize("n, code, message", [(240, 0, ""), (343, 0, ""), (344, 2, "volume of S^343 overflows")])
+def test_verify_in_high_dimension(tmp_path, capsys, n, code, message):
+    # the default axisymmetric grid represents a slice in every dimension the CLI admits
+    got, _, err = run(
+        ["verify", "--model", "hyperbolic", "--n", str(n), "--radius", "1", "--out", str(tmp_path)], capsys
+    )
+    assert got == code
+    assert message in err
+
+
 # (command, config document or raw text, flags, the key or file the error names)
 MALFORMED_CONFIGS = [
     # the condition grid and the tolerances are library constants, not config keys

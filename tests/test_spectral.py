@@ -7,13 +7,15 @@ and 4 pin the phi-derivative outputs against closed-form Legendre
 functions, and a random band-limited field pins the full Laplacian.
 The full engine's frame jet and synthesis, which skip the orders the
 coefficient floor empties, equal a whole-band reference bit for bit.
+The axisymmetric quadrature keeps its basis orthonormal to roundoff in
+every dimension the CLI admits.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from warpcmc import ParameterError, get_engine, sphere_volume
@@ -282,10 +284,16 @@ def test_table_budget_refuses_before_allocating(monkeypatch):
 
     monkeypatch.setattr(spectral, "SphericalHarmonicEngine", refuse)
     monkeypatch.setattr(spectral, "AxisymEngine", refuse)
-    for kind, dim, size, need in (("full", 3, 512, 3 * 512**3 * 8), ("axisym", 3, 8192, 3 * 8192**2 * 8)):
+    # axisymmetric: three tables and the node solve's Jacobi matrix, 4 N^2 doubles
+    for kind, dim, size, need in (("full", 3, 512, 3 * 512**3 * 8), ("axisym", 3, 8192, 4 * 8192**2 * 8)):
         assert need > spectral.TABLE_BUDGET_BYTES
         with pytest.raises(ParameterError, match=str(need)):
             get_engine(kind, dim, size)
+    # the largest CLI grid needs exactly the budget and is admitted
+    assert 4 * 4096**2 * 8 == spectral.TABLE_BUDGET_BYTES
+    monkeypatch.setattr(spectral, "_ENGINES", {})
+    monkeypatch.setattr(spectral, "AxisymEngine", lambda dim, size: (dim, size))
+    assert get_engine("axisym", 3, 4096) == (3, 4096)
 
 
 @pytest.mark.parametrize("count", [8, 48, 64, 129])
@@ -306,6 +314,22 @@ def test_quadrature_rules_match_scipy(count):
         engine = AxisymEngine(dim, count)
         assert np.max(np.abs(engine.x[::-1] - x)) < 1e-14
         assert np.max(np.abs(engine.w[::-1] - w)) < 1e-14 * w.sum()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(dim=st.integers(min_value=3, max_value=343), points=st.integers(min_value=8, max_value=512))
+@example(dim=240, points=128)
+@example(dim=343, points=512)
+def test_axisym_basis_is_orthonormal_in_every_dimension(dim, points):
+    """The quadrature's Gram matrix of the basis is the identity to 100 N eps,
+    and the constant's frame jet is exact, for every dimension the CLI admits."""
+    engine = AxisymEngine(dim, points)
+    gram = engine.analyze(engine.synthesize(np.eye(points)))
+    assert np.max(np.abs(gram - np.eye(points))) <= 100 * points * np.finfo(float).eps
+    f, f1, h11 = engine.on_frame_jet(np.ones(points))
+    assert np.max(np.abs(f - 1.0)) < 1e-12
+    assert np.max(np.abs(f1)) < 1e-12
+    assert np.max(np.abs(h11)) < 1e-12
 
 
 # -- the band of orders ---------------------------------------------------
