@@ -35,7 +35,7 @@ from .errors import (
     ParameterError,
     WarpcmcError,
 )
-from .surface import GeometryReport, GraphSurface, parametrized_geometry
+from .surface import GeometryReport, GraphSurface, graph_geometry, parametrized_geometry
 from .warping import WarpingFunction
 
 __all__ = [
@@ -130,13 +130,14 @@ class FlowTrace:
 # transported-parametrization geometry
 
 
-def _transported_geometry(warping, engine, points, velocities):
+def _transported_geometry(engine, points, velocities, warp_jet):
     """Geometry of the flowed surface; its velocity orients the normal.
 
     One frame jet of the stack (r, y) in full mode or (r, cos beta) in
-    axisymmetric mode feeds the surface kernel.  beta itself is not
-    smooth across the poles in the polynomial basis, but cos(beta) is,
-    and the meridian data recover from it exactly.
+    axisymmetric mode feeds the surface kernel; r enters at the node radii,
+    with ``warp_jet`` there.  beta itself is not smooth across the poles
+    in the polynomial basis, but cos(beta) is, and the meridian data
+    recover from it exactly.
     """
     fields = np.moveaxis(points, -1, 0)
     if engine.kind == "full":
@@ -149,9 +150,9 @@ def _transported_geometry(warping, engine, points, velocities):
         sin_b = np.sqrt(np.maximum(1.0 - cc * cc, 1e-300))
         b1 = -c1 / sin_b
         sphere_jet = (cc / sin_b, sin_b / engine.sin_theta, b1, -(c11 + cc * b1 * b1) / sin_b)
-    radius_jet = tuple(out[0] for out in jet)
+    radius_jet = (fields[0],) + tuple(out[0] for out in jet[1:])
     velocity = np.moveaxis(velocities, -1, 0)
-    return parametrized_geometry(warping, engine, radius_jet, sphere_jet, velocity)[0]
+    return parametrized_geometry(engine, warp_jet, radius_jet, sphere_jet, velocity)[0]
 
 
 def _masked_sum(engine, values, mask) -> float:
@@ -172,9 +173,7 @@ def init_flow(surface: GraphSurface) -> FlowState:
     """
     warping = surface.warping
     engine = surface.engine
-    report, nu_sphere = parametrized_geometry(
-        warping, engine, engine.on_frame_jet(surface.radii), engine.identity_jet
-    )
+    report, nu_sphere = graph_geometry(warping, engine, surface.radii)
     if float(np.min(report.mean_curvature)) <= 0.0:
         raise HypothesisError(
             "conformal flow needs strictly positive mean curvature at the start"
@@ -306,14 +305,15 @@ def step(state: FlowState, dt: float, jacobian_cut: float = FLOW_JACOBIAN_CUT) -
     bad = ~np.isfinite(p_new).all(axis=-1) | ~np.isfinite(v_new).all(axis=-1)
     r_new = p_new[..., 0]
     escaped = (r_new < 5e-4 * warping.r_bar) | (r_new > warping.r_bar * (1.0 - 1e-9))
-    freeze_now = move & (escaped | bad)
-    frozen = state.frozen | freeze_now
-    points = np.where(frozen[..., None], state.points, p_new)
-    velocities = np.where(frozen[..., None], state.velocities, v_new)
-    # frozen nodes keep their points, and with them the jet the step began from
-    warp_jet = tuple(np.where(frozen, old, new) for old, new in zip(state.warp_jet, jet_new))
+    frozen = state.frozen | (move & (escaped | bad))
+    points, velocities, warp_jet = p_new, v_new, jet_new
+    if np.any(frozen):
+        points = np.where(frozen[..., None], state.points, p_new)
+        velocities = np.where(frozen[..., None], state.velocities, v_new)
+        # frozen nodes keep their points, and with them the jet the step began from
+        warp_jet = tuple(np.where(frozen, old, new) for old, new in zip(state.warp_jet, jet_new))
 
-    report = _transported_geometry(warping, engine, points, velocities)
+    report = _transported_geometry(engine, points, velocities, warp_jet)
     jac = report.area_density / state.initial_density
     active = (
         state.active

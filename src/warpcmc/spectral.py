@@ -19,11 +19,11 @@ Each engine keeps one real table of the basis functions and their first
 two theta-derivatives, and every transform takes a stack of fields on a
 leading axis, so a frame jet of several fields is one real matrix
 product per order m (full) or per field (axisymmetric).  The full
-engine assembles each frame-jet output per order m before its inverse
-FFT, and analyses, floors and sums only the orders m that can keep a
-coefficient above the floor.  Each order is its own product over the
-whole degree axis and the floor zeroes every order left out, so every
-output is the whole band's bit for bit.
+engine analyses, floors and sums only the orders m that can keep a
+coefficient above the floor, so its coefficients are the whole band's
+bit for bit, and assembles each frame-jet output per order m.  One real
+product of the stacked spectra, read as (re, im) pairs, with a table of
+c_m cos(m phi) and -c_m sin(m phi) rows sums the kept orders over phi.
 """
 
 from __future__ import annotations
@@ -109,6 +109,12 @@ class SphericalHarmonicEngine:
         self.area_weights = (self.w * (2.0 * math.pi / self.nlon))[:, None]
         self.sphere_area = float(np.sum(self.area_weights * np.ones(self.grid_shape)))
         self._build_tables()
+        # rows 2m and 2m + 1 are c_m cos(m phi) and -c_m sin(m phi), c_0 = 1 / nlon and c_m =
+        # 2 / nlon: the first 2M rows take (re, im) pairs of orders m < M to the inverse rFFT
+        m = np.arange(self.nlat)[:, None, None]
+        angle = (2.0 * math.pi / self.nlon) * (m * np.arange(self.nlon) % self.nlon)
+        rows = np.concatenate([np.cos(angle), -np.sin(angle)], 1) * np.where(m, 2.0, 1.0)
+        self._fourier = (rows / self.nlon).reshape(-1, self.nlon)
         # |a_lm| <= c_m max_i |w_i F_im| with c_m = (2 pi / nlon) max_l sum_i |P_l^m(x_i)|,
         # doubled here against roundoff
         self._order_bound = 4.0 * math.pi / self.nlon * np.abs(self._tables[0]).sum(-1).max(-1)
@@ -187,14 +193,16 @@ class SphericalHarmonicEngine:
         spec.imag = sums[..., K:].T
         return spec
 
-    def _grid(self, spec: np.ndarray) -> np.ndarray:
-        """Grid values (K, nlat, nlon) of per-order spectra, zero-padded to order nlat."""
-        return np.fft.irfft(spec, n=self.nlon, axis=-1)
+    def _fourier_sum(self, spec: np.ndarray) -> np.ndarray:
+        """Grid rows (-1, nlon) of C-ordered per-order spectra (..., M): one product of their
+        (re, im) pairs, read in place, with the first 2M rows of the Fourier table."""
+        pairs = spec.view(float).reshape(-1, 2 * spec.shape[-1])
+        return pairs @ self._fourier[: pairs.shape[-1]]
 
     def synthesize(self, alm: np.ndarray) -> np.ndarray:
         """Grid values of sum a_lm Y_lm, summed over the occupied orders (``_legendre_sums``)."""
-        grid = self._grid(self._spectrum(self._legendre_sums(alm, self._tables[0])))
-        return grid.reshape(np.shape(alm)[:-2] + grid.shape[1:])
+        grid = self._fourier_sum(self._spectrum(self._legendre_sums(alm, self._tables[0])))
+        return grid.reshape(np.shape(alm)[:-2] + self.grid_shape)
 
     def filter_degrees(self, values: np.ndarray, factor: np.ndarray) -> np.ndarray:
         """Apply a per-degree multiplier in coefficient space."""
@@ -248,22 +256,16 @@ class SphericalHarmonicEngine:
         its own peak (see COEFFICIENT_FLOOR); only the orders that can keep
         a coefficient are transformed.  One product covers the three theta
         tables; each output is assembled per order m, where a phi
-        derivative is a factor i m, and takes one inverse FFT.
+        derivative is a factor i m, and one product with the Fourier
+        table sums all six outputs over the kept orders.
         """
         fm = self._weighted_fourier(values)
         alm = _floor_coefficients(self._coefficients(fm, slice(self._floor_prefix(fm))), (-2, -1))
         g, gt, gtt = (self._spectrum(sums) for sums in self._legendre_sums(alm, self._tables))
         im_s = 1j * np.arange(g.shape[-1]) / self.sin_theta[:, None]  # d/dphi / sin(theta)
         cot = self.cot_theta[:, None]
-        shape = np.shape(values)
-        return (
-            self._grid(g).reshape(shape),
-            self._grid(gt).reshape(shape),
-            self._grid(g * im_s).reshape(shape),
-            self._grid(gtt).reshape(shape),
-            self._grid((gt - cot * g) * im_s).reshape(shape),
-            self._grid(cot * gt + im_s * (im_s * g)).reshape(shape),
-        )
+        outputs = (g, gt, g * im_s, gtt, (gt - cot * g) * im_s, cot * gt + im_s * (im_s * g))
+        return tuple(self._fourier_sum(np.stack(outputs)).reshape((6,) + np.shape(values)))
 
 
 class AxisymEngine:
@@ -400,9 +402,10 @@ _ENGINES: dict = {}
 def get_engine(kind: str, dim: int, size: int):
     """Shared engine cache; tables are reused across surfaces.
 
-    Tables take 3 size^3 (full) doubles, or 3 size^2 (axisym) plus the
-    size^2 of the node solve's Jacobi matrix; sizes over
-    TABLE_BUDGET_BYTES are refused before anything is allocated.
+    Tables take 3 size^3 doubles plus the 4 size^2 of the Fourier table
+    (full), or 3 size^2 plus the size^2 of the node solve's Jacobi matrix
+    (axisym); sizes over TABLE_BUDGET_BYTES are refused before anything
+    is allocated.
     """
     key = (kind, int(dim), int(size))
     if key not in _ENGINES:
@@ -410,7 +413,7 @@ def get_engine(kind: str, dim: int, size: int):
             raise ParameterError(f"unknown engine kind {kind!r}")
         if kind == "full" and dim != 3:
             raise ParameterError("the full engine is implemented for ambient dimension 3")
-        need = (3 * int(size) ** 3 if kind == "full" else 4 * int(size) ** 2) * 8
+        need = (4 * int(size) ** 2 + (3 * int(size) ** 3 if kind == "full" else 0)) * 8
         if need > TABLE_BUDGET_BYTES:
             raise ParameterError(
                 f"{kind} engine of size {size} needs {need} bytes "

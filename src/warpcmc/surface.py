@@ -1,8 +1,8 @@
 """Hypersurfaces of a warped ambient and their pointwise geometry.
 
 One kernel, ``parametrized_geometry``, serves every surface: it takes
-the frame jet of the radius and the jet of the sphere map of a
-parametrized surface over the parameter sphere and returns mean
+the frame jet of the radius, the warp jet at its radii and the jet of
+the sphere map of a parametrized surface and returns mean
 curvature, umbilicity deficit, support function and area measure,
 plus the sphere part of the unit normal.  A radial graph rho(y) is the
 parametrization whose sphere map is the identity, a constant jet each
@@ -12,6 +12,7 @@ transports.  Derivatives are spectral; no finite differences anywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -108,11 +109,23 @@ def _cross(a, b):
     )
 
 
-def parametrized_geometry(warping, engine, radius_jet, sphere_jet, orient=None):
+def _sphere_products(y, y1, y2):
+    """(y1.y1, y1.y2, y2.y2) and the triple product <y, y1 x y2> of a full-mode sphere jet."""
+    return _dot(y1, y1), _dot(y1, y2), _dot(y2, y2), _dot(y, _cross(y1, y2))
+
+
+@functools.cache
+def _identity_products(engine):
+    """``_sphere_products`` of the engine's identity map, computed once per engine."""
+    return _sphere_products(*engine.identity_jet[:3])
+
+
+def parametrized_geometry(engine, warp_jet, radius_jet, sphere_jet, orient=None):
     """Geometry of a surface p -> (r(p), y(p)) over the parameter sphere.
 
-    ``radius_jet`` is the engine's frame jet of r.  ``sphere_jet`` is, in
-    full mode, the frame jet (y, y1, y2, y11, y12, y22) of the sphere map
+    ``radius_jet`` is the engine's frame jet of r, and ``warp_jet`` is
+    (h, h', h'', h''') at its radii ``radius_jet[0]``.  ``sphere_jet`` is,
+    in full mode, the frame jet (y, y1, y2, y11, y12, y22) of the sphere map
     with 3-vectors on the leading axis; in axisymmetric mode it is the
     meridian data (cot beta, sin beta / sin theta, beta', beta'') of the
     polar angle beta(theta).  The identity map (``engine.identity_jet``)
@@ -125,13 +138,15 @@ def parametrized_geometry(warping, engine, radius_jet, sphere_jet, orient=None):
     coordinates of the sphere map: a 3-vector field in full mode, the
     beta component in axisymmetric mode.
     """
-    h, hp, hpp, hppp = warping.jet(radius_jet[0])
+    h, hp, hpp, hppp = warp_jet
     hh = h * h
     full = engine.kind == "full"
     if full:
         rr, r1, r2, dr11, dr12, dr22 = radius_jet
         y, y1, y2, d11, d12, d22 = sphere_jet
-        g_y11, g_y12, g_y22 = _dot(y1, y1), _dot(y1, y2), _dot(y2, y2)
+        identity = sphere_jet is engine.identity_jet
+        products = _identity_products(engine) if identity else _sphere_products(y, y1, y2)
+        g_y11, g_y12, g_y22, triple = products
         gam11 = r1 * r1 + hh * g_y11
         gam12 = r1 * r2 + hh * g_y12
         gam22 = r2 * r2 + hh * g_y22
@@ -142,7 +157,6 @@ def parametrized_geometry(warping, engine, radius_jet, sphere_jet, orient=None):
         # in the orthonormal (d/dr, T_y S^2) frame the cross product of the
         # tangent vectors (r_a, h y_a) is h (h <y, y1 x y2>, y x (r1 y2 - r2 y1));
         # any component of y_a along y drops out
-        triple = _dot(y, _cross(y1, y2))
         nu_sphere = _cross(y, r1 * y2 - r2 * y1)
         norm = np.sqrt(hh * triple * triple + _dot(nu_sphere, nu_sphere))
         n_r = h * triple / norm
@@ -160,7 +174,7 @@ def parametrized_geometry(warping, engine, radius_jet, sphere_jet, orient=None):
         mean, deficit = shape_trace_deficit((gam11, gam12, gam22), (ii11, ii12, ii22))
         density = np.sqrt(det)
     else:
-        n = warping.dim
+        n = engine.dim
         rr, r1, r11 = radius_jet
         cot_b, sin_ratio, b1, b11 = sphere_jet
         hb = h * b1
@@ -199,6 +213,12 @@ def parametrized_geometry(warping, engine, radius_jet, sphere_jet, orient=None):
     return report, nu_sphere
 
 
+def graph_geometry(warping, engine, radii):
+    """``parametrized_geometry`` of the radial graph of ``radii``, at the synthesized radii."""
+    jet = engine.on_frame_jet(radii)
+    return parametrized_geometry(engine, warping.jet(jet[0]), jet, engine.identity_jet)
+
+
 class GraphSurface:
     """Radial graph rho over the parameter sphere of a warped ambient."""
 
@@ -223,10 +243,7 @@ class GraphSurface:
     def geometry(self) -> GeometryReport:
         """Assemble and cache the curvature report."""
         if self._report is None:
-            eng = self.engine
-            self._report, _ = parametrized_geometry(
-                self.warping, eng, eng.on_frame_jet(self.radii), eng.identity_jet
-            )
+            self._report, _ = graph_geometry(self.warping, self.engine, self.radii)
         return self._report
 
     # -- integrals -------------------------------------------------------

@@ -101,7 +101,8 @@ def test_inadmissible_parameters_exit_2(tmp_path, capsys):
 
 
 def test_oversized_full_grid_exits_2_before_allocating(tmp_path, capsys, monkeypatch):
-    # full tables take 3 N^3 doubles: 1.6 TB at N = 4096; refused, never built
+    # full tables take 3 N^3 doubles plus the 4 N^2 of the Fourier table: 1.6 TB
+    # at N = 4096; refused, never built
     import warpcmc.spectral as spectral
 
     def refuse(*args, **kwargs):
@@ -114,7 +115,7 @@ def test_oversized_full_grid_exits_2_before_allocating(tmp_path, capsys, monkeyp
         capsys,
     )
     assert code == 2
-    assert str(3 * 4096**3 * 8) in err
+    assert str((3 * 4096**3 + 4 * 4096**2) * 8) in err
 
 
 def test_failed_condition_exits_3(tmp_path, capsys):

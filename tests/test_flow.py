@@ -341,6 +341,41 @@ def test_step_halves_the_substep_until_the_drift_fits(schw3, monkeypatch):
         assert np.array_equal(carried, at_points)
 
 
+@pytest.mark.parametrize("mode", ["full", "axisym"])
+def test_four_grid_warp_jets_per_step(schw3, mode, monkeypatch):
+    # an accepted RK4 substep takes a jet at each of its three later stages (the
+    # first reads the carried jet) and one at the new points, which the step
+    # carries and its geometry reuses: the report's radii are the node radii
+    calls = []
+
+    def counting(r):
+        calls.append(np.ndim(r) > 0)
+        return schw3._jet(r)
+
+    if mode == "full":
+        engine, modes = full_sphere_grid(16), [(2, 1, 0.1), (3, -2, 0.05)]
+    else:
+        engine, modes = axisym_grid(3, 32), [(2, 0, 0.1), (3, 0, 0.05)]
+    state = init_flow(perturb_slice(replace(schw3, _jet=counting), engine, 2.0, modes))
+    substeps = []
+    integrate = flow._integrate
+
+    def spy(state, dt, nsub):
+        substeps.append(nsub)
+        return integrate(state, dt, nsub)
+
+    monkeypatch.setattr(flow, "_integrate", spy)
+    calls.clear()
+    new = step(state, 0.01)
+    assert substeps == [1]
+    assert calls == [True] * 4
+    report = new.report
+    assert np.array_equal(report.radii, new.points[..., 0])
+    carried = (report.warp, report.potential, report.potential_slope, report.potential_curvature)
+    for got, want in zip(carried, new.warp_jet):
+        assert np.array_equal(got, want)
+
+
 def test_uncontrollable_drift_stops_past_4096_substeps(schw3, monkeypatch):
     # no step meets a negative budget.  The integrator is stubbed out: the
     # 8191 real RK4 substeps take seconds, and the doubling loop is the test

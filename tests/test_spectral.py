@@ -5,13 +5,17 @@ pins every entry of the frame jet in closed form; degree-2 pins the
 Laplacian through the eigenvalue -l(l+n-2).  Tesseral modes of order 3
 and 4 pin the phi-derivative outputs against closed-form Legendre
 functions, and a random band-limited field pins the full Laplacian.
-The full engine's frame jet and synthesis, which skip the orders the
-coefficient floor empties, equal a whole-band reference bit for bit.
+The full engine's frame jet skips the orders the coefficient floor
+empties and keeps the whole band's floored coefficients bit for bit; it
+and the synthesis sum the kept orders over longitude by one real
+product, which matches a whole-band inverse-FFT reference to 1e-13 of
+each output's peak, non-finite values included.
 The axisymmetric quadrature keeps its basis orthonormal to roundoff in
 every dimension the CLI admits.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -284,16 +288,25 @@ def test_table_budget_refuses_before_allocating(monkeypatch):
 
     monkeypatch.setattr(spectral, "SphericalHarmonicEngine", refuse)
     monkeypatch.setattr(spectral, "AxisymEngine", refuse)
-    # axisymmetric: three tables and the node solve's Jacobi matrix, 4 N^2 doubles
-    for kind, dim, size, need in (("full", 3, 512, 3 * 512**3 * 8), ("axisym", 3, 8192, 4 * 8192**2 * 8)):
+    # full: three tables of 3 N^3 doubles and the 2N x 2N Fourier table; axisymmetric:
+    # three tables and the node solve's Jacobi matrix, 4 N^2 doubles
+    for kind, dim, size, need in (
+        ("full", 3, 512, (3 * 512**3 + 4 * 512**2) * 8),
+        ("full", 3, 282, (3 * 282**3 + 4 * 282**2) * 8),
+        ("axisym", 3, 8192, 4 * 8192**2 * 8),
+    ):
         assert need > spectral.TABLE_BUDGET_BYTES
         with pytest.raises(ParameterError, match=str(need)):
             get_engine(kind, dim, size)
-    # the largest CLI grid needs exactly the budget and is admitted
+    # the largest CLI grid needs exactly the budget and is admitted, and so is
+    # the largest full grid, 281 latitudes
     assert 4 * 4096**2 * 8 == spectral.TABLE_BUDGET_BYTES
+    assert (3 * 281**3 + 4 * 281**2) * 8 <= spectral.TABLE_BUDGET_BYTES
     monkeypatch.setattr(spectral, "_ENGINES", {})
     monkeypatch.setattr(spectral, "AxisymEngine", lambda dim, size: (dim, size))
+    monkeypatch.setattr(spectral, "SphericalHarmonicEngine", lambda size: size)
     assert get_engine("axisym", 3, 4096) == (3, 4096)
+    assert get_engine("full", 3, 281) == 281
 
 
 @pytest.mark.parametrize("count", [8, 48, 64, 129])
@@ -335,7 +348,10 @@ def test_axisym_basis_is_orthonormal_in_every_dimension(dim, points):
 # -- the band of orders ---------------------------------------------------
 # The reference runs every order: the public analysis, the floor, and the
 # Legendre sums, spectra, output arithmetic and inverse FFTs over all of
-# them, with the whole tables.
+# them, with the whole tables.  The engine sums over longitude by a matrix
+# product instead of an FFT, a different summation, so its grid values
+# match the reference to roundoff, not bit for bit; the coefficients it
+# synthesizes from are the reference's bit for bit.
 
 
 def _whole_band_spectra(engine, alm, tables):
@@ -374,19 +390,37 @@ def _same_bits(got, want):
     return np.array_equal(got, want, equal_nan=True) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def _assert_matches_reference(got, want):
+    """Within 1e-13 of each field's peak of the reference, non-finite exactly where it is."""
+    finite = np.isfinite(want)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isfinite(got), finite)
+    got, want = np.where(finite, got, 0.0), np.where(finite, want, 0.0)
+    peak = np.abs(want).max(axis=(-2, -1))
+    assert np.all(np.abs(got - want).max(axis=(-2, -1)) <= 1e-13 * peak)
+
+
 def _assert_banded_equals_whole_band(engine, values):
-    """Every frame-jet output, and the synthesis of the floored coefficients, bit for bit."""
-    got, want = engine.on_frame_jet(values), _whole_band_frame_jet(engine, values)
-    assert len(got) == len(want) == 6
-    for banded, whole in zip(got, want):
-        assert _same_bits(banded, whole)
+    """The frame jet synthesizes the whole band's floored coefficients, bit for bit, and every
+    output and the synthesis of those coefficients match the whole-band reference."""
+    with mock.patch.object(engine, "_legendre_sums", wraps=engine._legendre_sums) as sums:
+        got = engine.on_frame_jet(values)
+    banded = sums.call_args.args[0]
     floored = _floor_coefficients(engine.analyze(values), (-2, -1))
-    assert _same_bits(engine.synthesize(floored), _whole_band_synthesis(engine, floored))
+    whole = np.reshape(floored, banded.shape[:-1] + (-1,))
+    kept = banded.shape[-1]
+    assert all(_same_bits(part(banded), part(whole[..., :kept])) for part in (np.real, np.imag))
+    assert not np.any(whole[..., kept:])
+    want = _whole_band_frame_jet(engine, values)
+    assert len(got) == len(want) == 6
+    for output, reference in zip(got, want):
+        _assert_matches_reference(output, reference)
+    _assert_matches_reference(engine.synthesize(floored), _whole_band_synthesis(engine, floored))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
-    nlat=st.sampled_from([8, 16, 48]),
+    nlat=st.sampled_from([8, 16, 48, 96]),
     fields=st.lists(
         st.tuples(
             st.floats(min_value=-6.0, max_value=6.0),  # log10 of the scale
@@ -416,7 +450,7 @@ def test_banded_transforms_equal_the_whole_band(nlat, fields, log_noise, stacked
     if not stacked:
         alm = alm[0]
     clean = engine.synthesize(alm)
-    assert _same_bits(clean, _whole_band_synthesis(engine, alm))
+    _assert_matches_reference(clean, _whole_band_synthesis(engine, alm))
     peak = np.abs(clean).max(axis=(-2, -1), keepdims=True)
     _assert_banded_equals_whole_band(engine, clean + 10.0**log_noise * peak * rng.normal(size=clean.shape))
 

@@ -8,6 +8,7 @@ code paths and must agree.  The full-mode normal is checked against a
 reference that builds it in an explicit tangent frame of the sphere.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -242,7 +243,7 @@ def test_full_normal_matches_the_tangent_frame_reference(schw3):
     y = flowed[1][0]
     unit_y = (y / np.sqrt(np.sum(y * y, axis=0)),) + flowed[1][1:]
     for radius_jet, sphere_jet, reference_jet in ((*graph, graph[1]), (*flowed, unit_y)):
-        report, _ = parametrized_geometry(schw3, engine, radius_jet, sphere_jet)
+        report, _ = parametrized_geometry(engine, schw3.jet(radius_jet[0]), radius_jet, sphere_jet)
         expected = _argmin_frame_geometry(schw3, radius_jet, reference_jet)
         got = (report.mean_curvature, report.shape_deficit, report.nu_radial, report.area_density)
         for value, reference in zip(got, expected):
@@ -260,3 +261,19 @@ def test_report_carries_the_warp_jet_bit_for_bit(schw3, mode):
     ):
         assert got.shape == engine.grid_shape
         assert np.array_equal(got, want)
+
+
+def test_identity_products_keep_the_bits_of_the_computed_ones(schw3):
+    # a graph takes the identity map's metric and triple product from one
+    # constant per engine; a copy of the identity jet, which is not the
+    # engine's object, takes them from the general sphere-map path
+    engine = full_sphere_grid(24)
+    radii = perturb_slice(schw3, engine, 2.0, [(2, 1, 0.1), (3, -2, 0.05)]).radii
+    radius_jet = engine.on_frame_jet(radii)
+    warp_jet = schw3.jet(radius_jet[0])
+    copy = tuple(np.copy(out) for out in engine.identity_jet)
+    kept, nu_kept = parametrized_geometry(engine, warp_jet, radius_jet, engine.identity_jet)
+    fresh, nu_fresh = parametrized_geometry(engine, warp_jet, radius_jet, copy)
+    assert np.array_equal(nu_kept, nu_fresh)
+    for field in dataclasses.fields(kept):
+        assert np.array_equal(getattr(kept, field.name), getattr(fresh, field.name)), field.name
