@@ -151,7 +151,8 @@ class Emitter:
             raise ParameterError(f"unknown report format {self.fmt!r}")
         model = cfg["model"]
         parts = [f"family={model['family']}", f"n={w.dim}", f"variant={w.variant}"]
-        parts += [f"{k}={model[k]}" for k in MODEL_PARAM_KEYS if model.get(k) is not None]
+        read = [k for k in MODEL_PARAM_KEYS if k in MODEL_FAMILIES[model["family"]]["params"]]
+        parts += [f"{k}={model[k]}" for k in read if model.get(k) is not None]
         self.model_line = " ".join(parts)
         self.resolution_line = resolution_line
         os.makedirs(self.outdir, exist_ok=True)
@@ -284,6 +285,16 @@ def _apply_flags(cfg: dict, args: argparse.Namespace) -> dict:
     if not (8 <= cfg["grid"]["size"] <= 4096):
         raise ParameterError("grid size must lie in [8, 4096]")
     return cfg
+
+
+def _check_model_flags(cfg: dict, args: argparse.Namespace) -> None:
+    """Refuse a model flag that the family does not read; a config may set any family's keys."""
+    family = cfg["model"]["family"]
+    read = MODEL_FAMILIES[family]["params"] if family in MODEL_FAMILIES else MODEL_PARAM_KEYS
+    unread = [flag for flag, path, _, _ in MODEL_PARAMS
+              if getattr(args, path) is not None and path.split(".")[1] not in read]
+    if unread:
+        raise ParameterError(f"family {family!r} does not read {', '.join(unread)}")
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +581,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        cfg = _apply_flags(cfg, args)
+        cfg = _apply_flags(_load_config(args.config), args)
+        _check_model_flags(cfg, args)
         handler, _, _ = COMMANDS[args.command]
         return handler(cfg)
     except (ParameterError, DomainError, HypothesisError, NotApplicableError) as exc:

@@ -191,17 +191,11 @@ def admissibility(family: str, n: int, params: dict) -> tuple[bool, str]:
     elif m <= 0:
         return False, f"mass must be positive, got m = {m}"
     elif family == "desitter-schwarzschild" and p["kappa"] > 0:
-        kappa = p["kappa"]
-        try:
-            bound = n**n / (4.0 * (n - 2) ** (n - 2)) * m**2 * kappa ** (n - 2)
-        except OverflowError:  # n**n passes the float range from n = 144: take logs
-            log_bound = n * math.log(n) - (n - 2) * math.log((n - 2) / kappa) + 2.0 * math.log(m / 2)
-            bound = math.exp(log_bound) if log_bound < 700.0 else math.inf
-        if bound >= 1.0:
-            return False, (
-                f"n^n/(4(n-2)^(n-2)) m^2 kappa^(n-2) = {bound:.6g} >= 1; "
-                "the two horizons merge or vanish"
-            )
+        # both horizons exist when omega is positive at its peak (see _horizons)
+        s_peak = ((n - 2) * m / (2.0 * p["kappa"])) ** (1.0 / n)
+        peak = float(_poly_evaluators(n, m, p["kappa"], 0.0)[0](s_peak)[0])
+        if not peak > 0.0:
+            return False, f"omega = {peak:.6g} <= 0 at its peak; the two horizons merge or vanish"
     return True, "admissible"
 
 
@@ -243,8 +237,6 @@ def _horizons(n, mass, kappa, charge2):
     f = lambda s: float(omega(s)[0])
     if kappa > 0:
         s_peak = ((n - 2) * mass / (2.0 * kappa)) ** (1.0 / n)
-        if f(s_peak) <= 0:
-            raise ParameterError("omega never becomes positive")
         lower = find_root(f, 0.5 * schwarzschild, s_peak)
         return float(lower), float(find_root(f, s_peak, 2.0 / math.sqrt(kappa)))
     lo = hi = schwarzschild

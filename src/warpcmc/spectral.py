@@ -19,11 +19,11 @@ Each engine keeps one real table of the basis functions and their first
 two theta-derivatives, and every transform takes a stack of fields on a
 leading axis, so a frame jet of several fields is one real matrix
 product per order m (full) or per field (axisymmetric).  The full
-engine analyses, floors and sums only the orders m that can keep a
-coefficient above the floor, so its coefficients are the whole band's
-bit for bit, and assembles each frame-jet output per order m.  One real
-product of the stacked spectra, read as (re, im) pairs, with a table of
-c_m cos(m phi) and -c_m sin(m phi) rows sums the kept orders over phi.
+engine holds each spectrum as a C-ordered complex (order m, latitude or
+degree, field) array that real products read as (re, im) pairs.  It
+analyses every order, floors, synthesizes the orders up to the last kept
+one and assembles each frame-jet output per order m; one product with a
+table of c_m cos(m phi) and -c_m sin(m phi) rows sums them over phi.
 """
 
 from __future__ import annotations
@@ -115,9 +115,6 @@ class SphericalHarmonicEngine:
         angle = (2.0 * math.pi / self.nlon) * (m * np.arange(self.nlon) % self.nlon)
         rows = np.concatenate([np.cos(angle), -np.sin(angle)], 1) * np.where(m, 2.0, 1.0)
         self._fourier = (rows / self.nlon).reshape(-1, self.nlon)
-        # |a_lm| <= c_m max_i |w_i F_im| with c_m = (2 pi / nlon) max_l sum_i |P_l^m(x_i)|,
-        # doubled here against roundoff
-        self._order_bound = 4.0 * math.pi / self.nlon * np.abs(self._tables[0]).sum(-1).max(-1)
         # frame jet of the identity map y: S^2 -> R^3, components on the leading
         # axis: (y, e_theta, e_phi) and the covariant Hessians (-y, 0, -y)
         sin_t, cos_t = self.sin_theta[:, None], self.x[:, None]
@@ -157,57 +154,49 @@ class SphericalHarmonicEngine:
     # -- transforms ----------------------------------------------------
 
     def _weighted_fourier(self, values: np.ndarray) -> np.ndarray:
-        """w_i F_im as (re of every field then im of every field, latitude, m)."""
+        """w_i F_im as a C-ordered complex array (m, latitude, field)."""
         values = np.asarray(values, dtype=float)
         if values.ndim not in (2, 3) or values.shape[-2:] != (self.nlat, self.nlon):
             raise ParameterError(f"grid shape must be {(self.nlat, self.nlon)} or a stack of it")
         stack = values.reshape(-1, self.nlat, self.nlon)
         fm = self.w[:, None] * np.fft.rfft(stack, axis=-1)[..., : self.lmax + 1]
-        return np.concatenate([fm.real, fm.imag])
+        return np.ascontiguousarray(fm.transpose(2, 1, 0))
 
-    def _coefficients(self, fm: np.ndarray, orders) -> np.ndarray:
-        """a[l, m] (K, lmax + 1, len(orders)) of the given orders of ``_weighted_fourier``."""
-        X = np.ascontiguousarray(fm[..., orders].transpose(2, 1, 0))
-        a = (2.0 * math.pi / self.nlon) * np.matmul(self._tables[0][orders], X)
-        K = X.shape[-1] // 2
-        return (a[..., :K] + 1j * a[..., K:]).transpose(2, 1, 0)
+    def _coefficients(self, fm: np.ndarray) -> np.ndarray:
+        """a[l, m] as (m, l, field) of ``_weighted_fourier``: one product over every order."""
+        a = np.matmul(self._tables[0], fm.view(float))
+        a *= 2.0 * math.pi / self.nlon
+        return a.view(complex)
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
         """Expansion coefficients a[l, m] of a real grid function or a stack of them."""
-        alm = self._coefficients(self._weighted_fourier(values), slice(None))
+        alm = self._coefficients(self._weighted_fourier(values)).T
         return alm.reshape(np.shape(values)[:-2] + alm.shape[1:])
 
-    def _legendre_sums(self, alm: np.ndarray, tables: np.ndarray) -> np.ndarray:
-        """nlon * sum_l T[m, l, i] a[l, m] per table and occupied order, as (..., m, i, re | im)."""
-        stack = np.asarray(alm, dtype=complex).reshape(-1, self.lmax + 1, np.shape(alm)[-1])
-        stack = stack[..., : np.flatnonzero(stack.any(axis=(0, 1))).max(initial=0) + 1]
-        B = np.ascontiguousarray(np.concatenate([stack.real, stack.imag]).transpose(2, 1, 0))
-        g = np.matmul(np.swapaxes(tables[..., : B.shape[0], :, :], -1, -2), B)
+    def _spectra(self, alm: np.ndarray, tables: np.ndarray) -> np.ndarray:
+        """Per-order spectra (..., M, latitude, field) of coefficients (m, l, field) per table:
+        nlon sum_l T[m, l, i] a[l, m] over the orders m < M, M one past the last occupied."""
+        M = np.flatnonzero(alm.any(axis=(1, 2))).max(initial=0) + 1
+        B = np.ascontiguousarray(alm[:M]).view(float)
+        g = np.matmul(np.swapaxes(tables[..., :M, :, :], -1, -2), B)
         g *= self.nlon
-        return g
-
-    def _spectrum(self, sums: np.ndarray) -> np.ndarray:
-        """Per-order spectra (K, nlat, orders) of one table's Legendre sums."""
-        K = sums.shape[-1] // 2
-        spec = sums[..., :K].T.astype(complex, order="C")
-        spec.imag = sums[..., K:].T
-        return spec
+        return g.view(complex)
 
     def _fourier_sum(self, spec: np.ndarray) -> np.ndarray:
-        """Grid rows (-1, nlon) of C-ordered per-order spectra (..., M): one product of their
-        (re, im) pairs, read in place, with the first 2M rows of the Fourier table."""
-        pairs = spec.view(float).reshape(-1, 2 * spec.shape[-1])
-        return pairs @ self._fourier[: pairs.shape[-1]]
+        """Grid rows (-1, nlon) of spectra (..., M, latitude, field): one product of their (re, im)
+        pairs, copied to (..., field, latitude, M), with the first 2M rows of the Fourier table."""
+        pairs = np.ascontiguousarray(np.swapaxes(spec, -3, -1)).view(float)
+        return pairs.reshape(-1, pairs.shape[-1]) @ self._fourier[: pairs.shape[-1]]
 
     def synthesize(self, alm: np.ndarray) -> np.ndarray:
-        """Grid values of sum a_lm Y_lm, summed over the occupied orders (``_legendre_sums``)."""
-        grid = self._fourier_sum(self._spectrum(self._legendre_sums(alm, self._tables[0])))
+        """Grid values of sum a_lm Y_lm, summed over the orders up to the last occupied one."""
+        stack = np.asarray(alm, dtype=complex).reshape(-1, self.lmax + 1, np.shape(alm)[-1])
+        grid = self._fourier_sum(self._spectra(stack.T, self._tables[0]))
         return grid.reshape(np.shape(alm)[:-2] + self.grid_shape)
 
     def filter_degrees(self, values: np.ndarray, factor: np.ndarray) -> np.ndarray:
         """Apply a per-degree multiplier in coefficient space."""
-        alm = self.analyze(values)
-        return self.synthesize(alm * np.asarray(factor, dtype=float)[:, None])
+        return self.synthesize(self.analyze(values) * np.asarray(factor, dtype=float)[:, None])
 
     def mode(self, l: int, m: int, amplitude: float = 1.0) -> np.ndarray:
         """Grid values of one real orthonormal harmonic.
@@ -234,17 +223,6 @@ class SphericalHarmonicEngine:
         """Quadrature of a grid function over the round sphere."""
         return float(np.sum(np.asarray(values) * self.area_weights))
 
-    def _floor_prefix(self, fm: np.ndarray) -> int:
-        """Count of leading orders that can keep a coefficient, or all if a bound is not finite;
-        the orders with the largest ``_order_bound`` give a lower bound on each field's peak."""
-        bound = self._order_bound * np.hypot(*np.split(np.abs(fm).max(axis=1), 2))
-        provisional = sorted(set(np.argmax(bound, axis=1).tolist()))
-        peak = np.abs(self._coefficients(fm, provisional)).max(axis=(1, 2))
-        if not (np.isfinite(bound).all() and np.isfinite(peak).all()):
-            return self.lmax + 1
-        reach = (bound >= COEFFICIENT_FLOOR * peak[:, None]) & (bound > 0.0)
-        return int(np.flatnonzero(reach.any(axis=0)).max(initial=0)) + 1
-
     def on_frame_jet(self, values: np.ndarray):
         """Value, orthonormal-frame gradient, and covariant Hessian.
 
@@ -253,16 +231,15 @@ class SphericalHarmonicEngine:
         round metric in that frame.  ``values`` is one grid (nlat, nlon)
         or a stack (K, nlat, nlon) on a leading axis, and each output has
         its shape.  Each field drops the coefficients below the floor of
-        its own peak (see COEFFICIENT_FLOOR); only the orders that can keep
-        a coefficient are transformed.  One product covers the three theta
-        tables; each output is assembled per order m, where a phi
-        derivative is a factor i m, and one product with the Fourier
-        table sums all six outputs over the kept orders.
+        its own peak (see COEFFICIENT_FLOOR), and only the orders up to the
+        last one that keeps a coefficient are synthesized.  One product
+        covers the three theta tables; each output is assembled per order
+        m, where a phi derivative is a factor i m, and one product with the
+        Fourier table sums all six outputs over those orders.
         """
-        fm = self._weighted_fourier(values)
-        alm = _floor_coefficients(self._coefficients(fm, slice(self._floor_prefix(fm))), (-2, -1))
-        g, gt, gtt = (self._spectrum(sums) for sums in self._legendre_sums(alm, self._tables))
-        im_s = 1j * np.arange(g.shape[-1]) / self.sin_theta[:, None]  # d/dphi / sin(theta)
+        alm = _floor_coefficients(self._coefficients(self._weighted_fourier(values)), (0, 1))
+        g, gt, gtt = self._spectra(alm, self._tables)
+        im_s = 1j * np.arange(len(g))[:, None, None] / self.sin_theta[:, None]  # d/dphi / sin(theta)
         cot = self.cot_theta[:, None]
         outputs = (g, gt, g * im_s, gtt, (gt - cot * g) * im_s, cot * gt + im_s * (im_s * g))
         return tuple(self._fourier_sum(np.stack(outputs)).reshape((6,) + np.shape(values)))

@@ -204,7 +204,7 @@ def test_non_numeric_omega_table_row_exits_2(tmp_path, capsys):
 
 
 def test_kappa_bound_past_the_float_range_completes(tmp_path, capsys):
-    # n^n overflows a float from n = 144; the bound is then taken in logs
+    # the kappa bound is omega at its peak, which takes no power of n
     code, out, _ = run(
         ["check", "--model", "desitter-schwarzschild", "--n", "150", "--kappa", "0.1",
          "--out", str(tmp_path)],
@@ -328,6 +328,36 @@ def test_config_file_and_flag_precedence(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert (tmp_path / "from_flag" / "identities_euclidean.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["check", "--model", "schwarzschild", "--q", "0.3", "--kappa", "0.1"], "--q, --kappa"),
+        (["verify", "--model", "euclidean", "--m", "5"], "--m"),
+    ],
+)
+def test_a_model_flag_the_family_does_not_read_exits_2(tmp_path, capsys, argv, named):
+    code, _, err = run(argv + ["--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err == f"error: family {argv[2]!r} does not read {named}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("fmt, ext", [("table", "csv"), ("json-lines", "jsonl")])
+def test_model_header_lists_only_the_parameters_the_family_reads(tmp_path, capsys, fmt, ext):
+    # a config may set another family's parameters; they are not read or reported
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"model": {"family": "sphere", "curvature": 2.0, "m": 3.0}}))
+    code, _, _ = run(
+        ["check", "--config", str(cfg_path), "--model", "euclidean", "--r-bar", "4",
+         "--format", fmt, "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0
+    lines = (tmp_path / f"conditions_euclidean.{ext}").read_text().splitlines()
+    line = lines[1] if ext == "csv" else "# model: " + json.loads(lines[0])["model"]
+    assert line == "# model: family=euclidean n=3 variant=ball r_bar=4.0"
 
 
 def test_json_lines_format(tmp_path, capsys):

@@ -33,6 +33,8 @@ from warpcmc import (
 )
 from warpcmc.models import _poly_evaluators
 
+from conftest import kappa_max
+
 KAPPA_SMALL = 0.02
 
 
@@ -93,11 +95,29 @@ def test_admissibility_messages():
     assert ok
     ok, _ = admissibility("schwarzschild", 3, {"m": -1.0})
     assert not ok
-    # n^n passes the float range from n = 144; the kappa bound then takes logs
+    # n^n passes the float range from n = 144; omega at its peak does not
     assert admissibility("desitter-schwarzschild", 150, {"m": 1.0, "kappa": 0.1})[0]
     ok, msg = admissibility("desitter-schwarzschild", 150, {"m": 1.0, "kappa": 0.95})
     assert not ok
     assert "merge or vanish" in msg
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 50])
+def test_positive_kappa_is_admissible_where_omega_peaks_above_zero(n):
+    # one test decides both horizons: omega at s_peak, the point that brackets
+    # them, so every kappa admissibility accepts has both roots
+    m = 7.3
+    for frac in 1.0 + np.linspace(-1e-12, 1e-12, 21):
+        kappa = frac * kappa_max(n, m)
+        s_peak = ((n - 2) * m / (2.0 * kappa)) ** (1.0 / n)
+        peak = 1.0 - m * s_peak ** (2 - n) - kappa * s_peak**2
+        ok, msg = admissibility("desitter-schwarzschild", n, {"m": m, "kappa": kappa})
+        assert ok == (peak > 0.0)
+        if ok:
+            lower = horizon_radius("desitter-schwarzschild", n, {"m": m, "kappa": kappa})
+            assert 0.0 < lower < s_peak
+        else:
+            assert "merge or vanish" in msg
 
 
 def test_omega_tables_are_admissible_and_have_no_closed_form_horizon():

@@ -5,11 +5,11 @@ pins every entry of the frame jet in closed form; degree-2 pins the
 Laplacian through the eigenvalue -l(l+n-2).  Tesseral modes of order 3
 and 4 pin the phi-derivative outputs against closed-form Legendre
 functions, and a random band-limited field pins the full Laplacian.
-The full engine's frame jet skips the orders the coefficient floor
-empties and keeps the whole band's floored coefficients bit for bit; it
-and the synthesis sum the kept orders over longitude by one real
-product, which matches a whole-band inverse-FFT reference to 1e-13 of
-each output's peak, non-finite values included.
+The full engine's frame jet synthesizes the whole band's floored
+coefficients bit for bit; it and the synthesis sum the orders up to the
+last kept one over longitude by one real product, which matches a
+whole-band inverse-FFT reference to 1e-13 of each output's peak,
+non-finite values included.
 The axisymmetric quadrature keeps its basis orthonormal to roundoff in
 every dimension the CLI admits.
 """
@@ -401,16 +401,20 @@ def _assert_matches_reference(got, want):
 
 
 def _assert_banded_equals_whole_band(engine, values):
-    """The frame jet synthesizes the whole band's floored coefficients, bit for bit, and every
-    output and the synthesis of those coefficients match the whole-band reference."""
-    with mock.patch.object(engine, "_legendre_sums", wraps=engine._legendre_sums) as sums:
+    """The frame jet synthesizes the floored coefficients of ``analyze`` on every order, bit for
+    bit, sums them over longitude up to one past the last order that keeps a coefficient, and
+    every output and the synthesis of those coefficients match the whole-band reference."""
+    with (
+        mock.patch.object(engine, "_spectra", wraps=engine._spectra) as spectra,
+        mock.patch.object(engine, "_fourier_sum", wraps=engine._fourier_sum) as fourier_sum,
+    ):
         got = engine.on_frame_jet(values)
-    banded = sums.call_args.args[0]
+    synthesized = spectra.call_args.args[0]  # (m, l, field)
     floored = _floor_coefficients(engine.analyze(values), (-2, -1))
-    whole = np.reshape(floored, banded.shape[:-1] + (-1,))
-    kept = banded.shape[-1]
-    assert all(_same_bits(part(banded), part(whole[..., :kept])) for part in (np.real, np.imag))
-    assert not np.any(whole[..., kept:])
+    whole = np.reshape(floored, (-1,) + floored.shape[-2:]).T
+    assert all(_same_bits(part(synthesized), part(whole)) for part in (np.real, np.imag))
+    band = fourier_sum.call_args.args[0].shape[-3]  # spectra (output, M, latitude, field)
+    assert band == np.flatnonzero(whole.any(axis=(1, 2))).max(initial=0) + 1
     want = _whole_band_frame_jet(engine, values)
     assert len(got) == len(want) == 6
     for output, reference in zip(got, want):
