@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 from .surface import GraphSurface, _enclosed_volume
-from .warping import WarpingFunction, _curvature_jet, _curvature_terms
+from .warping import WarpingFunction, _curvature_jet
 
 __all__ = [
     "CmcResult",
@@ -76,15 +76,13 @@ def _mean_radius(engine, radii) -> float:
 
 
 def _scaled_gap(warping, r):
-    """h(r), the dimensionless Ricci gap h(r)^2 ricci_gap_margin(r) and the Ricci eigenvalues.
+    """h(r) and the dimensionless Ricci gap h(r)^2 ricci_gap_margin(r).
 
     One warp jet (``_curvature_jet``); the gap is assembled from h h'' and
-    the family's cancellation-free defect, so it is exactly 0 in flat space,
-    and the (radial, tangential) eigenvalues are ``ricci_eigenvalues``'s.
+    the family's cancellation-free defect, so it is exactly 0 in flat space.
     """
-    h, _, hpp, _, defect = jet = _curvature_jet(warping, r)
-    terms = _curvature_terms(warping.dim, jet)
-    return h, h * hpp + h * h * defect, terms.radial, terms.tangential
+    h, _, hpp, _, defect = _curvature_jet(warping, r)
+    return h, h * hpp + h * h * defect
 
 
 def find_cmc(
@@ -137,7 +135,7 @@ def find_cmc(
             reason = "converged"
             break
 
-        h, gap, _, _ = _scaled_gap(warping, _mean_radius(engine, rep.radii))
+        h, gap = _scaled_gap(warping, _mean_radius(engine, rep.radii))
         mu = laplace - (n - 1) * (1.0 - gap)
         # degree 0 is the volume row's; degree 1 is left alone where a
         # degenerate gap makes it the kernel of translations
@@ -185,16 +183,14 @@ def find_cmc(
 class RigidityVerdict:
     """Cross-check of a converged CMC solve against the rigidity chain.
 
-    When the Ricci eigenvalue gap is strictly positive at the mean
-    radius, an umbilic CMC surface must be a slice; a converged run
-    with small deficit, positive margin and a non-slice graph would
-    contradict that and raises the alarm flag.
+    Where the Ricci eigenvalue gap at the mean radius is positive, an
+    umbilic CMC surface must be a slice; a converged, umbilic, non-slice
+    solve there raises ``alarm``.  The verdict keeps no eigenvalue:
+    ``ricci_eigenvalues(ambient, mean_radius)`` gives them.
     """
 
     mean_radius: float
     gap_margin: float
-    ricci_radial: float
-    ricci_tangential: float
     alarm: bool
     conclusion: str
 
@@ -209,7 +205,7 @@ def umbilicity_verdict(result: CmcResult, ambient: WarpingFunction) -> RigidityV
     if not result.converged:
         raise ParameterError("the rigidity verdict needs a converged result")
     mean_r = _mean_radius(result.surface.engine, result.surface.geometry().radii)
-    h, gap, radial, tangential = _scaled_gap(ambient, mean_r)
+    h, gap = _scaled_gap(ambient, mean_r)
     effective = gap if ambient.variant == "boundary" else abs(gap)
 
     umbilic = result.umbilicity_deficit < DEFICIT_TOL
@@ -225,8 +221,6 @@ def umbilicity_verdict(result: CmcResult, ambient: WarpingFunction) -> RigidityV
     return RigidityVerdict(
         mean_radius=mean_r,
         gap_margin=float(gap / (h * h)),
-        ricci_radial=float(radial),
-        ricci_tangential=float(tangential),
         alarm=alarm,
         conclusion=conclusion,
     )

@@ -402,8 +402,8 @@ def run_flow(
     Returns (trace, final_state).
     """
     state = init_flow(start) if isinstance(start, GraphSurface) else start
-    if not (t_end > state.t):
-        raise ParameterError("t_end must exceed the current flow time")
+    if not (state.t < t_end < math.inf):
+        raise ParameterError("t_end must be finite and exceed the current flow time")
     if record_every < 1:
         raise ParameterError("record_every must be at least 1")
     if dt_max is None:

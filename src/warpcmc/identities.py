@@ -4,9 +4,11 @@ Three checks, each returning a small report instead of a bare boolean:
 the flux identity that balances mean curvature against the potential,
 its weighted variant (an inequality once the potential stops being
 constant), and the volumetric inequality comparing the inverse mean
-curvature integral with the enclosed weighted volume.  Verdicts record
-whether the computed sides agree to tolerance, satisfy the inequality
-with room, or violate it.
+curvature integral with the enclosed weighted volume.  One rule decides
+every verdict: "equality" when |lhs - rhs| <= tol max(|lhs|, |rhs|,
+1e-300), else "inequality-satisfied" when sign (lhs - rhs) > 0 with sign
+0, -1 and +1 for the three checks, else "violated" (so is a NaN residual).
+Only the weighted check carries a detail, its ``slack``.
 """
 
 from __future__ import annotations
@@ -46,8 +48,16 @@ class IdentityReport:
     detail: dict = field(default_factory=dict)
 
 
-def _scale(lhs: float, rhs: float) -> float:
-    return max(abs(lhs), abs(rhs), 1e-300)
+def _report(name: str, lhs: float, rhs: float, tol: float, sign: int, detail: dict) -> IdentityReport:
+    """The report of a check whose inequality reads sign (lhs - rhs) > 0 (module docstring)."""
+    resid = lhs - rhs
+    if abs(resid) <= tol * max(abs(lhs), abs(rhs), 1e-300):
+        verdict = "equality"
+    elif sign * resid > 0.0:
+        verdict = "inequality-satisfied"
+    else:
+        verdict = "violated"
+    return IdentityReport(name, lhs, rhs, resid, tol, verdict, detail)
 
 
 def minkowski_check(surface: GraphSurface) -> IdentityReport:
@@ -61,17 +71,7 @@ def minkowski_check(surface: GraphSurface) -> IdentityReport:
     n = surface.warping.dim
     lhs = surface.integrate(rep.mean_curvature * rep.support)
     rhs = (n - 1.0) * surface.integrate(rep.potential)
-    resid = lhs - rhs
-    verdict = "equality" if abs(resid) <= TOL_MINKOWSKI * _scale(lhs, rhs) else "violated"
-    return IdentityReport(
-        name="minkowski",
-        lhs=lhs,
-        rhs=rhs,
-        residual=resid,
-        tol=TOL_MINKOWSKI,
-        verdict=verdict,
-        detail={"area": rep.area},
-    )
+    return _report("minkowski", lhs, rhs, TOL_MINKOWSKI, 0, {})
 
 
 def minkowski_weighted_check(surface: GraphSurface) -> IdentityReport:
@@ -96,26 +96,10 @@ def minkowski_weighted_check(surface: GraphSurface) -> IdentityReport:
         raise HypothesisError("potential must stay positive on the surface")
     lhs = surface.integrate(rep.mean_curvature * rep.support / rep.potential)
     rhs = (w.dim - 1.0) * rep.area
-    resid = lhs - rhs
     slack = surface.integrate(
         rep.warp * rep.potential_slope * (1.0 - rep.nu_radial**2) / rep.potential**2
     )
-    scale = _scale(lhs, rhs)
-    if abs(resid) <= TOL_MINKOWSKI * scale:
-        verdict = "equality"
-    elif resid < 0.0:
-        verdict = "inequality-satisfied"
-    else:
-        verdict = "violated"
-    return IdentityReport(
-        name="minkowski-weighted",
-        lhs=lhs,
-        rhs=rhs,
-        residual=resid,
-        tol=TOL_MINKOWSKI,
-        verdict=verdict,
-        detail={"slack": slack, "monotone_radius": r1, "max_radius": rho_max},
-    )
+    return _report("minkowski-weighted", lhs, rhs, TOL_MINKOWSKI, -1, {"slack": slack})
 
 
 def hk_check(surface: GraphSurface) -> IdentityReport:
@@ -132,26 +116,5 @@ def hk_check(surface: GraphSurface) -> IdentityReport:
         raise HypothesisError(f"mean curvature must be positive, min H = {h_min:.6g}")
     n = w.dim
     lhs = (n - 1.0) * surface.integrate(rep.potential / rep.mean_curvature)
-    boundary_term = w.inner_jet[0] ** n * w.base_volume
-    rhs = n * surface.enclosed_weighted_volume() + boundary_term
-    resid = lhs - rhs
-    scale = _scale(lhs, rhs)
-    if abs(resid) <= TOL_HEINTZE_KARCHER * scale:
-        verdict = "equality"
-    elif resid > 0.0:
-        verdict = "inequality-satisfied"
-    else:
-        verdict = "violated"
-    return IdentityReport(
-        name="hk",
-        lhs=lhs,
-        rhs=rhs,
-        residual=resid,
-        tol=TOL_HEINTZE_KARCHER,
-        verdict=verdict,
-        detail={
-            "min_mean_curvature": h_min,
-            "boundary_term": boundary_term,
-            "weighted_volume": rhs / n - boundary_term / n,
-        },
-    )
+    rhs = n * surface.enclosed_weighted_volume() + w.inner_jet[0] ** n * w.base_volume
+    return _report("hk", lhs, rhs, TOL_HEINTZE_KARCHER, 1, {})

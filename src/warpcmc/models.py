@@ -98,7 +98,10 @@ class OmegaProfile:
             raise ParameterError("need 0 < s_floor < s_max")
         if self.s_upper is not None and not self.s_upper > self.s_max:
             raise ParameterError("need s_max < s_upper")
-        w0, w0p = (float(np.asarray(v)) for v in self.omega(np.asarray(self.s_floor))[:2])
+        with np.errstate(all="ignore"):  # a non-finite value is refused below
+            w0, w0p, w0pp = (float(np.asarray(v)) for v in self.omega(np.asarray(self.s_floor)))
+        if not np.isfinite((w0, w0p, w0pp)).all():
+            raise ParameterError(f"omega and its derivatives must be finite at s_floor {self.s_floor}")
         if abs(w0) > 1e-10 * max(1.0, abs(self.s_floor)):
             raise ParameterError(f"omega(s_floor) = {w0}, expected 0")
         if w0p <= 0.0:
@@ -184,6 +187,9 @@ def admissibility(family: str, n: int, params: dict) -> tuple[bool, str]:
     if family not in _HORIZON_FAMILIES:
         return False, f"unknown family {family!r}"
     p = _family_params(family, params)
+    for key in ("m", "kappa", "q"):
+        if not math.isfinite(p.get(key, 0.0)):
+            return False, f"{key} must be finite, got {p[key]}"
     m = p["m"]
     if family == "reissner-nordstrom":
         if not (m > 2.0 * p["q"] > 0.0):
@@ -193,6 +199,8 @@ def admissibility(family: str, n: int, params: dict) -> tuple[bool, str]:
     elif family == "desitter-schwarzschild" and p["kappa"] > 0:
         # both horizons exist when omega is positive at its peak (see _horizons)
         s_peak = ((n - 2) * m / (2.0 * p["kappa"])) ** (1.0 / n)
+        if not 0.0 < s_peak < math.inf:
+            return False, f"omega peaks at s_peak = {s_peak}, not a positive finite float"
         peak = float(_poly_evaluators(n, m, p["kappa"], 0.0)[0](s_peak)[0])
         if not peak > 0.0:
             return False, f"omega = {peak:.6g} <= 0 at its peak; the two horizons merge or vanish"

@@ -193,6 +193,27 @@ def test_out_of_range_model_input_exits_2(tmp_path, capsys, args, message):
     assert message.format(table=table) in err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["check", "--model", "desitter-schwarzschild", "--m", "1e-300", "--kappa", "1e300"],
+         "s_peak"),
+        (["check", "--model", "reissner-nordstrom", "--m", "inf", "--q", "1"],
+         "m must be finite"),
+        (["check", "--model", "schwarzschild", "--m", "1e-300"], "must be finite at s_floor"),
+        (["flow", "--t-end", "inf"], "t_end must be finite"),
+    ],
+)
+def test_extreme_parameters_exit_2(tmp_path, capsys, args, message):
+    # an underflowing peak, an infinite mass, an overflowing omega' at the
+    # horizon and an infinite flow time are refused, not raised from float
+    # arithmetic
+    code, _, err = run([*args, "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error:")
+    assert message in err
+
+
 def test_non_numeric_omega_table_row_exits_2(tmp_path, capsys):
     table = tmp_path / "t.txt"
     table.write_text("1 0\nx y\n2 0.5\n")

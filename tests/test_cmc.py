@@ -22,7 +22,6 @@ from warpcmc import (
     full_sphere_grid,
     make_model,
     perturb_slice,
-    ricci_eigenvalues,
     slice_surface,
     umbilicity_verdict,
 )
@@ -207,12 +206,9 @@ def test_one_grid_warp_jet_per_iteration(schw3):
 
     calls.clear()
     defects.clear()
-    verdict = umbilicity_verdict(result, w)
+    umbilicity_verdict(result, w)
     assert calls == [False]
     assert len(defects) == 1
-    radial, tangential = ricci_eigenvalues(w, verdict.mean_radius)
-    assert verdict.ricci_radial == radial
-    assert verdict.ricci_tangential == tangential
 
     inner.clear()
     again = find_cmc(perturb_slice(w, axisym_grid(3, 48), 2.0, [(1, 0, 0.02)]))

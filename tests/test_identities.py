@@ -24,6 +24,7 @@ from warpcmc import (
     perturb_slice,
     slice_surface,
 )
+from warpcmc.identities import _report
 
 
 def test_minkowski_identity_on_slices(schw3):
@@ -144,3 +145,23 @@ def test_hk_rejects_negative_mean_curvature():
     surface = perturb_slice(w, engine, 1.0, [(5, 0, 0.25)])
     with pytest.raises(HypothesisError, match="mean curvature"):
         hk_check(surface)
+
+
+@pytest.mark.parametrize("sign", [0, -1, 1])
+@pytest.mark.parametrize("lhs, rhs", [(2.0, 1.0), (1.0, 2.0), (-2.0, -1.0)])
+def test_verdict_rule_at_the_tolerance_edge(sign, lhs, rhs):
+    # |lhs - rhs| = 1 is exactly tol * scale at tol 0.5, and one ulp outside
+    # it at the next float below 0.5: only then does the sign decide
+    at = _report("edge", lhs, rhs, 0.5, sign, {})
+    assert (at.verdict, at.residual, at.tol) == ("equality", lhs - rhs, 0.5)
+    outside = _report("edge", lhs, rhs, math.nextafter(0.5, 0.0), sign, {})
+    assert outside.verdict == ("inequality-satisfied" if sign * (lhs - rhs) > 0 else "violated")
+
+
+@pytest.mark.parametrize("sign", [0, -1, 1])
+def test_verdict_rule_nan_and_zero(sign):
+    assert _report("nan", math.nan, 1.0, 1e-8, sign, {}).verdict == "violated"
+    assert _report("nan", 1.0, math.nan, 1e-8, sign, {}).verdict == "violated"
+    assert _report("zero", 0.0, 0.0, 1e-8, sign, {}).verdict == "equality"
+    # the 1e-300 floor of the scale makes a subnormal residual an equality
+    assert _report("tiny", 1e-310, 0.0, 1e-8, sign, {}).verdict == "equality"
