@@ -16,8 +16,8 @@ s = s_floor + xi^2 removes it, leaving the smooth integrand
 2 xi / sqrt(omega(s_floor + xi^2)).  When omega has a second root s_upper
 just above the chart (deSitter-Schwarzschild with kappa > 0), the part of
 the chart above the midpoint substitutes s = s_upper - eta^2 the same way.
-The built-in families evaluate omega(root + d) - omega(root) without
-cancellation, so the integrand keeps full precision next to either root.
+A horizon family, 1 - omega = sum c s^a, evaluates omega(root + d) -
+omega(root) term by term, so the integrand keeps full precision next to either root.
 
 F is tabulated once, by one 8-point Gauss-Legendre panel between consecutive
 knots equally spaced in xi (and eta).  A quintic Hermite interpolant through
@@ -55,13 +55,9 @@ __all__ = [
     "OmegaBackedWarping",
     "MODEL_FAMILIES",
     "admissibility",
-    "horizon_radius",
     "make_model",
     "omega_to_warping",
     "load_omega_table",
-    "schwarzschild_profile",
-    "desitter_schwarzschild_profile",
-    "reissner_nordstrom_profile",
     "omega_condition_margins",
 ]
 
@@ -81,14 +77,8 @@ class OmegaProfile:
     s_max: float
     omega: Callable[[np.ndarray], tuple]
     params: dict = field(default_factory=dict)
-    # optional direct evaluator of 1 - omega; evaluating it as a difference
-    # cancels wherever omega is close to 1, and (1 - omega)/s^2 feeds the
-    # curvature-defect quantity that several margins need to high accuracy
-    one_minus_omega: Callable[[np.ndarray], np.ndarray] | None = None
-    # optional evaluator of omega(root + d) - omega(root) for a root of omega;
-    # next to a root the plain difference is mostly roundoff, and the
-    # arc-length integrand divides by its square root
-    omega_difference: Callable[[float, np.ndarray], np.ndarray] | None = None
+    # (c, a) of 1 - omega = sum c s^a for a horizon family, () for a table
+    terms: tuple = ()
     # second root of omega above s_max (a cosmological horizon), if any; the
     # arc length is then integrated from it on the upper half of the chart
     s_upper: float | None = None
@@ -98,10 +88,13 @@ class OmegaProfile:
             raise ParameterError("need 0 < s_floor < s_max")
         if self.s_upper is not None and not self.s_upper > self.s_max:
             raise ParameterError("need s_max < s_upper")
-        with np.errstate(all="ignore"):  # a non-finite value is refused below
+        # a negative power is largest at s_floor; a non-finite value is refused below
+        with np.errstate(all="ignore"):
             w0, w0p, w0pp = (float(np.asarray(v)) for v in self.omega(np.asarray(self.s_floor)))
-        if not np.isfinite((w0, w0p, w0pp)).all():
-            raise ParameterError(f"omega and its derivatives must be finite at s_floor {self.s_floor}")
+            exact = _exact_margins(self.terms, self.dim, np.asarray(self.s_floor))
+        if not np.isfinite((w0, w0p, w0pp, *exact, self.s_max * self.s_max)).all():
+            raise ParameterError(f"omega, its derivatives and margins must be finite at s_floor "
+                                 f"{self.s_floor}, and s_max^2 at s_max {self.s_max}")
         if abs(w0) > 1e-10 * max(1.0, abs(self.s_floor)):
             raise ParameterError(f"omega(s_floor) = {w0}, expected 0")
         if w0p <= 0.0:
@@ -112,53 +105,104 @@ class OmegaProfile:
 
 
 # ---------------------------------------------------------------------------
-# built-in families
+# horizon families: omega = 1 - sum c s^a over the terms (c, a), summed in their order
 
 
-# The evaluators skip a kappa or charge2 term whose coefficient is 0 and keep the
-# order of the full polynomial: a skipped term adds an exact 0.0, so no bit moves.
-def _poly_evaluators(dim, mass, kappa, charge2):
-    """Evaluators of omega(s) = 1 - mass s^{2-n} - kappa s^2 + charge2 s^{4-2n}.
+def _omega_jet(terms, order=2):
+    """The map s -> (omega, omega', ...) of omega = 1 - sum c s^a, to the ``order``-th derivative.
 
-    Returns (omega, one_minus_omega, difference): omega with its first two
-    derivatives, 1 - omega, and difference(r, d) = omega(r + d) - omega(r)
-    with each power difference as r^p expm1(p log1p(d/r)).
+    The k-th derivative of a term, -c a (a-1) ... (a-k+1) s^(a-k), is listed once;
+    a call adds them in term order, from the first, taking s^0 and s^1 without a power.
     """
-    p = 2 - dim
-    q = 4 - 2 * dim
+    columns = [[] for _ in range(order + 1)]
+    for c, a in terms:
+        for k, column in enumerate(columns):
+            column.append((-c, a - k))
+            c = c * (a - k)
 
-    def omega(s):
-        w = 1.0 - mass * s**p
-        w1 = -mass * p * s ** (p - 1)
-        w2 = -mass * p * (p - 1) * s ** (p - 2)
-        if kappa:
-            w = w - kappa * s**2
-            w1 = w1 - 2.0 * kappa * s
-            w2 = w2 - 2.0 * kappa
-        if charge2:
-            w = w + charge2 * s**q
-            w1 = w1 + charge2 * q * s ** (q - 1)
-            w2 = w2 + charge2 * q * (q - 1) * s ** (q - 2)
-        return w, w1, w2
+    def jet(s):
+        out = [1.0] + [None] * order
+        for k, column in enumerate(columns):
+            for coef, p in column:
+                term = coef if p == 0 else coef * s if p == 1 else coef * s**p
+                out[k] = term if out[k] is None else out[k] + term
+        return tuple(out)
 
-    def one_minus_omega(s):
-        out = mass * s**p
-        if kappa:
-            out = out + kappa * s**2
-        if charge2:
-            out = out - charge2 * s**q
-        return out
+    return jet
 
-    def difference(r, d):
-        grow = np.log1p(d / r)
-        out = -mass * r**p * np.expm1(p * grow)
-        if charge2:
-            out = charge2 * r**q * np.expm1(q * grow) + out
-        if kappa:
-            out = out - kappa * d * (2.0 * r + d)
-        return out
 
-    return omega, one_minus_omega, difference
+def _term_sum(terms, s):
+    """1 - omega = sum c s^a, free of the cancellation in 1 - omega where omega is near 1."""
+    total = None
+    for c, a in terms:
+        total = c * s**a if total is None else total + c * s**a
+    return total
+
+
+def _root_difference(terms, r, d):
+    """omega(r + d) - omega(r) without cancellation next to a root r of omega.
+
+    A power's difference is r^a expm1(a log1p(d/r)); the square's, d (2r + d),
+    is exact and comes last.
+    """
+    grow = np.log1p(d / r)
+    parts = [-c * r**a * np.expm1(a * grow) for c, a in terms if a != 2]
+    parts += [-c * d * (2.0 * r + d) for c, a in terms if a == 2]
+    return sum(parts[1:], parts[0])
+
+
+def _exact_margins(terms, n, s):
+    """Ricci gap, monotonicity quantity W and dW/ds of omega = 1 - sum c s^a.
+
+    gap = sum c (1 - a/2) s^(a-2), W = -sum c (a+n-2) s^(a-2) and dW/ds =
+    -sum c (a+n-2)(a-2) s^(a-3).  A monomial whose factor is 0 is left out
+    (the mass term's in W and dW/ds, kappa's in the gap and dW/ds), so dW/ds
+    is exactly 0 for Schwarzschild and deSitter-Schwarzschild.
+    """
+    factors = ((lambda a: 1 - a / 2, -2), (lambda a: -(a + n - 2), -2),
+               (lambda a: -(a + n - 2) * (a - 2), -3))
+    zero = np.zeros_like(s)
+    return tuple(sum((c * f(a) * s ** (a + k) for c, a in terms if f(a)), zero) for f, k in factors)
+
+
+def _critical_point(terms) -> float:
+    """Where omega' = 0 for two terms, c1 a1 s^a1 + c2 a2 s^a2 = 0, in float64; nan if none."""
+    (c1, a1), (c2, a2) = terms
+    return float((np.float64(-c1 * a1) / (c2 * a2)) ** (1.0 / (a2 - a1)))
+
+
+def _terms(n: int, params: dict) -> tuple:
+    """Terms (c, a) of a horizon family: (m, 2-n), (kappa, 2), (-q^2, 4-2n), each with c != 0."""
+    q, kappa = params.get("q", 0.0), params.get("kappa", 0.0)
+    return tuple((c, a) for c, a in ((params["m"], 2 - n), (kappa, 2), (-(q * q), 4 - 2 * n)) if c)
+
+
+def _no_horizon(terms) -> str | None:
+    """Why omega = 1 - sum c s^a has no horizon, or None when it has one.
+
+    Near s = 0 omega has the sign of -c of a lowest power below 0, near infinity
+    that of -c of a highest power above 0, and is 1 otherwise.  Rising from
+    - to +, omega has a horizon; with one sign at both ends it needs the other
+    at the critical point of its two terms: a peak, or a minimum.
+    """
+    if not terms:
+        return "omega = 1 has no root"
+    (c0, a0), (c1, a1) = min(terms, key=lambda t: t[1]), max(terms, key=lambda t: t[1])
+    ends = (-c0 if a0 < 0 else 1.0), (-c1 if a1 > 0 else 1.0)
+    if ends[0] < 0.0 < ends[1]:
+        return None
+    if ends[1] < 0.0 < ends[0]:
+        return "omega falls through its root, so it has no horizon"
+    kind = "peak" if ends[0] < 0.0 else "minimum"
+    with np.errstate(all="ignore"):  # float64: an overflow is inf or nan, not an exception
+        s = _critical_point(terms) if len(terms) == 2 else math.nan
+        value = float(_omega_jet(terms, 0)(np.float64(s))[0])
+    if not 0.0 < s < math.inf:
+        return f"omega has no {kind} at a positive finite float: s_{kind} = {s}"
+    if value * ends[0] < 0.0:
+        return None
+    merge = "the two horizons merge or vanish" if kind == "peak" else "no horizon"
+    return f"omega = {value:.6g} at its {kind} s_{kind} = {s:.6g}; {merge}"
 
 
 def _family_params(family: str, params: dict) -> dict:
@@ -167,133 +211,82 @@ def _family_params(family: str, params: dict) -> dict:
     return {key: params.get(key, value) for key, value in defaults.items()}
 
 
-def _coefficients(params: dict) -> tuple:
-    """(mass, kappa, charge2) of omega for a horizon family's parameters."""
-    q = params.get("q", 0.0)
-    return params["m"], params.get("kappa", 0.0), q * q
-
-
 def admissibility(family: str, n: int, params: dict) -> tuple[bool, str]:
     """Check whether family parameters give a regular horizon profile.
 
     Missing parameters take the family's defaults from ``MODEL_FAMILIES``.
+    Whether omega has a horizon is read from its terms (``_no_horizon``).
     Returns (ok, message); the message explains the first failed constraint.
     """
     if n < 3:
         return False, f"ambient dimension must be >= 3, got {n}"
-    # an omega table runs its own checks when it is loaded
-    if family in ("euclidean", "sphere", "hyperbolic", "omega-table"):
-        return True, "admissible"
-    if family not in _HORIZON_FAMILIES:
+    if family not in MODEL_FAMILIES:
         return False, f"unknown family {family!r}"
+    if family not in _HORIZON_FAMILIES:  # an omega table runs its own checks when loaded
+        return True, "admissible"
     p = _family_params(family, params)
     for key in ("m", "kappa", "q"):
         if not math.isfinite(p.get(key, 0.0)):
             return False, f"{key} must be finite, got {p[key]}"
-    m = p["m"]
-    if family == "reissner-nordstrom":
-        if not (m > 2.0 * p["q"] > 0.0):
-            return False, f"need m > 2q > 0, got m = {m}, q = {p['q']}"
-    elif m <= 0:
-        return False, f"mass must be positive, got m = {m}"
-    elif family == "desitter-schwarzschild" and p["kappa"] > 0:
-        # both horizons exist when omega is positive at its peak (see _horizons)
-        s_peak = ((n - 2) * m / (2.0 * p["kappa"])) ** (1.0 / n)
-        if not 0.0 < s_peak < math.inf:
-            return False, f"omega peaks at s_peak = {s_peak}, not a positive finite float"
-        peak = float(_poly_evaluators(n, m, p["kappa"], 0.0)[0](s_peak)[0])
-        if not peak > 0.0:
-            return False, f"omega = {peak:.6g} <= 0 at its peak; the two horizons merge or vanish"
+    problem = _no_horizon(_terms(n, p))
+    if problem:
+        return False, f"{problem} ({family}: {MODEL_FAMILIES[family]['notes']})"
     return True, "admissible"
 
 
-def horizon_radius(family: str, n: int, params: dict) -> float:
-    """Largest root of omega for a built-in family, to 1e-12 relative.
-
-    Missing parameters take the family's defaults from ``MODEL_FAMILIES``.
-    For deSitter-Schwarzschild with kappa > 0 this is the lower of the two
-    roots (see ``_horizons``).
-    """
-    ok, msg = admissibility(family, n, params)
-    if not ok:
-        raise ParameterError(msg)
-    if family not in _HORIZON_FAMILIES:
-        raise ParameterError(f"family {family!r} has no horizon")
-    return _horizons(n, *_coefficients(_family_params(family, params)))[0]
-
-
-def _horizons(n, mass, kappa, charge2):
+def _horizons(terms):
     """Horizon s_floor of an admissible omega and its cosmological horizon s_upper, or None.
 
-    No family has both kappa and charge2.  kappa > 0: omega peaks at
-    s_peak = ((n-2) m / (2 kappa))^(1/n), where it is positive for every
-    admissible kappa, so each root is bracketed on its own side: omega <
-    1 - m s^(2-n) <= -1 at half the Schwarzschild radius below, and omega <
-    1 - kappa s^2 = -3 at s = 2 kappa^(-1/2) above.  kappa < 0: omega
-    increases with s and the mass term makes it negative for small s, so the
-    bracket widens from the Schwarzschild radius both ways.
+    The mass term (m, 2-n) comes first; its root is the Schwarzschild radius.
+    A charge makes omega quadratic in u = s^(2-n), whose smaller root is the
+    larger s.  kappa > 0 brackets a root on each side of s_peak, where omega >
+    0: omega <= -1 at half the Schwarzschild radius, < -3 at 2 kappa^(-1/2).
+    kappa < 0 makes omega increase: the bracket widens from the Schwarzschild
+    radius.  The root searches evaluate omega alone.
     """
-    if charge2:
-        # roots in u = s^{2-n} of q^2 u^2 - m u + 1; the larger s is the
-        # smaller u, and the stable expression avoids cancellation
-        disc = math.sqrt(mass * mass - 4.0 * charge2)
-        return (2.0 / (mass + disc)) ** (-1.0 / (n - 2)), None
-    schwarzschild = mass ** (1.0 / (n - 2))
-    if not kappa:
+    (mass, a), *rest = terms
+    schwarzschild = mass ** (-1.0 / a)
+    if not rest:
         return schwarzschild, None
-    omega = _poly_evaluators(n, mass, kappa, 0.0)[0]
-    f = lambda s: float(omega(s)[0])
-    if kappa > 0:
-        s_peak = ((n - 2) * mass / (2.0 * kappa)) ** (1.0 / n)
-        lower = find_root(f, 0.5 * schwarzschild, s_peak)
-        return float(lower), float(find_root(f, s_peak, 2.0 / math.sqrt(kappa)))
-    lo = hi = schwarzschild
-    while f(lo) >= 0:
-        lo *= 0.5
-    while f(hi) <= 0:
-        hi *= 2.0
-    return float(find_root(f, lo, hi)), None
+    ((c, b),) = rest
+    with np.errstate(all="ignore"):  # an overflow (m^2 too) is inf or nan, refused later
+        if b == 2 * a:
+            disc = np.sqrt(np.float64(mass) * mass + 4.0 * c)
+            return float((2.0 / (mass + disc)) ** (1.0 / a)), None
+        omega = _omega_jet(terms, 0)
+        f = lambda s: float(omega(np.float64(s))[0])
+        if c > 0:
+            s_peak = _critical_point(terms)
+            lower = find_root(f, 0.5 * schwarzschild, s_peak)
+            return float(lower), float(find_root(f, s_peak, 2.0 / math.sqrt(c)))
+        lo = hi = schwarzschild
+        while f(lo) >= 0:
+            lo *= 0.5
+        while f(hi) <= 0:
+            hi *= 2.0
+        return float(find_root(f, lo, hi)), None
 
 
 def _horizon_profile(family: str, n: int, params: dict) -> OmegaProfile:
-    """Profile of a closed-form horizon family; ``params`` holds its parameters and s_max.
+    """Profile of a horizon family from ``params``, its parameters and s_max (popped).
 
-    s_max None takes 10 s_floor; a cosmological horizon caps it at
-    s_upper (1 - 1e-9).
+    s_max None takes 10 s_floor; a cosmological horizon caps it at s_upper (1 - 1e-9).
     """
     ok, msg = admissibility(family, n, params)
     if not ok:
         raise ParameterError(msg)
-    params = dict(params)
     s_max = params.pop("s_max")
-    mass, kappa, charge2 = _coefficients(params)
-    s_floor, s_upper = _horizons(n, mass, kappa, charge2)
+    terms = _terms(n, params)
+    s_floor, s_upper = _horizons(terms)
     if s_upper is not None:
         ceiling = s_upper * (1.0 - 1e-9)
         s_max = ceiling if s_max is None else min(s_max, ceiling)
     elif s_max is None:
         s_max = 10.0 * s_floor
-    omega, one_minus_omega, difference = _poly_evaluators(n, mass, kappa, charge2)
     return OmegaProfile(
-        family, n, s_floor, s_max, omega, params=params,
-        one_minus_omega=one_minus_omega, omega_difference=difference, s_upper=s_upper,
+        family, n, s_floor, s_max, _omega_jet(terms),
+        params=params, terms=terms, s_upper=s_upper,
     )
-
-
-def schwarzschild_profile(n: int, m: float, s_max: float | None = None) -> OmegaProfile:
-    return _horizon_profile("schwarzschild", n, {"m": m, "s_max": s_max})
-
-
-def desitter_schwarzschild_profile(
-    n: int, m: float, kappa: float, s_max: float | None = None
-) -> OmegaProfile:
-    return _horizon_profile("desitter-schwarzschild", n, {"m": m, "kappa": kappa, "s_max": s_max})
-
-
-def reissner_nordstrom_profile(
-    n: int, m: float, q: float, s_max: float | None = None
-) -> OmegaProfile:
-    return _horizon_profile("reissner-nordstrom", n, {"m": m, "q": q, "s_max": s_max})
 
 
 def load_omega_table(path, n: int, s_max: float | None = None) -> OmegaProfile:
@@ -356,16 +349,16 @@ def _root_integrand(profile: OmegaProfile, root, sign, x, at_root):
     s_upper (sign -1); the substitution removes the square-root singularity
     of 1/sqrt(omega) there.  The stored root is declared to be a zero of
     omega, so the integrand takes omega(root + sign x^2) - omega(root):
-    from the profile's ``omega_difference`` when it has one, otherwise as a
-    difference, which keeps the square root from going through zero a hair
-    early or late.  At x = 0, and wherever that difference is 0, the
+    term by term for a profile with terms (``_root_difference``), otherwise
+    as a difference, which keeps the square root from going through zero a
+    hair early or late.  At x = 0, and wherever that difference is 0, the
     integrand takes its limit 2 / sqrt(|omega'(root)|).  ``at_root`` is
     ``profile.omega`` at the root, evaluated once per pass by the caller.
     """
     w0, w1, _ = at_root
     x = np.asarray(x, dtype=float)
-    if profile.omega_difference is not None:
-        om = profile.omega_difference(root, sign * x * x)
+    if profile.terms:
+        om = _root_difference(profile.terms, root, sign * x * x)
     else:
         om = profile.omega(root + sign * x * x)[0] - float(w0)
     om = np.maximum(om, 0.0)
@@ -582,16 +575,12 @@ def omega_to_warping(profile: OmegaProfile, knots: int = 2048) -> OmegaBackedWar
             sq = np.sqrt(np.maximum(om - omega_shift, 0.0))
         return s, sq, 0.5 * om1, 0.5 * om2 * sq
 
-    one_minus_omega = profile.one_minus_omega
+    terms, n = profile.terms, profile.dim
     return OmegaBackedWarping(
-        name=profile.name,
-        dim=profile.dim,
-        r_bar=r_bar,
-        variant="boundary",
-        _jet=jet,
-        _defect=None if one_minus_omega is None else lambda s: one_minus_omega(s) / (s * s),
-        profile=profile,
-        _h_table=table,
+        profile.name, n, r_bar, "boundary", jet,
+        _defect=(lambda s: _term_sum(terms, s) / (s * s)) if terms else None,
+        _margins=(lambda s: _exact_margins(terms, n, s)) if terms else None,
+        profile=profile, _h_table=table,
     )
 
 
@@ -636,7 +625,7 @@ MODEL_FAMILIES = {
     },
 }
 
-# closed-form horizon families: omega is one polynomial in (m, kappa, q^2)
+# horizon families: omega is 1 minus the monomials of their parameters (``_terms``)
 _HORIZON_FAMILIES = ("schwarzschild", "desitter-schwarzschild", "reissner-nordstrom")
 
 
@@ -673,29 +662,28 @@ def omega_condition_margins(profile: OmegaProfile, s):
     Returns a dict with the same quantities the warp-form evaluators
     produce at r = F(s): the potential sqrt(omega), the monotonicity
     quantity and its slope with respect to arc length, and the Ricci
-    gap margin.  Everything is assembled from omega jets alone, so a
-    disagreement with the warp-form route would expose an error in the
-    change of variables.
+    gap margin.  A profile with terms takes the closed forms of
+    ``_exact_margins``, the slope times sqrt(omega); an omega table
+    assembles them from its omega jet.  Either way a disagreement with the
+    warp-form route would expose an error in the change of variables.
     """
     arr = np.asarray(s, dtype=float)
     om, omp, ompp = profile.omega(arr)
-    if profile.one_minus_omega is not None:
-        one_minus = profile.one_minus_omega(arr)
-    else:
-        one_minus = 1.0 - om
+    root = np.sqrt(np.maximum(om, 0.0))
     n = profile.dim
-    defect = one_minus / (arr * arr)
-    quantity = omp / arr - (n - 2) * defect
-    slope_s = (
-        ompp / arr
-        - omp / (arr * arr)
-        + (n - 2) * (omp / (arr * arr) + 2.0 * one_minus / arr**3)
-    )
+    if profile.terms:
+        gap, quantity, slope_s = _exact_margins(profile.terms, n, arr)
+    else:
+        defect = (1.0 - om) / (arr * arr)
+        gap = omp / (2.0 * arr) + defect
+        quantity = omp / arr - (n - 2) * defect
+        slope_s = ompp / arr - omp / (arr * arr) + (n - 2) * (
+            omp / (arr * arr) + 2.0 * (1.0 - om) / arr**3)
     out = {
-        "potential": np.sqrt(np.maximum(om, 0.0)),
+        "potential": root,
         "monotonicity_quantity": quantity,
-        "monotonicity_slope": slope_s * np.sqrt(np.maximum(om, 0.0)),
-        "ricci_gap_margin": omp / (2.0 * arr) + defect,
+        "monotonicity_slope": slope_s * root,
+        "ricci_gap_margin": gap,
     }
     if np.ndim(s) == 0:
         return {k: float(v) for k, v in out.items()}

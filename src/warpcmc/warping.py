@@ -66,19 +66,19 @@ def sphere_volume(k: int) -> float:
 
 
 def find_root(f: Callable[[float], float], a: float, b: float, xtol: float = 1e-300) -> float:
-    """Root of the scalar function f in [a, b] by Brent's method.
+    """Root of the scalar function f in [a, b] by Brent's method, in Python floats.
 
     Inverse quadratic interpolation, secant steps and bisection as in
-    Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 4;
-    the root is located to xtol + 1e-15 |root|.  f(a) and f(b) must differ
-    in sign, otherwise ``HypothesisError`` is raised.
+    Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 4,
+    bisecting over a 0 denominator; the root is located to xtol + 1e-15 |root|.
+    f(a) and f(b) must differ in sign, otherwise ``HypothesisError`` is raised.
     """
-    fpre, fcur = f(a), f(b)
+    fpre, fcur = float(f(a)), float(f(b))
     if fpre == 0.0 or fcur == 0.0:
         return a if fpre == 0.0 else b
     if (fpre < 0.0) == (fcur < 0.0):
         raise HypothesisError(f"no sign change on [{a!r}, {b!r}]: f = {fpre!r}, {fcur!r}")
-    xpre, xcur = a, b
+    xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
     for _ in range(100):
         if (fpre < 0.0) != (fcur < 0.0):
@@ -97,7 +97,8 @@ def find_root(f: Callable[[float], float], a: float, b: float, xtol: float = 1e-
             else:  # inverse quadratic interpolation
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                den = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
             if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:  # the step does not shrink fast enough: bisect
@@ -106,7 +107,7 @@ def find_root(f: Callable[[float], float], a: float, b: float, xtol: float = 1e-
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
-        fcur = f(xcur)
+        fcur = float(f(xcur))
     raise HypothesisError(f"root search on [{a!r}, {b!r}] did not converge")
 
 
@@ -135,6 +136,8 @@ class WarpingFunction:
     # generic jet route cancels catastrophically near a ball center, where
     # 1 - h'^2 = O(r^2)
     _defect: Callable[[np.ndarray], np.ndarray] | None = None
+    # optional exact (Ricci gap, W, dW/dh) of h, where the jet route leaves roundoff
+    _margins: Callable[[np.ndarray], tuple] | None = None
 
     def __post_init__(self):
         if self.dim < 3:
@@ -458,6 +461,8 @@ def check_conditions(w: WarpingFunction) -> ConditionReport:
       reported as ``degenerate``: the strict hypothesis fails but every
       weaker conclusion survives.
 
+    Exact margins (``_margins``) give the gap and the slope, dW/dh times h'.
+
     Pass/fail for the first three uses a -TOL_CONDITION slack on the minimum
     margin; the gap condition requires min margin > +TOL_CONDITION to count
     as strict.
@@ -471,10 +476,14 @@ def check_conditions(w: WarpingFunction) -> ConditionReport:
         reg_margin = -max(abs(h0), abs(hp0 - 1.0), abs(hpp0))
 
     jet = _curvature_jet(w, radii)
-    terms = _curvature_terms(w.dim, jet)
-    gap_signed = terms.gap if w.variant == "boundary" else np.abs(terms.gap)
-
-    margins = {"monotonicity": jet[1], "scalar_monotonicity": terms.slope, "ricci_gap": gap_signed}
+    if w._margins is None:
+        terms = _curvature_terms(w.dim, jet)
+        gap, slope = terms.gap, terms.slope
+    else:
+        gap, _, slope_h = w._margins(jet[0])
+        slope = slope_h * jet[1]
+    margins = {"monotonicity": jet[1], "scalar_monotonicity": slope,
+               "ricci_gap": gap if w.variant == "boundary" else np.abs(gap)}
     min_margin = {"regularity": reg_margin}
     worst_radius = {"regularity": 0.0}
     for name, values in margins.items():
@@ -561,7 +570,7 @@ def scan_monotonicity_extrema(
     for i in range(len(radii) - 1):
         a, b = radii[i], radii[i + 1]
         sa, sb = slope[i], slope[i + 1]
-        if sa == 0.0 or sa * sb >= 0.0:
+        if sa == 0.0 or np.sign(sa) * np.sign(sb) >= 0.0:  # sa * sb may overflow
             continue
         if max(abs(sa), abs(sb)) <= slope_floor:
             continue

@@ -5,14 +5,19 @@ nothing run-dependent, so repeating a command must reproduce the
 bytes exactly.
 """
 
+import contextlib
 import copy
 import functools
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from warpcmc import (
     area_floor_check,
@@ -88,6 +93,22 @@ def test_check_strict_gap_on_schwarzschild(tmp_path, capsys):
     )
     assert code == 0
     assert "slice-rigidity" in out
+
+
+def test_readme_check_block_is_the_check_stdout(tmp_path, capsys, monkeypatch):
+    # the README shows the stdout of its first `check` command, run in a
+    # fresh directory; only the directory of the written file may differ
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    command = "warpcmc check --model schwarzschild --m 1\n"
+    assert command in readme
+    block = readme.split("`check` prints the per-condition verdicts", 1)[1].split("```\n", 2)[1]
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(command.split()[1:], capsys)
+    assert code == 0
+    *lines, wrote = out.splitlines()
+    *shown, wrote_shown = block.splitlines()
+    assert lines == shown
+    assert Path(wrote.split(" ", 1)[1]).name == Path(wrote_shown.split(" ", 1)[1]).name
 
 
 def test_inadmissible_parameters_exit_2(tmp_path, capsys):
@@ -212,6 +233,39 @@ def test_extreme_parameters_exit_2(tmp_path, capsys, args, message):
     assert code == 2
     assert err.startswith("error:")
     assert message in err
+
+
+# a positive float log-uniform across the float range, 1e-300 to 1.8e308
+_ANY_SCALE = st.floats(min_value=-300.0, max_value=308.25).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=94, deadline=None, derandomize=True)  # and 6 examples: 100 runs
+@given(
+    family=st.sampled_from(["schwarzschild", "desitter-schwarzschild", "reissner-nordstrom"]),
+    n=st.sampled_from([3, 4, 5]),
+    m=_ANY_SCALE,
+    kappa=st.tuples(st.sampled_from([-1.0, 1.0]), _ANY_SCALE).map(lambda t: t[0] * t[1]),
+    q=_ANY_SCALE,
+)
+@example(family="desitter-schwarzschild", n=3, m=1e-300, kappa=1.0, q=1.0)
+@example(family="desitter-schwarzschild", n=3, m=1.0, kappa=-1.7e308, q=1.0)
+@example(family="reissner-nordstrom", n=3, m=1e300, kappa=1.0, q=0.3)
+@example(family="schwarzschild", n=3, m=1.1e-66, kappa=1.0, q=1.0)  # slopes ~ 1e198
+@example(family="schwarzschild", n=3, m=1.4e161, kappa=1.0, q=1.0)  # s_max^2 overflows
+@example(family="reissner-nordstrom", n=5, m=5.8e-110, kappa=1.0, q=2.7e-119)  # s^(1-2n) too
+def test_check_at_any_float_parameters_exits_0_2_or_3(tmp_path_factory, family, n, m, kappa, q):
+    # a horizon family's parameters anywhere in the float range build and
+    # check, or are refused with a typed error: no exception leaves main,
+    # and under the test configuration no RuntimeWarning either
+    args = ["check", "--model", family, "--n", str(n), "--m", repr(m)]
+    if family == "desitter-schwarzschild":
+        args.append(f"--kappa={kappa!r}")
+    if family == "reissner-nordstrom":
+        args += ["--q", repr(q)]
+    out = tmp_path_factory.mktemp("any_float")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([*args, "--out", str(out)])
+    assert code in (0, 2, 3), args
 
 
 def test_non_numeric_omega_table_row_exits_2(tmp_path, capsys):

@@ -18,54 +18,55 @@ from warpcmc import (
     ParameterError,
     admissibility,
     check_conditions,
-    desitter_schwarzschild_profile,
-    horizon_radius,
     load_omega_table,
     make_model,
     monotonicity_quantity,
     omega_condition_margins,
     omega_to_warping,
     potential_and_field,
-    reissner_nordstrom_profile,
     ricci_gap_margin,
     scalar_curvature,
-    schwarzschild_profile,
 )
-from warpcmc.models import _poly_evaluators
+import warpcmc
+from warpcmc.models import _horizons, _omega_jet, _root_difference, _term_sum, _terms
 
 from conftest import kappa_max
 
 KAPPA_SMALL = 0.02
 
 
+def horizon(family, n, **params):
+    """s_floor of the profile make_model stores; few knots, since only the horizon is read."""
+    return make_model(family, n, knots=64, **params).profile.s_floor
+
+
 @pytest.mark.parametrize(
     "family, profile",
     [
-        ("schwarzschild", schwarzschild_profile),
-        ("desitter-schwarzschild", desitter_schwarzschild_profile),
-        ("reissner-nordstrom", reissner_nordstrom_profile),
+        ("schwarzschild", "schwarzschild_profile"),
+        ("desitter-schwarzschild", "desitter_schwarzschild_profile"),
+        ("reissner-nordstrom", "reissner_nordstrom_profile"),
     ],
 )
 def test_missing_parameters_take_the_family_defaults(family, profile):
-    # make_model, admissibility and horizon_radius read one set of defaults;
-    # the profile builders keep no copy of it
+    # make_model and admissibility read one set of defaults; the family's
+    # profile builder is gone, so no copy of them is left
     assert admissibility(family, 3, {}) == (True, "admissible")
     s_floor = make_model(family, 3).profile.s_floor
-    assert horizon_radius(family, 3, {}) == s_floor
-    assert horizon_radius(family, 3, {"m": 1.0}) == s_floor
-    with pytest.raises(TypeError):
-        profile(3)
+    assert horizon(family, 3) == s_floor
+    assert horizon(family, 3, m=1.0) == s_floor
+    assert not hasattr(warpcmc, profile)
 
 
 def test_schwarzschild_horizon_radius():
-    assert horizon_radius("schwarzschild", 3, {"m": 1.0}) == pytest.approx(1.0, abs=1e-12)
-    assert horizon_radius("schwarzschild", 3, {"m": 2.0}) == pytest.approx(2.0, abs=1e-12)
-    assert horizon_radius("schwarzschild", 4, {"m": 4.0}) == pytest.approx(2.0, abs=1e-12)
+    assert horizon("schwarzschild", 3, m=1.0) == pytest.approx(1.0, abs=1e-12)
+    assert horizon("schwarzschild", 3, m=2.0) == pytest.approx(2.0, abs=1e-12)
+    assert horizon("schwarzschild", 4, m=4.0) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_reissner_nordstrom_horizon_is_outer_root():
     m, q = 1.0, 0.25
-    s_h = horizon_radius("reissner-nordstrom", 3, {"m": m, "q": q})
+    s_h = horizon("reissner-nordstrom", 3, m=m, q=q)
     # the outer root of 1 - m/s + q^2/s^2
     disc = math.sqrt(m * m - 4.0 * q * q)
     assert s_h == pytest.approx(2.0 * q * q / (m - disc), rel=1e-12)
@@ -76,8 +77,9 @@ def test_reissner_nordstrom_horizon_is_outer_root():
 @pytest.mark.parametrize("kappa", [-1e10, -1e3, -0.5, 0.0])
 def test_desitter_horizon_for_any_nonpositive_kappa(n, kappa):
     # admissibility accepts every kappa <= 0; the bracket widens from the
-    # Schwarzschild radius until omega changes sign
-    s = horizon_radius("desitter-schwarzschild", n, {"m": 1.0, "kappa": kappa})
+    # Schwarzschild radius until omega changes sign.  The root search itself:
+    # at kappa = -1e10, n = 5 the profile refuses omega(s_floor) ~ 2e-10
+    s = _horizons(_terms(n, {"m": 1.0, "kappa": kappa}))[0]
     assert 0.0 < s <= 1.0
     omega = 1.0 - s ** (2 - n) - kappa * s * s
     assert abs(omega) < 1e-12 * max(1.0, abs(kappa) * s * s)
@@ -114,19 +116,25 @@ def test_positive_kappa_is_admissible_where_omega_peaks_above_zero(n):
         ok, msg = admissibility("desitter-schwarzschild", n, {"m": m, "kappa": kappa})
         assert ok == (peak > 0.0)
         if ok:
-            lower = horizon_radius("desitter-schwarzschild", n, {"m": m, "kappa": kappa})
+            # the root search itself: so close to kappa_max some profiles
+            # refuse the roundoff of omega next to the horizon
+            lower = _horizons(_terms(n, {"m": m, "kappa": kappa}))[0]
             assert 0.0 < lower < s_peak
         else:
             assert "merge or vanish" in msg
 
 
-def test_omega_tables_are_admissible_and_have_no_closed_form_horizon():
+def test_omega_tables_are_admissible_and_have_no_closed_form_horizon(tmp_path):
     # make_model builds the family; the table runs its own checks when loaded
     assert admissibility("omega-table", 3, {}) == (True, "admissible")
     assert admissibility("omega-table", 5, {"path": "omega.txt"}) == (True, "admissible")
     assert not admissibility("omega-table", 2, {})[0]
-    with pytest.raises(ParameterError, match="has no horizon"):
-        horizon_radius("omega-table", 3, {})
+    # a table has no terms, so neither a closed-form defect nor exact margins
+    s = np.linspace(1.0, 10.0, 40)
+    np.savetxt(tmp_path / "omega.txt", np.column_stack((s, 1.0 - 1.0 / s)))
+    table = make_model("omega-table", 3, path=str(tmp_path / "omega.txt"), knots=64)
+    assert table.profile.terms == ()
+    assert table._defect is None and table._margins is None
 
 
 def _full_polynomial(n, mass, kappa, charge2):
@@ -158,27 +166,26 @@ def _full_polynomial(n, mass, kappa, charge2):
 @pytest.mark.parametrize("kappa", [-0.3, 0.0, 0.01])
 @pytest.mark.parametrize("charge2", [0.0, 0.04])
 def test_omega_evaluators_match_the_full_polynomial_bit_for_bit(n, kappa, charge2):
-    # the evaluators skip the terms whose coefficient is 0, which would only
-    # add an exact 0.0: the numbers must be the same, on arrays and on floats
+    # the term list leaves out the terms whose coefficient is 0, which would
+    # only add an exact 0.0: the numbers must be the same, on arrays and on floats
     mass = 0.7
     omega, one_minus_omega, difference = _full_polynomial(n, mass, kappa, charge2)
-    args = (n, mass, kappa, charge2)
-    fast = _poly_evaluators(*args)
+    terms = tuple((c, a) for c, a in ((mass, 2 - n), (kappa, 2), (-charge2, 4 - 2 * n)) if c)
     s = np.linspace(0.6, 4.0, 97)
     d = np.linspace(-0.3, 2.0, 97)
-    for got, want in zip(fast[0](s), omega(s)):
+    for got, want in zip(_omega_jet(terms)(s), omega(s)):
         assert np.array_equal(got, want)
-    assert np.array_equal(fast[1](s), one_minus_omega(s))
-    assert np.array_equal(fast[2](0.9, d), difference(0.9, d))
+    assert np.array_equal(_term_sum(terms, s), one_minus_omega(s))
+    assert np.array_equal(_root_difference(terms, 0.9, d), difference(0.9, d))
     for x, y in zip(s.tolist(), d.tolist()):
-        assert fast[0](x) == omega(x)
-        assert fast[1](x) == one_minus_omega(x)
-        assert fast[2](0.9, y) == difference(0.9, y)
+        assert _omega_jet(terms)(x) == omega(x)
+        assert _term_sum(terms, x) == one_minus_omega(x)
+        assert _root_difference(terms, 0.9, y) == difference(0.9, y)
 
 
 def test_profile_checks_the_horizon_with_one_omega_call():
     # omega(s_floor) and omega'(s_floor) come from one evaluation
-    omega, points = _poly_evaluators(3, 1.0, 0.0, 0.0)[0], []
+    omega, points = make_model("schwarzschild", 3, knots=64).profile.omega, []
 
     def counting(s):
         points.append(np.ndim(s))
@@ -199,7 +206,7 @@ def test_make_model_rejects_inadmissible():
 
 def test_omega_jets_follow_chain_rule(schw3):
     # h(r) = s, h'(r) = sqrt(omega), h'' = omega'/2 along the chart change
-    prof = schwarzschild_profile(3, m=1.0)
+    prof = schw3.profile
     for s in (1.3, 2.0, 3.5):
         r = schw3.distance_of_area_radius(s)
         h, hp, hpp, _ = schw3.jet(r)
@@ -279,16 +286,8 @@ def test_horizon_jet_is_regular_across_parameters(family, n):
 
 
 def test_omega_form_margins_match_warp_form(schw3, rn3):
-    cases = [
-        (schw3, schwarzschild_profile(3, m=1.0)),
-        (rn3, None),
-        (
-            make_model("desitter-schwarzschild", 3, m=1.0, kappa=KAPPA_SMALL),
-            desitter_schwarzschild_profile(3, m=1.0, kappa=KAPPA_SMALL),
-        ),
-    ]
-    for w, prof in cases:
-        prof = prof if prof is not None else w.profile
+    for w in (schw3, rn3, make_model("desitter-schwarzschild", 3, m=1.0, kappa=KAPPA_SMALL)):
+        prof = w.profile
         s = np.linspace(prof.s_floor * 1.05, prof.s_max * 0.8, 40)
         margins = omega_condition_margins(prof, s)
         r = np.array([w.distance_of_area_radius(x) for x in s])
@@ -299,6 +298,62 @@ def test_omega_form_margins_match_warp_form(schw3, rn3):
         assert np.max(np.abs(margins["monotonicity_quantity"] - value)) < 1e-7
         assert np.max(np.abs(margins["monotonicity_slope"] - slope)) < 1e-7
         assert np.max(np.abs(margins["ricci_gap_margin"] - gap)) < 1e-7
+
+
+EXACT_CASES = [
+    ("schwarzschild", {"m": 1.0}),
+    ("schwarzschild", {"m": 1e-3}),
+    ("desitter-schwarzschild", {"m": 1.0, "kappa": -0.1}),
+    ("desitter-schwarzschild", {"m": 2e-3, "kappa": -0.5}),
+    ("desitter-schwarzschild", {"m": 1.0, "kappa": KAPPA_SMALL}),
+    ("reissner-nordstrom", {"m": 1.0, "q": 0.25}),
+    ("reissner-nordstrom", {"m": 1.0, "q": 0.45}),
+]
+
+
+@pytest.mark.parametrize("family, params", EXACT_CASES)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_horizon_margins_are_the_closed_forms(family, params, n):
+    # gap = (n/2) m s^-n - (n-1) q^2 s^(2-2n), W = -n kappa - (n-2) q^2 s^(2-2n)
+    # and dW/dr = 2 (n-1)(n-2) q^2 s^(1-2n) sqrt(omega): the mass drops out of
+    # W and its slope, kappa out of the gap and the slope
+    prof = make_model(family, n, knots=64, **params).profile
+    m, kappa, q2 = params["m"], params.get("kappa", 0.0), params.get("q", 0.0) ** 2
+    s = np.geomspace(prof.s_floor, prof.s_max, 97)
+    margins = omega_condition_margins(prof, s)
+    root = np.sqrt(np.maximum(prof.omega(s)[0], 0.0))
+    closed = {
+        "ricci_gap_margin": (n / 2) * m * s ** (-n) - (n - 1) * q2 * s ** (2 - 2 * n),
+        "monotonicity_quantity": -n * kappa - (n - 2) * q2 * s ** (2 - 2 * n),
+        "monotonicity_slope": 2 * (n - 1) * (n - 2) * q2 * s ** (1 - 2 * n) * root,
+        "potential": root,
+    }
+    for name, want in closed.items():
+        assert np.all(np.abs(margins[name] - want) <= 1e-15 * np.abs(want)), name
+
+
+@pytest.mark.parametrize("family, params", EXACT_CASES[:5])
+def test_uncharged_scalar_monotonicity_slope_is_exactly_zero(family, params):
+    # the small-mass cases m = 1e-3 and (m, kappa) = (2e-3, -0.5) read -1.2e-7 and
+    # -7.5e-9 by the jet route, past TOL_CONDITION, and concluded "none"
+    report = check_conditions(make_model(family, 3, **params))
+    slope = report.margins["scalar_monotonicity"]
+    assert slope.shape == (256,)
+    assert np.all(slope == 0.0)
+    assert report.conclusion == "slice-rigidity"
+
+
+@pytest.mark.parametrize("family, params", EXACT_CASES)
+def test_check_reads_the_exact_margins_of_the_jet_route_quantities(family, params):
+    # the exact gap and slope are the jet route's quantities at every check
+    # radius, to its roundoff relative to the curvature scale
+    w = make_model(family, 3, **params)
+    report = check_conditions(w)
+    _, slope = monotonicity_quantity(w, report.radii)
+    gap = ricci_gap_margin(w, report.radii)
+    tol = 1e-7 * w.curvature_scale
+    assert np.max(np.abs(report.margins["ricci_gap"] - gap)) < tol
+    assert np.max(np.abs(report.margins["scalar_monotonicity"] - slope)) < tol / w.r_bar
 
 
 def test_schwarzschild_gap_margin_value(schw3):
@@ -331,7 +386,7 @@ def test_horizon_families_pass_conditions(schw3, rn3):
 
 
 def test_tabulated_omega_roundtrip(tmp_path, schw3):
-    prof = schwarzschild_profile(3, m=1.0)
+    prof = schw3.profile
     s = np.linspace(1.0, 6.0, 400)
     om = prof.omega(s)[0]
     path = tmp_path / "omega.txt"
@@ -381,7 +436,7 @@ def test_knot_count_is_checked_before_allocating():
 
 def test_positive_kappa_window_stops_at_upper_horizon():
     # the cosmological horizon caps the window no matter what is requested
-    prof = desitter_schwarzschild_profile(3, m=1.0, kappa=KAPPA_SMALL, s_max=50.0)
+    prof = make_model("desitter-schwarzschild", 3, m=1.0, kappa=KAPPA_SMALL, s_max=50.0).profile
     assert prof.s_max < 1.0 / math.sqrt(KAPPA_SMALL)
     s = np.linspace(prof.s_floor * 1.001, prof.s_max, 200)
     assert np.min(prof.omega(s)[0]) > 0.0
@@ -423,20 +478,28 @@ def test_desitter_at_zero_kappa_is_schwarzschild_bit_for_bit():
 @pytest.mark.parametrize(
     "family, profile, params",
     [
-        ("schwarzschild", schwarzschild_profile, {"m": 0.8}),
-        ("desitter-schwarzschild", desitter_schwarzschild_profile, {"m": 0.8, "kappa": 0.0}),
-        ("desitter-schwarzschild", desitter_schwarzschild_profile, {"m": 0.8, "kappa": -0.2}),
-        ("desitter-schwarzschild", desitter_schwarzschild_profile, {"m": 0.8, "kappa": 0.05}),
-        ("reissner-nordstrom", reissner_nordstrom_profile, {"m": 0.8, "q": 0.3}),
+        ("schwarzschild", "schwarzschild_profile", {"m": 0.8}),
+        ("desitter-schwarzschild", "desitter_schwarzschild_profile", {"m": 0.8, "kappa": 0.0}),
+        ("desitter-schwarzschild", "desitter_schwarzschild_profile", {"m": 0.8, "kappa": -0.2}),
+        ("desitter-schwarzschild", "desitter_schwarzschild_profile", {"m": 0.8, "kappa": 0.05}),
+        ("reissner-nordstrom", "reissner_nordstrom_profile", {"m": 0.8, "q": 0.3}),
     ],
 )
 @pytest.mark.parametrize("s_max", [None, 3.5])
 def test_public_profile_is_the_profile_make_model_stores(family, profile, params, s_max):
+    # the family's profile builder is gone: make_model's profile is the one
+    # public profile, and it keeps the parameters it was given and their terms
+    assert not hasattr(warpcmc, profile)
     built = make_model(family, 4, s_max=s_max, knots=64, **params).profile
-    direct = profile(4, s_max=s_max, **params)
-    got = (direct.s_floor, direct.s_max, direct.s_upper, direct.params)
-    assert got == (built.s_floor, built.s_max, built.s_upper, built.params)
-    assert direct.params == params
+    assert built.params == params
+    q = params.get("q", 0.0)
+    terms = ((0.8, -2), (params.get("kappa", 0.0), 2), (-q * q, -4))
+    assert built.terms == tuple((c, a) for c, a in terms if c)
+    if built.s_upper is not None:
+        ceiling = built.s_upper * (1.0 - 1e-9)
+        assert built.s_max == (ceiling if s_max is None else min(s_max, ceiling))
+    else:
+        assert built.s_max == (10.0 * built.s_floor if s_max is None else s_max)
 
 
 @pytest.mark.parametrize("family", ["schwarzschild", "euclidean", "sphere"])

@@ -12,9 +12,8 @@ STABLE_NAMES = """
     tabulated_warping check_conditions chebyshev_radii potential_and_field
     ricci_eigenvalues monotonicity_quantity scalar_curvature ricci_gap_margin
     static_tensor scan_monotonicity_extrema potential_monotone_radius OmegaProfile
-    OmegaBackedWarping MODEL_FAMILIES admissibility horizon_radius make_model
-    omega_to_warping load_omega_table schwarzschild_profile
-    desitter_schwarzschild_profile reissner_nordstrom_profile
+    OmegaBackedWarping MODEL_FAMILIES admissibility make_model
+    omega_to_warping load_omega_table
     omega_condition_margins SphericalHarmonicEngine AxisymEngine get_engine
     COEFFICIENT_FLOOR GeometryReport GraphSurface full_sphere_grid axisym_grid
     slice_surface perturb_slice IdentityReport minkowski_check

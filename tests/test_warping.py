@@ -341,6 +341,16 @@ def test_find_root_honours_xtol():
     assert loose_calls < len(calls) - loose_calls
 
 
+@pytest.mark.parametrize("scalar", [float, np.float64])
+def test_find_root_at_the_ends_of_the_float_range(scalar):
+    # at x ~ 1e300 the interpolation denominator underflows to 0: the step
+    # bisects instead of dividing by zero, and numpy scalars warn of nothing
+    fun = lambda x: scalar(1.0) - scalar(1e300) / x
+    root = find_root(fun, scalar(1e299), scalar(1e302))
+    assert type(root) is float
+    assert root == pytest.approx(1e300, rel=2e-15)
+
+
 def test_find_root_needs_a_sign_change():
     with pytest.raises(HypothesisError, match="no sign change") as info:
         find_root(lambda x: x * x + 1.0, -1.0, 1.0)
