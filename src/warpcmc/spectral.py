@@ -4,12 +4,11 @@ Two engines cover the two symmetry modes.  The full engine works on
 S^2 (ambient dimension 3) with a Gauss-Legendre latitude grid, uniform
 longitudes, and normalized associated Legendre tables; the axisymmetric
 engine works in any dimension on functions of the polar angle alone.
-The Gauss-Legendre rule is numpy's ``leggauss``.  The axisymmetric
-engine builds everything from one orthonormal three-term recurrence for
-the weight (1 - x^2)^((n-3)/2): its values and their first two
-x-derivatives are the tables, the eigenvalues of its Jacobi matrix are
-the nodes, and the Christoffel numbers read from the value table are
-the weights.
+One three-term recurrence of orthonormal polynomials builds both: its
+values and their first two x-derivatives are the tables (one row for the
+weight (1 - x^2)^((n-3)/2), or one with exponent m for each order m of
+the full engine), the eigenvalues of its Jacobi matrix are the nodes and
+its Christoffel numbers the weights.
 
 Both expose the same small surface: analysis and synthesis, quadrature
 that integrates over the whole round sphere, per-degree spectral
@@ -31,7 +30,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import ParameterError
 from .warping import sphere_volume
@@ -56,10 +54,40 @@ COEFFICIENT_FLOOR = 1e-12
 TABLE_BUDGET_BYTES = 512 * 2**20
 
 
-def _jacobi_nodes(offdiag: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the symmetric tridiagonal matrix with zero diagonal and
-    this off-diagonal, symmetrized about 0 and in descending order."""
-    count = offdiag.size + 1
+def _recurrence_coefficients(a2, degrees: int) -> np.ndarray:
+    """b[m, l] = b_{l-m} of the polynomials G_k orthonormal for the weight (1 - x^2)^(a2[m] / 2),
+    x G_k = b_{k+1} G_{k+1} + b_k G_{k-1}, and 0 for l <= m."""
+    k = np.arange(degrees) - np.arange(len(a2))[:, None] + 0.0
+    a2 = np.asarray(a2, dtype=float)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(k > 0, np.sqrt(k * (k + a2) / ((2.0 * k + a2 + 1.0) * (2.0 * k + a2 - 1.0))), 0.0)
+
+
+def _recurrence(x: np.ndarray, a2, start: np.ndarray) -> np.ndarray:
+    """T[k, m, l, i]: k-th x-derivative of row m's degree-l value at node i: 0 below degree m,
+    ``start[m]`` at it, and above it the recurrence of the weight (1 - x^2)^(a2[m] / 2)."""
+    b = _recurrence_coefficients(a2, x.size)
+    T = np.zeros((3,) + b.shape + x.shape)
+    m = np.arange(len(b))
+    T[0, m, m] = start
+    by_degree = T.swapaxes(1, 2)
+    chain = np.array([1.0, 2.0])[:, None, None]  # (x G)' = x G' + G, (x G)'' = x G'' + 2 G'
+    for l in range(1, x.size):
+        # b[m, m] = 0 times row m's zero degree m - 1 (at l = 1 the last, not yet written)
+        r = min(l, len(b))
+        prev = by_degree[:, l - 1, :r]
+        new = x * prev
+        new[1:] += chain * prev[:2]
+        new -= b[:r, l - 1, None] * by_degree[:, l - 2, :r]
+        new /= b[:r, l, None]
+        by_degree[:, l, :r] = new
+    return T
+
+
+def _jacobi_nodes(a2: float, count: int) -> np.ndarray:
+    """Gauss nodes of the weight (1 - x^2)^(a2 / 2): the eigenvalues of its recurrence's
+    Jacobi matrix, symmetrized about 0 and in descending order."""
+    offdiag = _recurrence_coefficients([a2], count)[0, 1:]
     jacobi = np.zeros((count, count))
     i = np.arange(1, count)
     jacobi[i, i - 1] = jacobi[i - 1, i] = offdiag
@@ -77,12 +105,12 @@ def _floor_coefficients(coeff: np.ndarray, axes) -> np.ndarray:
 class SphericalHarmonicEngine:
     """Scalar spherical-harmonic transform on a Gauss-Legendre grid.
 
-    The grid has ``nlat`` latitudes at Legendre nodes x = cos(theta) and
-    ``2 nlat`` uniform longitudes; degrees up to lmax = nlat - 1 are
-    resolved exactly.  Basis functions are orthonormal over the sphere
-    (no Condon-Shortley phase), and the associated Legendre tables carry
-    first and second theta-derivatives so covariant Hessians need no
-    finite differencing.
+    The grid has ``nlat`` latitudes at Gauss-Legendre nodes x = cos(theta)
+    and ``2 nlat`` uniform longitudes; degrees up to lmax = nlat - 1 are
+    resolved exactly.  Basis functions are orthonormal over the sphere (no
+    Condon-Shortley phase), P_l^m = sin^m(theta) G_{l-m}(x) with G orthonormal
+    for the weight (1 - x^2)^m; the tables carry first and second
+    theta-derivatives so covariant Hessians need no finite differencing.
 
     Grids are (nlat, nlon) and coefficients a[l, m] (lmax+1, lmax+1),
     or stacks of them on one leading axis.
@@ -96,19 +124,19 @@ class SphericalHarmonicEngine:
         self.nlat = int(nlat)
         self.nlon = 2 * self.nlat
         self.lmax = self.nlat - 1
-        x, w = leggauss(self.nlat)
-        order = np.argsort(-x)  # theta ascending from the north pole
-        self.x = x[order]
-        self.w = w[order]
+        # the Gauss-Legendre nodes, theta ascending from the north pole
+        self.x = _jacobi_nodes(0.0, self.nlat)
         self.theta = np.arccos(self.x)
         self.sin_theta = np.sqrt(1.0 - self.x * self.x)
         self.cot_theta = self.x / self.sin_theta
         self.phi = 2.0 * math.pi * np.arange(self.nlon) / self.nlon
         self.grid_shape = (self.nlat, self.nlon)
+        self._build_tables()
+        P0 = self._tables[0, 0]  # Christoffel numbers of G_l = sqrt(2 pi) P_l^0
+        self.w = 1.0 / (2.0 * math.pi * np.einsum("li,li->i", P0, P0))
         # quadrature weights over the whole sphere, shape (nlat, 1)
         self.area_weights = (self.w * (2.0 * math.pi / self.nlon))[:, None]
         self.sphere_area = float(np.sum(self.area_weights * np.ones(self.grid_shape)))
-        self._build_tables()
         # rows 2m and 2m + 1 are c_m cos(m phi) and -c_m sin(m phi), c_0 = 1 / nlon and c_m =
         # 2 / nlon: the first 2M rows take (re, im) pairs of orders m < M to the inverse rFFT
         m = np.arange(self.nlat)[:, None, None]
@@ -125,30 +153,20 @@ class SphericalHarmonicEngine:
         self.identity_jet = (y, e_theta, e_phi, -y, np.zeros_like(y), -y)
 
     def _build_tables(self):
-        """T[k, m, l, i]: k-th theta-derivative of P_l^m at latitude i (0 for l < m)."""
-        L = self.lmax
-        x, s = self.x, self.sin_theta
-        T = np.zeros((3, L + 1, L + 1, self.nlat))
-        l = np.arange(L + 1)
-        pmm = np.full(self.nlat, math.sqrt(1.0 / (4.0 * math.pi)))
-        for m in range(L + 1):
-            P, dP, d2P = T[:, m]
-            if m > 0:
-                pmm = math.sqrt((2 * m + 1) / (2.0 * m)) * s * pmm
-            P[m] = pmm
-            if m + 1 <= L:
-                P[m + 1] = math.sqrt(2 * m + 3) * x * P[m]
-            for k in range(m + 2, L + 1):
-                a = math.sqrt((4.0 * k * k - 1.0) / (k * k - m * m))
-                b = (2.0 * k + 1.0) / (2.0 * k - 3.0) * ((k - 1.0) ** 2 - m * m)
-                b = math.sqrt(b / (k * k - m * m))
-                P[k] = a * x * P[k - 1] - b * P[k - 2]
-            lm = l[m:, None]
-            c = np.sqrt((2.0 * lm + 1.0) * (lm * lm - m * m) / (2.0 * lm - 1.0))
-            below = np.vstack([np.zeros(self.nlat), P[m:L]])  # P_{l-1}^m, zero at l = m
-            dP[m:] = (lm * x * P[m:] - c * below) / s
-            # second derivative from the defining ODE
-            d2P[m:] = -self.cot_theta * dP[m:] - (lm * (lm + 1.0) - m * m / (s * s)) * P[m:]
+        """T[k, m, l, i]: k-th theta-derivative of P_l^m at latitude i (0 for l < m).
+
+        Row m of the recurrence, a2 = 2m, runs on P_l^m = sin^m(theta) G_{l-m}(x) from P_m^m =
+        sqrt((2m + 1) / 2m) sin(theta) P_{m-1}^{m-1}, P_0^0 = 1 / sqrt(4 pi).
+        """
+        s, cot, m = self.sin_theta, self.cot_theta, np.arange(1, self.nlat)[:, None]
+        steps = np.sqrt((2 * m + 1) / (2.0 * m)) * s
+        start = np.cumprod(np.vstack([np.full(self.nlat, math.sqrt(1.0 / (4.0 * math.pi))), steps]), 0)
+        T = P, dP, d2P = _recurrence(self.x, 2.0 * np.arange(self.nlat), start)
+        for m in range(self.nlat):
+            # d/dtheta (sin^m G) = m cot P - sin sin^m G', and the defining ODE
+            lm = np.arange(m, self.nlat)[:, None]
+            dP[m, m:] = m * cot * P[m, m:] - s * dP[m, m:]
+            d2P[m, m:] = -cot * dP[m, m:] - (lm * (lm + 1.0) - m * m / (s * s)) * P[m, m:]
         self._tables = T
 
     # -- transforms ----------------------------------------------------
@@ -275,17 +293,16 @@ class AxisymEngine:
         self.npoints = int(points)
         self.grid_shape = (self.npoints,)
         self.lmax = self.npoints - 1
-        # b_1 .. b_{N-1}, the recurrence's coefficients and its Jacobi matrix's
-        # off-diagonal, with a2 = n - 3 twice the weight's exponent
-        a2 = float(dim - 3)
-        k = np.arange(1.0, self.npoints)
-        b = np.sqrt(k * (k + a2) / ((2.0 * k + a2 + 1.0) * (2.0 * k + a2 - 1.0)))
-        self.x = _jacobi_nodes(b)
+        # one row, a2 = n - 3 twice the weight's exponent
+        self.x = _jacobi_nodes(dim - 3.0, self.npoints)
         self.theta = np.arccos(self.x)
         self.sin_theta = np.sqrt(1.0 - self.x * self.x)
         self.cot_theta = self.x / self.sin_theta
         self.transverse_volume = sphere_volume(dim - 2)
-        self._build_tables(b)
+        # T[k, l, i]: k-th x-derivative of G_l at node i; G_0 is the constant of
+        # unit norm, the weight integrating to |S^{n-1}| / |S^{n-2}|
+        g0 = math.sqrt(self.transverse_volume / sphere_volume(self.dim - 1))
+        self._tables = _recurrence(self.x, [dim - 3.0], np.full((1, self.npoints), g0))[:, 0]
         # Gauss-Jacobi weights, which sum to the weight's integral
         self.w = 1.0 / np.einsum("li,li->i", self._tables[0], self._tables[0])
         self.area_weights = self.transverse_volume * self.w
@@ -293,25 +310,6 @@ class AxisymEngine:
         # meridian data of the identity map beta = theta: cot(beta),
         # sin(beta)/sin(theta), beta' and beta''
         self.identity_jet = (self.cot_theta, 1.0, 1.0, 0.0)
-
-    def _build_tables(self, b: np.ndarray):
-        """T[k, l, i]: k-th derivative in x = cos(theta) of G_l at node i.
-
-        The recurrence, with coefficients b_1 .. b_{N-1}, runs on the values and, differentiated once and
-        twice, on the derivatives.  G_0 is the constant of unit norm: the
-        weight integrates to |S^{n-1}| / |S^{n-2}|.
-        """
-        x = self.x
-        T = np.zeros((3, self.npoints, self.npoints))
-        G, dG, d2G = T
-        G[0] = math.sqrt(self.transverse_volume / sphere_volume(self.dim - 1))
-        G[1] = x * G[0] / b[0]
-        dG[1] = G[0] / b[0]
-        for l in range(1, self.lmax):
-            G[l + 1] = (x * G[l] - b[l - 1] * G[l - 1]) / b[l]
-            dG[l + 1] = (x * dG[l] + G[l] - b[l - 1] * dG[l - 1]) / b[l]
-            d2G[l + 1] = (x * d2G[l] + 2.0 * dG[l] - b[l - 1] * d2G[l - 1]) / b[l]
-        self._tables = T
 
     # -- transforms ----------------------------------------------------
 
@@ -380,9 +378,9 @@ def get_engine(kind: str, dim: int, size: int):
     """Shared engine cache; tables are reused across surfaces.
 
     Tables take 3 size^3 doubles plus the 4 size^2 of the Fourier table
-    (full), or 3 size^2 plus the size^2 of the node solve's Jacobi matrix
-    (axisym); sizes over TABLE_BUDGET_BYTES are refused before anything
-    is allocated.
+    (full), or 3 size^2 (axisym), and both engines add the size^2 of the
+    node solve's Jacobi matrix; sizes over TABLE_BUDGET_BYTES are refused
+    before anything is allocated.
     """
     key = (kind, int(dim), int(size))
     if key not in _ENGINES:
@@ -390,7 +388,7 @@ def get_engine(kind: str, dim: int, size: int):
             raise ParameterError(f"unknown engine kind {kind!r}")
         if kind == "full" and dim != 3:
             raise ParameterError("the full engine is implemented for ambient dimension 3")
-        need = (4 * int(size) ** 2 + (3 * int(size) ** 3 if kind == "full" else 0)) * 8
+        need = (3 * int(size) ** 3 + 5 * int(size) ** 2 if kind == "full" else 4 * int(size) ** 2) * 8
         if need > TABLE_BUDGET_BYTES:
             raise ParameterError(
                 f"{kind} engine of size {size} needs {need} bytes "

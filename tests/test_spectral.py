@@ -11,12 +11,18 @@ last kept one over longitude by one real product, which matches a
 whole-band inverse-FFT reference to 1e-13 of each output's peak,
 non-finite values included.
 The axisymmetric quadrature keeps its basis orthonormal to roundoff in
-every dimension the CLI admits.
+every dimension the CLI admits.  One recurrence builds both engines: the
+axisymmetric tables, nodes and weights equal a degree-by-degree run of
+it bit for bit, both engines share the Gauss-Legendre nodes in dimension
+3, and the full tables match a 50-digit associated-Legendre oracle.
 """
 
 import math
+import re
+import tracemalloc
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -288,11 +294,12 @@ def test_table_budget_refuses_before_allocating(monkeypatch):
 
     monkeypatch.setattr(spectral, "SphericalHarmonicEngine", refuse)
     monkeypatch.setattr(spectral, "AxisymEngine", refuse)
-    # full: three tables of 3 N^3 doubles and the 2N x 2N Fourier table; axisymmetric:
-    # three tables and the node solve's Jacobi matrix, 4 N^2 doubles
+    # full: three tables of 3 N^3 doubles, the 2N x 2N Fourier table and the node
+    # solve's N x N Jacobi matrix; axisymmetric: three tables and the Jacobi matrix,
+    # 4 N^2 doubles
     for kind, dim, size, need in (
-        ("full", 3, 512, (3 * 512**3 + 4 * 512**2) * 8),
-        ("full", 3, 282, (3 * 282**3 + 4 * 282**2) * 8),
+        ("full", 3, 512, (3 * 512**3 + 5 * 512**2) * 8),
+        ("full", 3, 282, (3 * 282**3 + 5 * 282**2) * 8),
         ("axisym", 3, 8192, 4 * 8192**2 * 8),
     ):
         assert need > spectral.TABLE_BUDGET_BYTES
@@ -301,7 +308,7 @@ def test_table_budget_refuses_before_allocating(monkeypatch):
     # the largest CLI grid needs exactly the budget and is admitted, and so is
     # the largest full grid, 281 latitudes
     assert 4 * 4096**2 * 8 == spectral.TABLE_BUDGET_BYTES
-    assert (3 * 281**3 + 4 * 281**2) * 8 <= spectral.TABLE_BUDGET_BYTES
+    assert (3 * 281**3 + 5 * 281**2) * 8 <= spectral.TABLE_BUDGET_BYTES
     monkeypatch.setattr(spectral, "_ENGINES", {})
     monkeypatch.setattr(spectral, "AxisymEngine", lambda dim, size: (dim, size))
     monkeypatch.setattr(spectral, "SphericalHarmonicEngine", lambda size: size)
@@ -327,6 +334,96 @@ def test_quadrature_rules_match_scipy(count):
         engine = AxisymEngine(dim, count)
         assert np.max(np.abs(engine.x[::-1] - x)) < 1e-14
         assert np.max(np.abs(engine.w[::-1] - w)) < 1e-14 * w.sum()
+
+
+def _axisym_oracle(dim, points):
+    """Nodes and tables of the orthonormal recurrence for the weight (1 - x^2)^((n-3)/2),
+    run one degree at a time: T[k, l, i] is the k-th x-derivative of G_l at node i."""
+    a2 = float(dim - 3)
+    k = np.arange(1.0, points)
+    b = np.sqrt(k * (k + a2) / ((2.0 * k + a2 + 1.0) * (2.0 * k + a2 - 1.0)))
+    x = np.linalg.eigvalsh(np.diag(b, 1) + np.diag(b, -1))
+    x = 0.5 * (x[::-1] - x)
+    T = np.zeros((3, points, points))
+    G, dG, d2G = T
+    G[0] = math.sqrt(sphere_volume(dim - 2) / sphere_volume(dim - 1))
+    G[1] = x * G[0] / b[0]
+    dG[1] = G[0] / b[0]
+    for l in range(1, points - 1):
+        G[l + 1] = (x * G[l] - b[l - 1] * G[l - 1]) / b[l]
+        dG[l + 1] = (x * dG[l] + G[l] - b[l - 1] * dG[l - 1]) / b[l]
+        d2G[l + 1] = (x * d2G[l] + 2.0 * dG[l] - b[l - 1] * d2G[l - 1]) / b[l]
+    return x, T
+
+
+@pytest.mark.parametrize("points", [8, 64, 512])
+@pytest.mark.parametrize("dim", [3, 4, 5, 240])
+def test_axisym_engine_is_the_recurrence_bit_for_bit(dim, points):
+    x, T = _axisym_oracle(dim, points)
+    engine = AxisymEngine(dim, points)
+    assert np.array_equal(engine.x, x)
+    assert np.array_equal(engine._tables, T)
+    assert np.array_equal(engine.w, 1.0 / np.einsum("li,li->i", T[0], T[0]))
+
+
+@pytest.mark.parametrize("count", [8, 33, 48, 96])
+def test_both_engines_share_the_gauss_legendre_nodes(count):
+    assert np.array_equal(SphericalHarmonicEngine(count).x, AxisymEngine(3, count).x)
+
+
+def _legendre_oracle(x, lmax, m):
+    """(P, dP/dtheta, d2P/dtheta2) of the orthonormal P_l^m at x = cos(theta), l <= lmax, to 50 digits.
+
+    The associated-Legendre recurrence runs from P_m^m, the first derivative is
+    sin(theta) dP = l x P_l - c_l P_{l-1}, and the second comes from the defining ODE.
+    """
+    out = np.zeros((3, lmax + 1))
+    with mpmath.workdps(50):
+        x = mpmath.mpf(float(x))
+        s = mpmath.sqrt(1 - x * x)
+        P = {m - 1: mpmath.mpf(0), m: 1 / mpmath.sqrt(4 * mpmath.pi)}
+        for k in range(1, m + 1):
+            P[m] *= mpmath.sqrt(mpmath.mpf(2 * k + 1) / (2 * k)) * s
+        for k in range(m + 1, lmax + 1):
+            a = mpmath.sqrt(mpmath.mpf(4 * k * k - 1) / (k * k - m * m))
+            b = mpmath.sqrt(mpmath.mpf(2 * k + 1) * ((k - 1) ** 2 - m * m) / ((2 * k - 3) * (k * k - m * m)))
+            P[k] = a * x * P[k - 1] - b * P[k - 2]
+        for l in range(m, lmax + 1):
+            c = mpmath.sqrt(mpmath.mpf(2 * l + 1) * (l * l - m * m) / (2 * l - 1))
+            dP = (l * x * P[l] - c * P[l - 1]) / s
+            d2P = -x / s * dP - (l * (l + 1) - mpmath.mpf(m * m) / (s * s)) * P[l]
+            out[:, l] = [float(P[l]), float(dP), float(d2P)]
+    return out
+
+
+@pytest.mark.parametrize("nlat", [24, 48, 96])
+def test_full_tables_match_the_associated_legendre_oracle(nlat):
+    """Every table of low, middle and top orders to 5e-13 of the order's peak, at
+    latitudes from the pole to the equator."""
+    engine = SphericalHarmonicEngine(nlat)
+    for m in sorted({0, 1, 2, 7, nlat // 3, nlat // 2, nlat - 3, nlat - 1}):
+        peak = np.abs(engine._tables[:, m]).max(axis=(1, 2))
+        for i in (0, nlat // 4, nlat // 2 - 1, nlat - 1):
+            want = _legendre_oracle(engine.x[i], engine.lmax, m)
+            assert np.all(np.abs(engine._tables[:, m, :, i] - want).max(axis=1) <= 5e-13 * peak)
+
+
+def test_full_engine_build_allocates_little_beyond_its_tables(monkeypatch):
+    """The build's peak is within 1.2 times the bytes ``get_engine`` counts for it."""
+    import warpcmc.spectral as spectral
+
+    monkeypatch.setattr(spectral, "TABLE_BUDGET_BYTES", 0)
+    monkeypatch.setattr(spectral, "_ENGINES", {})
+    with pytest.raises(ParameterError) as refused:
+        get_engine("full", 3, 96)
+    counted = int(re.search(r"needs (\d+) bytes", str(refused.value)).group(1))
+    tracemalloc.start()
+    try:
+        SphericalHarmonicEngine(96)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * counted
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
