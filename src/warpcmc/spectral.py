@@ -158,15 +158,15 @@ class SphericalHarmonicEngine:
         Row m of the recurrence, a2 = 2m, runs on P_l^m = sin^m(theta) G_{l-m}(x) from P_m^m =
         sqrt((2m + 1) / 2m) sin(theta) P_{m-1}^{m-1}, P_0^0 = 1 / sqrt(4 pi).
         """
-        s, cot, m = self.sin_theta, self.cot_theta, np.arange(1, self.nlat)[:, None]
+        x, s, cot, m = self.x, self.sin_theta, self.cot_theta, np.arange(1, self.nlat)[:, None]
         steps = np.sqrt((2 * m + 1) / (2.0 * m)) * s
         start = np.cumprod(np.vstack([np.full(self.nlat, math.sqrt(1.0 / (4.0 * math.pi))), steps]), 0)
-        T = P, dP, d2P = _recurrence(self.x, 2.0 * np.arange(self.nlat), start)
+        T = P, dP, d2P = _recurrence(x, 2.0 * np.arange(self.nlat), start)
         for m in range(self.nlat):
-            # d/dtheta (sin^m G) = m cot P - sin sin^m G', and the defining ODE
-            lm = np.arange(m, self.nlat)[:, None]
-            dP[m, m:] = m * cot * P[m, m:] - s * dP[m, m:]
-            d2P[m, m:] = -cot * dP[m, m:] - (lm * (lm + 1.0) - m * m / (s * s)) * P[m, m:]
+            # product rule on the rows sin^m G, G', G'': d/dtheta (sin^m G) = m cot P - sin sin^m G'
+            first = m * cot * P[m, m:] - s * dP[m, m:]
+            d2P[m, m:] = s * s * d2P[m, m:] - (m + 1) * x * dP[m, m:] - m * P[m, m:] / (s * s) + m * cot * first
+            dP[m, m:] = first
         self._tables = T
 
     # -- transforms ----------------------------------------------------
