@@ -8,7 +8,8 @@ no normal vector has to be rebuilt between steps.  The surface is the
 parametrization (r, y) that the nodes transport, and its geometry comes
 from the same kernel as a graph's (``surface.parametrized_geometry``):
 one frame jet of the radius and the sphere map, starting from the
-identity map of the graph the flow begins on.
+identity map of the graph the flow begins on.  Node states keep their
+components on the leading axis, the layout of the engines and the kernel.
 
 The payoff is a family of audited monotone quantities: the weighted
 curvature integral Q = (n-1) int f/H, the swept weighted volume it
@@ -76,12 +77,12 @@ class FlowState:
     """Snapshot of the flow at one parameter time.
 
     ``points`` and ``velocities`` hold the node coordinates and their
-    time derivatives, components stacked along the last axis: (r, y)
-    with y the unit sphere position in full mode, (r, beta) with beta
-    the polar angle in axisymmetric mode.  ``report`` is the geometry
-    of the current surface and ``active`` the mask of nodes still
-    inside the smooth regime.  Deactivation is permanent; integral
-    quantities only ever sum over active nodes.
+    time derivatives, (K, *grid_shape) with components on the leading
+    axis: K = 4, (r, y) with y the unit sphere position, in full mode,
+    K = 2, (r, beta) with beta the polar angle, in axisymmetric mode.
+    ``report`` is the geometry of the current surface and ``active`` the
+    mask of nodes still inside the smooth regime.  Deactivation is
+    permanent; integral quantities only ever sum over active nodes.
     ``speed_ratio`` is the rescaled-metric speed |v|_g / f at the current
     points, except at frozen nodes, where it is never read.  ``warp_jet``
     is the clipped warp jet at the current points; the next step starts from it.
@@ -139,20 +140,18 @@ def _transported_geometry(engine, points, velocities, warp_jet):
     in the polynomial basis, but cos(beta) is, and the meridian data
     recover from it exactly.
     """
-    fields = np.moveaxis(points, -1, 0)
     if engine.kind == "full":
-        jet = engine.on_frame_jet(fields)
+        jet = engine.on_frame_jet(points)
         sphere_jet = tuple(out[1:] for out in jet)
     else:
-        jet = engine.on_frame_jet(np.stack([fields[0], np.cos(fields[1])]))
+        jet = engine.on_frame_jet(np.stack([points[0], np.cos(points[1])]))
         cc, c1, c11 = (out[1] for out in jet)
         cc = np.clip(cc, -1.0, 1.0)
         sin_b = np.sqrt(np.maximum(1.0 - cc * cc, 1e-300))
         b1 = -c1 / sin_b
         sphere_jet = (cc / sin_b, sin_b / engine.sin_theta, b1, -(c11 + cc * b1 * b1) / sin_b)
-    radius_jet = (fields[0],) + tuple(out[0] for out in jet[1:])
-    velocity = np.moveaxis(velocities, -1, 0)
-    return parametrized_geometry(engine, warp_jet, radius_jet, sphere_jet, velocity)[0]
+    radius_jet = (points[0],) + tuple(out[0] for out in jet[1:])
+    return parametrized_geometry(engine, warp_jet, radius_jet, sphere_jet, velocities)[0]
 
 
 def _masked_sum(engine, values, mask) -> float:
@@ -181,9 +180,8 @@ def init_flow(surface: GraphSurface) -> FlowState:
     # the sphere coordinates of the identity map: y in full mode, beta = theta
     sphere = engine.identity_jet[0] if engine.kind == "full" else engine.theta[None]
     f = report.potential
-    points = np.moveaxis(np.concatenate([surface.radii[None], sphere]), 0, -1)
+    points = np.concatenate([surface.radii[None], sphere])
     vel = np.concatenate([(-f * report.nu_radial)[None], np.reshape(-f * nu_sphere, sphere.shape)])
-    vel = np.moveaxis(vel, 0, -1)
 
     active = np.ones(report.radii.shape, dtype=bool)
     frozen = np.zeros_like(active)
@@ -213,7 +211,7 @@ def _clipped_jet(warping, points):
     finite; runaway nodes themselves are frozen by the caller right
     after the step.
     """
-    return warping.jet(np.clip(points[..., 0], 1e-4 * warping.r_bar, warping.r_bar * (1.0 - 1e-15)))
+    return warping.jet(np.clip(points[0], 1e-4 * warping.r_bar, warping.r_bar * (1.0 - 1e-15)))
 
 
 def _rhs(warping, points, velocities, full: bool, jet=None):
@@ -221,14 +219,14 @@ def _rhs(warping, points, velocities, full: bool, jet=None):
     h, hp, hpp, _ = _clipped_jet(warping, points) if jet is None else jet
     hp_safe = np.where(np.abs(hp) > 1e-300, hp, 1e-300)
     psi = -hpp / hp_safe
-    vr, vy = velocities[..., 0], velocities[..., 1:]
-    yy = np.einsum("...c,...c->...", vy, vy)
+    vr, vy = velocities[0], velocities[1:]
+    yy = np.einsum("c...,c...->...", vy, vy)
     ar = h * hp * yy + psi * (h * h * yy - vr * vr)
-    ay = -(2.0 * (hp / h + psi) * vr)[..., None] * vy
+    ay = -(2.0 * (hp / h + psi) * vr) * vy
     if full:
         # the acceleration that keeps y on the unit sphere
-        ay = ay - yy[..., None] * points[..., 1:]
-    return velocities, np.concatenate([ar[..., None], ay], axis=-1)
+        ay = ay - yy * points[1:]
+    return velocities, np.concatenate([ar[None], ay])
 
 
 def _rk4_sum(x, hdt, k1, k2, k3, k4):
@@ -255,18 +253,16 @@ def _integrate(state: FlowState, dt, nsub):
         p = _rk4_sum(p, hdt, k1p, k2p, k3p, k4p)
         v = _rk4_sum(v, hdt, k1v, k2v, k3v, k4v)
         if full:
-            y = p[..., 1:4]
-            y /= np.linalg.norm(y, axis=-1, keepdims=True)
-            vy = v[..., 1:4]
-            vy -= np.einsum("...c,...c->...", vy, y)[..., None] * y
+            p[1:] /= np.linalg.norm(p[1:], axis=0)
+            v[1:] -= np.einsum("c...,c...->...", v[1:], p[1:]) * p[1:]
     return p, v
 
 
 def _speed_ratio(jet, velocities):
     """|v|_g / f per node from the clipped warp jet at its points; 1 up to integration error."""
     h, hp, _, _ = jet
-    vr = velocities[..., 0]
-    yy = np.einsum("...c,...c->...", velocities[..., 1:], velocities[..., 1:])
+    vr, vy = velocities[0], velocities[1:]
+    yy = np.einsum("c...,c...->...", vy, vy)
     return np.sqrt(vr * vr + h * h * yy) / np.where(hp > 1e-300, hp, 1e-300)
 
 
@@ -302,16 +298,16 @@ def step(state: FlowState, dt: float, jacobian_cut: float = FLOW_JACOBIAN_CUT) -
         if nsub > 4096:
             raise WarpcmcError("speed drift not controllable by substepping")
 
-    bad = ~np.isfinite(p_new).all(axis=-1) | ~np.isfinite(v_new).all(axis=-1)
-    r_new = p_new[..., 0]
+    bad = ~np.isfinite(p_new).all(axis=0) | ~np.isfinite(v_new).all(axis=0)
+    r_new = p_new[0]
     escaped = (r_new < 5e-4 * warping.r_bar) | (r_new > warping.r_bar * (1.0 - 1e-9))
     frozen = state.frozen | (move & (escaped | bad))
-    points, velocities, warp_jet = p_new, v_new, jet_new
+    new = (p_new, v_new, *jet_new)
     if np.any(frozen):
-        points = np.where(frozen[..., None], state.points, p_new)
-        velocities = np.where(frozen[..., None], state.velocities, v_new)
         # frozen nodes keep their points, and with them the jet the step began from
-        warp_jet = tuple(np.where(frozen, old, new) for old, new in zip(state.warp_jet, jet_new))
+        old = (state.points, state.velocities, *state.warp_jet)
+        new = tuple(np.where(frozen, a, b) for a, b in zip(old, new))
+    points, velocities, warp_jet = new[0], new[1], new[2:]
 
     report = _transported_geometry(engine, points, velocities, warp_jet)
     jac = report.area_density / state.initial_density

@@ -92,15 +92,19 @@ class OmegaProfile:
         with np.errstate(all="ignore"):
             w0, w0p, w0pp = (float(np.asarray(v)) for v in self.omega(np.asarray(self.s_floor)))
             exact = _exact_margins(self.terms, self.dim, np.asarray(self.s_floor))
+            # omega's roundoff next to the root of a horizon family scales with its terms
+            scale = sum(abs(c) * np.float64(self.s_floor) ** a for c, a in self.terms)
         if not np.isfinite((w0, w0p, w0pp, *exact, self.s_max * self.s_max)).all():
             raise ParameterError(f"omega, its derivatives and margins must be finite at s_floor "
                                  f"{self.s_floor}, and s_max^2 at s_max {self.s_max}")
-        if abs(w0) > 1e-10 * max(1.0, abs(self.s_floor)):
+        if abs(w0) > 1e-10 * max(1.0, abs(self.s_floor), scale):
             raise ParameterError(f"omega(s_floor) = {w0}, expected 0")
         if w0p <= 0.0:
             raise ParameterError("omega must have positive slope at the horizon")
         probe = np.linspace(self.s_floor, self.s_max, 4097)[1:]
-        if np.min(self.omega(probe)[0]) <= 0.0:
+        d = probe - self.s_floor  # a horizon family's omega(s) - omega(s_floor), term by term
+        om = _root_difference(self.terms, self.s_floor, d) if self.terms else self.omega(probe)[0]
+        if np.min(om) <= 0.0:
             raise ParameterError("omega must stay positive above the horizon")
 
 

@@ -50,7 +50,7 @@ __all__ = [
 COEFFICIENT_FLOOR = 1e-12
 
 # get_engine refuses larger tables before allocating: this admits the
-# axisymmetric engine at every CLI grid size, the full one to ~280 latitudes.
+# axisymmetric engine at every CLI grid size, the full one to 277 latitudes.
 TABLE_BUDGET_BYTES = 512 * 2**20
 
 
@@ -144,13 +144,14 @@ class SphericalHarmonicEngine:
         rows = np.concatenate([np.cos(angle), -np.sin(angle)], 1) * np.where(m, 2.0, 1.0)
         self._fourier = (rows / self.nlon).reshape(-1, self.nlon)
         # frame jet of the identity map y: S^2 -> R^3, components on the leading
-        # axis: (y, e_theta, e_phi) and the covariant Hessians (-y, 0, -y)
+        # axis: (y, e_theta, e_phi) and the covariant Hessians (-y, 0, -y), -y held once
         sin_t, cos_t = self.sin_theta[:, None], self.x[:, None]
         cos_p, sin_p = np.cos(self.phi), np.sin(self.phi)
         y = np.stack(np.broadcast_arrays(sin_t * cos_p, sin_t * sin_p, cos_t))
         e_theta = np.stack(np.broadcast_arrays(cos_t * cos_p, cos_t * sin_p, -sin_t))
         e_phi = np.stack(np.broadcast_arrays(-sin_p, cos_p, 0.0 * sin_t))
-        self.identity_jet = (y, e_theta, e_phi, -y, np.zeros_like(y), -y)
+        neg_y = -y
+        self.identity_jet = (y, e_theta, e_phi, neg_y, np.zeros_like(y), neg_y)
 
     def _build_tables(self):
         """T[k, m, l, i]: k-th theta-derivative of P_l^m at latitude i (0 for l < m).
@@ -377,10 +378,12 @@ _ENGINES: dict = {}
 def get_engine(kind: str, dim: int, size: int):
     """Shared engine cache; tables are reused across surfaces.
 
-    Tables take 3 size^3 doubles plus the 4 size^2 of the Fourier table
-    (full), or 3 size^2 (axisym), and both engines add the size^2 of the
-    node solve's Jacobi matrix; sizes over TABLE_BUDGET_BYTES are refused
-    before anything is allocated.
+    The full engine holds 3 size^3 doubles of tables, the 4 size^2 of the
+    Fourier table and the 30 size^2 of the identity map's frame jet (five
+    distinct (3, size, 2 size) arrays); the axisymmetric engine holds 3 size^2
+    of tables.  Both add the size^2 of the node solve's Jacobi matrix:
+    3 size^3 + 35 size^2 doubles in all (full), 4 size^2 (axisym).  Sizes
+    over TABLE_BUDGET_BYTES are refused before anything is allocated.
     """
     key = (kind, int(dim), int(size))
     if key not in _ENGINES:
@@ -388,7 +391,7 @@ def get_engine(kind: str, dim: int, size: int):
             raise ParameterError(f"unknown engine kind {kind!r}")
         if kind == "full" and dim != 3:
             raise ParameterError("the full engine is implemented for ambient dimension 3")
-        need = (3 * int(size) ** 3 + 5 * int(size) ** 2 if kind == "full" else 4 * int(size) ** 2) * 8
+        need = (3 * int(size) ** 3 + 35 * int(size) ** 2 if kind == "full" else 4 * int(size) ** 2) * 8
         if need > TABLE_BUDGET_BYTES:
             raise ParameterError(
                 f"{kind} engine of size {size} needs {need} bytes "

@@ -444,6 +444,16 @@ class ConditionReport:
     conclusion: str
 
 
+def _jet_gap_slope(w: WarpingFunction, r):
+    """(``_curvature_jet``, gap, slope of W) at r; with ``_margins`` the slope is dW/dh h'."""
+    jet = _curvature_jet(w, r)
+    if w._margins is None:
+        terms = _curvature_terms(w.dim, jet)
+        return jet, terms.gap, terms.slope
+    gap, _, slope_h = w._margins(jet[0])
+    return jet, gap, slope_h * jet[1]
+
+
 def check_conditions(w: WarpingFunction) -> ConditionReport:
     """Evaluate the structure conditions on CONDITION_GRID_SIZE Chebyshev radii.
 
@@ -461,7 +471,7 @@ def check_conditions(w: WarpingFunction) -> ConditionReport:
       reported as ``degenerate``: the strict hypothesis fails but every
       weaker conclusion survives.
 
-    Exact margins (``_margins``) give the gap and the slope, dW/dh times h'.
+    Exact margins (``_margins``) give the gap and the slope (``_jet_gap_slope``).
 
     Pass/fail for the first three uses a -TOL_CONDITION slack on the minimum
     margin; the gap condition requires min margin > +TOL_CONDITION to count
@@ -475,13 +485,7 @@ def check_conditions(w: WarpingFunction) -> ConditionReport:
     else:
         reg_margin = -max(abs(h0), abs(hp0 - 1.0), abs(hpp0))
 
-    jet = _curvature_jet(w, radii)
-    if w._margins is None:
-        terms = _curvature_terms(w.dim, jet)
-        gap, slope = terms.gap, terms.slope
-    else:
-        gap, _, slope_h = w._margins(jet[0])
-        slope = slope_h * jet[1]
+    jet, gap, slope = _jet_gap_slope(w, radii)
     margins = {"monotonicity": jet[1], "scalar_monotonicity": slope,
                "ricci_gap": gap if w.variant == "boundary" else np.abs(gap)}
     min_margin = {"regularity": reg_margin}
@@ -543,12 +547,13 @@ def scan_monotonicity_extrema(
 ) -> list[ExtremumRecord]:
     """Locate strict interior extrema of the monotonicity quantity.
 
-    Sign changes of the slope on a 256-point Chebyshev grid are refined by
-    Brent's method (``find_root``) to 1e-8 * r_bar.  At each extremum the
-    record notes whether the two Ricci eigenvalues differ by more than 1e-9
-    there; an extremum with distinct eigenvalues is the seed datum for
-    non-slice constant-mean-curvature spheres, so such radii are flagged
-    for downstream experiments.
+    Sign changes of the slope ``check_conditions`` reads (``_jet_gap_slope``)
+    on a 256-point Chebyshev grid are refined on it by Brent's method
+    (``find_root``) to 1e-8 * r_bar.  At each extremum the record notes
+    whether the two Ricci eigenvalues differ by more than 1e-9 there; an
+    extremum with distinct eigenvalues is the seed datum for non-slice
+    constant-mean-curvature spheres, so such radii are flagged for
+    downstream experiments.
 
     Ambients with constant (often zero) monotonicity quantity produce slope
     values at roundoff level that cross zero spuriously; sign changes whose
@@ -563,19 +568,16 @@ def scan_monotonicity_extrema(
     profiles cannot resolve them.
     """
     radii = _scan_radii(w)
-    slope = monotonicity_quantity(w, radii)[1]
+    slope = _jet_gap_slope(w, radii)[2]
+    change = np.flatnonzero(np.sign(slope[:-1]) * np.sign(slope[1:]) < 0.0)  # slope products may overflow
+    if change.size == 0:  # no sign change: the curvature scale is not needed
+        return []
     if slope_floor is None:
         slope_floor = 1e-7 * w.curvature_scale / w.r_bar
     records = []
-    for i in range(len(radii) - 1):
-        a, b = radii[i], radii[i + 1]
-        sa, sb = slope[i], slope[i + 1]
-        if sa == 0.0 or np.sign(sa) * np.sign(sb) >= 0.0:  # sa * sb may overflow
-            continue
-        if max(abs(sa), abs(sb)) <= slope_floor:
-            continue
-        root = find_root(lambda r: monotonicity_quantity(w, r)[1], a, b, xtol=1e-8 * w.r_bar)
-        kind = "max" if sa > 0 else "min"
+    for i in change[np.maximum(np.abs(slope[change]), np.abs(slope[change + 1])) > slope_floor]:
+        root = find_root(lambda r: _jet_gap_slope(w, r)[2], radii[i], radii[i + 1], xtol=1e-8 * w.r_bar)
+        kind = "max" if slope[i] > 0 else "min"
         terms = _curvature_terms_at(w, root)
         distinct = abs(terms.radial - terms.tangential) > 1e-9
         records.append(ExtremumRecord(float(root), kind, terms.value, distinct))

@@ -311,7 +311,7 @@ def test_criterion_7_flat_flow():
             rtol=1e-12,
             atol=1e-14,
         )
-        ode_err = float(np.max(np.abs(final.points[..., 0] - sol.y[0, -1])))
+        ode_err = float(np.max(np.abs(final.points[0] - sol.y[0, -1])))
         assert ode_err < 1e-8
         pert = perturb_slice(w, engine, 1.0, [(2, 0, 0.08), (4, 0, 0.04)])
         trace_p, _ = run_flow(pert, 0.5)

@@ -111,7 +111,7 @@ def test_slice_flow_follows_radial_ode(schw3):
         dense_output=True,
     )
     oracle = sol.sol(trace.times)[0]
-    spread = np.nanmax(final.points[..., 0]) - np.nanmin(final.points[..., 0])
+    spread = np.nanmax(final.points[0]) - np.nanmin(final.points[0])
     assert spread < 1e-10
     sampled = np.nanmean(
         np.where(np.isfinite(trace.per_node_f), 1.0, np.nan), axis=1
@@ -140,14 +140,14 @@ def test_speed_is_conserved(schw3):
 def _speed(state):
     # speed in the rescaled metric f^{-2} g: exactly 1 along the flow
     w = state.warping
-    r = state.points[..., 0]
+    r = state.points[0]
     h, hp = w.jet(np.clip(r, 0.0, w.r_bar))[:2]
-    vr = state.velocities[..., 0]
-    if state.points.shape[-1] == 2:
-        vy = state.velocities[..., 1]
+    vr = state.velocities[0]
+    if state.points.shape[0] == 2:
+        vy = state.velocities[1]
         return np.sqrt(vr * vr + h * h * vy * vy) / hp
-    vy = state.velocities[..., 1:]
-    yy = np.sum(vy * vy, axis=-1)
+    vy = state.velocities[1:]
+    yy = np.sum(vy * vy, axis=0)
     return np.sqrt(vr * vr + h * h * yy) / hp
 
 
@@ -297,6 +297,31 @@ def test_init_flow_report_is_the_graph_geometry(schw3, mode):
 
 
 @pytest.mark.parametrize("mode", ["full", "axisym"])
+def test_node_state_keeps_its_components_on_the_leading_axis(schw3, mode, monkeypatch):
+    # (r, y) in full mode and (r, beta) in axisymmetric mode, stacked first: the
+    # engines' layout, so a full step hands its points to the frame jet as they are
+    full = mode == "full"
+    engine = full_sphere_grid(16) if full else axisym_grid(3, 32)
+    shape = (4 if full else 2, *engine.grid_shape)
+    state = init_flow(perturb_slice(schw3, engine, 2.0, [(2, 1 if full else 0, 0.1)]))
+    assert state.points.shape == state.velocities.shape == shape
+    stacks = []
+    frame_jet = engine.on_frame_jet
+
+    def spy(values):
+        stacks.append(values)
+        return frame_jet(values)
+
+    monkeypatch.setattr(engine, "on_frame_jet", spy)
+    new = step(state, 0.01)
+    assert new.points.shape == new.velocities.shape == shape
+    (stack,) = stacks
+    assert stack.shape == shape
+    if full:
+        assert stack.flags.c_contiguous and stack is new.points
+
+
+@pytest.mark.parametrize("mode", ["full", "axisym"])
 def test_carried_speed_ratio_is_the_ratio_at_the_current_points(schw3, mode):
     full = mode == "full"
     engine = full_sphere_grid(16) if full else axisym_grid(3, 32)
@@ -305,7 +330,7 @@ def test_carried_speed_ratio_is_the_ratio_at_the_current_points(schw3, mode):
     frozen = np.zeros_like(state.frozen)
     frozen[:3] = True
     state = replace(state, frozen=frozen)
-    held = state.points[frozen]
+    held = state.points[:, frozen]
     for k in range(6):
         fresh = _speed_ratio(_clipped_jet(schw3, state.points), state.velocities)
         assert np.array_equal(state.speed_ratio[~frozen], fresh[~frozen])
@@ -315,7 +340,7 @@ def test_carried_speed_ratio_is_the_ratio_at_the_current_points(schw3, mode):
             assert np.array_equal(carried, at_points)
         if k < 5:
             state = step(state, 0.01)
-    assert np.array_equal(state.points[frozen], held)
+    assert np.array_equal(state.points[:, frozen], held)
     assert np.any(state.active)
 
 
@@ -370,7 +395,7 @@ def test_four_grid_warp_jets_per_step(schw3, mode, monkeypatch):
     assert substeps == [1]
     assert calls == [True] * 4
     report = new.report
-    assert np.array_equal(report.radii, new.points[..., 0])
+    assert np.array_equal(report.radii, new.points[0])
     carried = (report.warp, report.potential, report.potential_slope, report.potential_curvature)
     for got, want in zip(carried, new.warp_jet):
         assert np.array_equal(got, want)

@@ -9,8 +9,11 @@ sqrt(2) + log(1 + sqrt(2)).
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from warpcmc import (
     DomainError,
@@ -116,12 +119,55 @@ def test_positive_kappa_is_admissible_where_omega_peaks_above_zero(n):
         ok, msg = admissibility("desitter-schwarzschild", n, {"m": m, "kappa": kappa})
         assert ok == (peak > 0.0)
         if ok:
-            # the root search itself: so close to kappa_max some profiles
-            # refuse the roundoff of omega next to the horizon
+            # the root search itself, and the profile built on it
             lower = _horizons(_terms(n, {"m": m, "kappa": kappa}))[0]
             assert 0.0 < lower < s_peak
+            w = make_model("desitter-schwarzschild", n, m=m, kappa=kappa, knots=64)
+            assert check_conditions(w).conclusion == "slice-rigidity"
         else:
             assert "merge or vanish" in msg
+
+
+@pytest.mark.parametrize("n, m, kappa", [(3, 7.3, 0.002780036557480453), (5, 1.0, -1e10)])
+def test_profile_checks_read_no_roundoff_of_omega_next_to_the_horizon(n, m, kappa):
+    # kappa_max (1 - 1e-13), where plain omega reads 0.0 or -5.6e-17 just above
+    # the horizon, and a deep negative kappa, where omega(s_floor) is 2.3e-10
+    # against two terms of 1e6
+    w = make_model("desitter-schwarzschild", n, m=m, kappa=kappa)
+    assert check_conditions(w).conclusion == "slice-rigidity"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(min_value=3, max_value=5),
+    log_m=st.floats(min_value=-2.0, max_value=2.0),
+    u=st.floats(min_value=-15.0, max_value=-2.0),
+)
+@example(n=3, log_m=0.0, u=-15.0)
+@example(n=4, log_m=0.0, u=-15.0)
+@example(n=5, log_m=2.0, u=-13.0)
+def test_near_merged_horizons_build_with_slice_rigidity(n, log_m, u):
+    """kappa = kappa_max (1 - 10^u): omega peaks at 3e-16 to 3e-5 between its two horizons.
+
+    The profile declares its float horizon s_floor a root of omega and probes
+    omega(s) - omega(s_floor).  Every draw builds and concludes slice-rigidity,
+    unless that difference is not positive in 60 digits at the top of the chart,
+    s_upper (1 - 1e-9): next to a double root the float horizons sit up to ~1e-9
+    off, as far as that margin, and the probe is right to refuse (u < -13.5 here).
+    """
+    m = 10.0**log_m
+    kappa = kappa_max(n, m) * (1.0 - 10.0**u)
+    try:
+        w = make_model("desitter-schwarzschild", n, m=m, kappa=kappa, knots=256)
+    except ParameterError as exc:
+        terms = _terms(n, {"m": m, "kappa": kappa})
+        lower, upper = _horizons(terms)
+        with mpmath.workdps(60):
+            omega = [1 - sum(mpmath.mpf(c) * mpmath.mpf(s) ** a for c, a in terms)
+                     for s in (lower, upper * (1.0 - 1e-9))]
+        assert "stay positive" in str(exc) and omega[1] - omega[0] <= 0, str(exc)
+        return
+    assert check_conditions(w).conclusion == "slice-rigidity"
 
 
 def test_omega_tables_are_admissible_and_have_no_closed_form_horizon(tmp_path):

@@ -294,26 +294,26 @@ def test_table_budget_refuses_before_allocating(monkeypatch):
 
     monkeypatch.setattr(spectral, "SphericalHarmonicEngine", refuse)
     monkeypatch.setattr(spectral, "AxisymEngine", refuse)
-    # full: three tables of 3 N^3 doubles, the 2N x 2N Fourier table and the node
-    # solve's N x N Jacobi matrix; axisymmetric: three tables and the Jacobi matrix,
-    # 4 N^2 doubles
+    # full: three tables of 3 N^3 doubles, the 2N x 2N Fourier table, the node
+    # solve's N x N Jacobi matrix and the identity map's frame jet, five distinct
+    # (3, N, 2N) arrays; axisymmetric: three tables and the Jacobi matrix, 4 N^2 doubles
     for kind, dim, size, need in (
-        ("full", 3, 512, (3 * 512**3 + 5 * 512**2) * 8),
-        ("full", 3, 282, (3 * 282**3 + 5 * 282**2) * 8),
+        ("full", 3, 512, (3 * 512**3 + 35 * 512**2) * 8),
+        ("full", 3, 278, (3 * 278**3 + 35 * 278**2) * 8),
         ("axisym", 3, 8192, 4 * 8192**2 * 8),
     ):
         assert need > spectral.TABLE_BUDGET_BYTES
         with pytest.raises(ParameterError, match=str(need)):
             get_engine(kind, dim, size)
     # the largest CLI grid needs exactly the budget and is admitted, and so is
-    # the largest full grid, 281 latitudes
+    # the largest full grid, 277 latitudes
     assert 4 * 4096**2 * 8 == spectral.TABLE_BUDGET_BYTES
-    assert (3 * 281**3 + 5 * 281**2) * 8 <= spectral.TABLE_BUDGET_BYTES
+    assert (3 * 277**3 + 35 * 277**2) * 8 <= spectral.TABLE_BUDGET_BYTES
     monkeypatch.setattr(spectral, "_ENGINES", {})
     monkeypatch.setattr(spectral, "AxisymEngine", lambda dim, size: (dim, size))
     monkeypatch.setattr(spectral, "SphericalHarmonicEngine", lambda size: size)
     assert get_engine("axisym", 3, 4096) == (3, 4096)
-    assert get_engine("full", 3, 281) == 281
+    assert get_engine("full", 3, 277) == 277
 
 
 @pytest.mark.parametrize("count", [8, 48, 64, 129])

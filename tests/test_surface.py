@@ -238,7 +238,7 @@ def test_full_normal_matches_the_tangent_frame_reference(schw3):
     state = init_flow(surface)
     for _ in range(5):
         state = step(state, 0.02)
-    jet = engine.on_frame_jet(np.moveaxis(state.points, -1, 0))
+    jet = engine.on_frame_jet(state.points)
     flowed = (tuple(out[0] for out in jet), tuple(out[1:] for out in jet))
     y = flowed[1][0]
     unit_y = (y / np.sqrt(np.sum(y * y, axis=0)),) + flowed[1][1:]

@@ -194,6 +194,43 @@ def test_bump_table_extremum_scan(bump_table):
     assert abs(rec.value - 0.4) < 1e-6
 
 
+def _scan_by_interval(w, slope_floor):
+    """The extrema scan as a loop over the grid intervals on the jet-route slope: the oracle."""
+    def slope_at(r):
+        return monotonicity_quantity(w, r)[1]
+
+    radii = chebyshev_radii(0.005 * w.r_bar if w.variant == "ball" else 0.0, w.r_bar, 256)
+    slope = slope_at(radii)
+    records = []
+    for i in range(len(radii) - 1):
+        sa, sb = slope[i], slope[i + 1]
+        if sa == 0.0 or np.sign(sa) * np.sign(sb) >= 0.0 or max(abs(sa), abs(sb)) <= slope_floor:
+            continue
+        root = find_root(slope_at, radii[i], radii[i + 1], xtol=1e-8 * w.r_bar)
+        radial, tangential = ricci_eigenvalues(w, root)
+        kind = "max" if sa > 0 else "min"
+        records.append((root, kind, monotonicity_quantity(w, root)[0], abs(radial - tangential) > 1e-9))
+    return records
+
+
+@pytest.mark.parametrize("ambient, slope_floor, count", [
+    ("bump_table", 1e-3, 1), ("bump_table", 0.0, 1), ("wavy", None, 3), ("cosine_boundary", None, 0),
+    ("schw3", None, 0), ("rn3", None, 0),
+])
+def test_extremum_scan_is_the_interval_loop(ambient, slope_floor, count, request):
+    # one record per sign change of the jet-route slope beyond the floor, bit for bit;
+    # a horizon family's exact slope is one-signed or 0 and has no sign change
+    if ambient == "wavy":
+        r = np.linspace(0.0, 2.0, 201)  # sinh with a bump: three extrema of W
+        w = tabulated_warping("wavy", 3, r, np.sinh(r) + 0.05 * np.exp(-((r - 1.0) / 0.2) ** 2) * r**3, "ball")
+    else:
+        w = request.getfixturevalue(ambient)
+    floor = 1e-7 * w.curvature_scale / w.r_bar if slope_floor is None else slope_floor
+    got = [dataclasses.astuple(rec) for rec in scan_monotonicity_extrema(w, slope_floor)]
+    assert got == _scan_by_interval(w, floor)
+    assert len(got) == count
+
+
 def test_potential_monotone_radius_cosine_oracle(cosine_boundary):
     # h'' = cos(pi r / 1.4) crosses zero exactly at 0.7
     assert abs(potential_monotone_radius(cosine_boundary) - 0.7) < 1e-6
@@ -426,10 +463,11 @@ def test_each_curvature_quantity_looks_h_up_once(schw3, monkeypatch):
             calls.clear()
             quantity(schw3, r)
             assert calls == [np.ndim(r)], quantity.__name__
-    # the slope grid and the kept curvature scale; Schwarzschild has no extremum
+    # the slope grid alone: the exact slope of Schwarzschild is 0, so no sign
+    # changes and the curvature scale is never read
     calls.clear()
     assert scan_monotonicity_extrema(dataclasses.replace(schw3)) == []
-    assert calls == [1, 1]
+    assert calls == [1]
 
 
 @pytest.mark.parametrize(
