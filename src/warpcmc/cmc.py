@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 from .surface import GraphSurface, _enclosed_volume
-from .warping import WarpingFunction, _curvature_jet
+from .warping import WarpingFunction, _curvature
 
 __all__ = [
     "CmcResult",
@@ -78,11 +78,12 @@ def _mean_radius(engine, radii) -> float:
 def _scaled_gap(warping, r):
     """h(r) and the dimensionless Ricci gap h(r)^2 ricci_gap_margin(r).
 
-    One warp jet (``_curvature_jet``); the gap is assembled from h h'' and
-    the family's cancellation-free defect, so it is exactly 0 in flat space.
+    h^2 times the gap of the one curvature record at r (``_curvature``): the
+    ambient's closed form where it has one, so it is exactly 0 in a space form.
     """
-    h, _, hpp, _, defect = _curvature_jet(warping, r)
-    return h, h * hpp + h * h * defect
+    curvature = _curvature(warping, r)
+    h = curvature.jet[0]
+    return h, h * h * curvature.gap
 
 
 def find_cmc(

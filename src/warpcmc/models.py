@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -91,7 +92,7 @@ class OmegaProfile:
         # a negative power is largest at s_floor; a non-finite value is refused below
         with np.errstate(all="ignore"):
             w0, w0p, w0pp = (float(np.asarray(v)) for v in self.omega(np.asarray(self.s_floor)))
-            exact = _exact_margins(self.terms, self.dim, np.asarray(self.s_floor))
+            exact = self._closed_forms(np.asarray(self.s_floor)) if self.terms else ()
             # omega's roundoff next to the root of a horizon family scales with its terms
             scale = sum(abs(c) * np.float64(self.s_floor) ** a for c, a in self.terms)
         if not np.isfinite((w0, w0p, w0pp, *exact, self.s_max * self.s_max)).all():
@@ -106,6 +107,11 @@ class OmegaProfile:
         om = _root_difference(self.terms, self.s_floor, d) if self.terms else self.omega(probe)[0]
         if np.min(om) <= 0.0:
             raise ParameterError("omega must stay positive above the horizon")
+
+    @cached_property
+    def _closed_forms(self):
+        """``_monomial_forms`` of the terms, built once; None for a table."""
+        return _monomial_forms(self.terms, self.dim) if self.terms else None
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +141,6 @@ def _omega_jet(terms, order=2):
     return jet
 
 
-def _term_sum(terms, s):
-    """1 - omega = sum c s^a, free of the cancellation in 1 - omega where omega is near 1."""
-    total = None
-    for c, a in terms:
-        total = c * s**a if total is None else total + c * s**a
-    return total
-
-
 def _root_difference(terms, r, d):
     """omega(r + d) - omega(r) without cancellation next to a root r of omega.
 
@@ -155,18 +153,28 @@ def _root_difference(terms, r, d):
     return sum(parts[1:], parts[0])
 
 
-def _exact_margins(terms, n, s):
-    """Ricci gap, monotonicity quantity W and dW/ds of omega = 1 - sum c s^a.
+def _monomial_forms(terms, n):
+    """The map s -> (defect, gap, W, dW/ds) of omega = 1 - sum c s^a, each a sum of monomials.
 
-    gap = sum c (1 - a/2) s^(a-2), W = -sum c (a+n-2) s^(a-2) and dW/ds =
-    -sum c (a+n-2)(a-2) s^(a-3).  A monomial whose factor is 0 is left out
-    (the mass term's in W and dW/ds, kappa's in the gap and dW/ds), so dW/ds
-    is exactly 0 for Schwarzschild and deSitter-Schwarzschild.
+    defect = (1 - omega)/s^2 = sum c s^(a-2), gap = sum c (1 - a/2) s^(a-2),
+    W = -sum c (a+n-2) s^(a-2) and dW/ds = -sum c (a+n-2)(a-2) s^(a-3), each
+    monomial listed once.  One whose factor is 0 is left out (the mass term's
+    in W and dW/ds, kappa's in the gap and dW/ds), so dW/ds is exactly 0 for
+    Schwarzschild and deSitter-Schwarzschild.  A call takes each power once.
     """
-    factors = ((lambda a: 1 - a / 2, -2), (lambda a: -(a + n - 2), -2),
+    factors = ((lambda a: 1, -2), (lambda a: 1 - a / 2, -2), (lambda a: -(a + n - 2), -2),
                (lambda a: -(a + n - 2) * (a - 2), -3))
-    zero = np.zeros_like(s)
-    return tuple(sum((c * f(a) * s ** (a + k) for c, a in terms if f(a)), zero) for f, k in factors)
+    monomials = [(i, c * f(a), a + k) for i, (f, k) in enumerate(factors) for c, a in terms if f(a)]
+    exponents = {p for _, _, p in monomials}
+
+    def forms(s):
+        powers = {p: s**p for p in exponents}
+        sums = [0.0 * s] * 4
+        for i, coef, p in monomials:
+            sums[i] = sums[i] + coef * powers[p]
+        return tuple(sums)
+
+    return forms
 
 
 def _critical_point(terms) -> float:
@@ -579,11 +587,9 @@ def omega_to_warping(profile: OmegaProfile, knots: int = 2048) -> OmegaBackedWar
             sq = np.sqrt(np.maximum(om - omega_shift, 0.0))
         return s, sq, 0.5 * om1, 0.5 * om2 * sq
 
-    terms, n = profile.terms, profile.dim
     return OmegaBackedWarping(
-        profile.name, n, r_bar, "boundary", jet,
-        _defect=(lambda s: _term_sum(terms, s) / (s * s)) if terms else None,
-        _margins=(lambda s: _exact_margins(terms, n, s)) if terms else None,
+        profile.name, profile.dim, r_bar, "boundary", jet,
+        _closed_forms=profile._closed_forms,
         profile=profile, _h_table=table,
     )
 
@@ -666,8 +672,8 @@ def omega_condition_margins(profile: OmegaProfile, s):
     Returns a dict with the same quantities the warp-form evaluators
     produce at r = F(s): the potential sqrt(omega), the monotonicity
     quantity and its slope with respect to arc length, and the Ricci
-    gap margin.  A profile with terms takes the closed forms of
-    ``_exact_margins``, the slope times sqrt(omega); an omega table
+    gap margin.  A profile with terms takes its closed forms
+    (``_monomial_forms``), the slope times sqrt(omega); an omega table
     assembles them from its omega jet.  Either way a disagreement with the
     warp-form route would expose an error in the change of variables.
     """
@@ -676,7 +682,7 @@ def omega_condition_margins(profile: OmegaProfile, s):
     root = np.sqrt(np.maximum(om, 0.0))
     n = profile.dim
     if profile.terms:
-        gap, quantity, slope_s = _exact_margins(profile.terms, n, arr)
+        _, gap, quantity, slope_s = profile._closed_forms(arr)
     else:
         defect = (1.0 - om) / (arr * arr)
         gap = omp / (2.0 * arr) + defect

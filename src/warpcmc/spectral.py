@@ -117,6 +117,7 @@ class SphericalHarmonicEngine:
     """
 
     kind = "full"
+    dim = 3
 
     def __init__(self, nlat: int):
         if nlat < 8:

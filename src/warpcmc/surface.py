@@ -12,7 +12,6 @@ transports.  Derivatives are spectral; no finite differences anywhere.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -114,12 +113,6 @@ def _sphere_products(y, y1, y2):
     return _dot(y1, y1), _dot(y1, y2), _dot(y2, y2), _dot(y, _cross(y1, y2))
 
 
-@functools.cache
-def _identity_products(engine):
-    """``_sphere_products`` of the engine's identity map, computed once per engine."""
-    return _sphere_products(*engine.identity_jet[:3])
-
-
 def parametrized_geometry(engine, warp_jet, radius_jet, sphere_jet, orient=None):
     """Geometry of a surface p -> (r(p), y(p)) over the parameter sphere.
 
@@ -144,9 +137,7 @@ def parametrized_geometry(engine, warp_jet, radius_jet, sphere_jet, orient=None)
     if full:
         rr, r1, r2, dr11, dr12, dr22 = radius_jet
         y, y1, y2, d11, d12, d22 = sphere_jet
-        identity = sphere_jet is engine.identity_jet
-        products = _identity_products(engine) if identity else _sphere_products(y, y1, y2)
-        g_y11, g_y12, g_y22, triple = products
+        g_y11, g_y12, g_y22, triple = _sphere_products(y, y1, y2)
         gam11 = r1 * r1 + hh * g_y11
         gam12 = r1 * r2 + hh * g_y12
         gam22 = r2 * r2 + hh * g_y22
@@ -226,10 +217,9 @@ class GraphSurface:
         radii = np.asarray(radii, dtype=float)
         if radii.shape != engine.grid_shape:
             raise ParameterError(f"radius grid must have shape {engine.grid_shape}")
-        if engine.kind == "full" and warping.dim != 3:
-            raise ParameterError("full mode needs ambient dimension 3")
-        if engine.kind == "axisym" and getattr(engine, "dim", warping.dim) != warping.dim:
-            raise ParameterError("engine dimension must match the ambient")
+        if engine.dim != warping.dim:
+            raise ParameterError(f"a {engine.kind} engine of dimension {engine.dim} cannot carry "
+                                 f"an ambient of dimension {warping.dim}")
         if radii.min() <= 0.0 or radii.max() >= warping.r_bar:
             raise DomainError(
                 f"graph must stay strictly inside (0, {warping.r_bar}); "

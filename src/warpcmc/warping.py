@@ -125,6 +125,12 @@ class WarpingFunction:
         Outer radius of the working chart; the domain is [0, r_bar).
     variant : str
         Either ``boundary`` or ``ball``.
+
+    The optional ``_closed_forms`` maps h to (curvature defect, Ricci gap, W,
+    dW/dh) in closed form: the space forms and the horizon families have them.
+    Every curvature quantity reads them (``_curvature``); the jet route they
+    replace cancels near a ball center, where 1 - h'^2 = O(r^2), and leaves
+    roundoff in the slope of W wherever W is constant.
     """
 
     name: str
@@ -132,12 +138,7 @@ class WarpingFunction:
     r_bar: float
     variant: str
     _jet: Callable[[np.ndarray], tuple]
-    # optional stable evaluator of (1 - h'^2)/h^2 as a function of h; the
-    # generic jet route cancels catastrophically near a ball center, where
-    # 1 - h'^2 = O(r^2)
-    _defect: Callable[[np.ndarray], np.ndarray] | None = None
-    # optional exact (Ricci gap, W, dW/dh) of h, where the jet route leaves roundoff
-    _margins: Callable[[np.ndarray], tuple] | None = None
+    _closed_forms: Callable[[np.ndarray], tuple] | None = None
 
     def __post_init__(self):
         if self.dim < 3:
@@ -165,8 +166,9 @@ class WarpingFunction:
         needs a floor in flat space: a bare ``margin > -tol * curvature_scale /
         r_bar`` compares an exact 0.0 margin with -0.0 and fails.
         """
-        h, _, hpp, _, defect = _curvature_jet(self, _scan_radii(self))
-        return float(np.max(2.0 * np.abs(hpp / h) + (self.dim - 2) * np.abs(defect)))
+        curvature = _curvature(self, _scan_radii(self))
+        h, _, hpp, _ = curvature.jet
+        return float(np.max(2.0 * np.abs(hpp / h) + (self.dim - 2) * np.abs(curvature.defect)))
 
     @cached_property
     def monotone_radius(self) -> float:
@@ -197,23 +199,28 @@ class WarpingFunction:
 
     def jet(self, r):
         """Evaluate (h, h', h'', h''') at radius r (scalar or array) in [0, r_bar)."""
-        h, hp, hpp, hppp = self._jet(self._in_chart(r))
-        if np.ndim(r) == 0:
+        x = self._in_chart(r)
+        h, hp, hpp, hppp = self._jet(x)
+        if x.ndim == 0:  # np.ndim of a Python float costs a conversion to an array
             return float(h), float(hp), float(hpp), float(hppp)
         return h, hp, hpp, hppp
 
     def curvature_defect(self, r):
         """Evaluate (1 - h'(r)^2)/h(r)^2, the sphere-factor curvature excess.
 
-        Families with a closed form supply a cancellation-free evaluator;
-        otherwise the quantity is assembled from the jet (``_curvature_jet``).
-        The domain is that of ``jet``.
+        The ambient's closed form where it has one, otherwise assembled from
+        the jet (``_curvature``).  The domain is that of ``jet``.
         """
-        return _like(r, _curvature_jet(self, r))[4]
+        return _curvature(self, r).defect
 
 
 # ---------------------------------------------------------------------------
 # constructors
+
+
+def _constant_curvature(n: int, c: float):
+    """Closed forms where 1 - h'^2 = c h^2 (curvature c): defect c, gap 0, W = -n c, dW/dh = 0."""
+    return lambda h: (np.full_like(h, c), np.zeros_like(h), np.full_like(h, -n * c), np.zeros_like(h))
 
 
 def euclidean_warping(n: int, r_bar: float = 10.0) -> WarpingFunction:
@@ -224,7 +231,7 @@ def euclidean_warping(n: int, r_bar: float = 10.0) -> WarpingFunction:
         zero = np.zeros_like(r)
         return r.copy(), one, zero, zero.copy()
 
-    return WarpingFunction("euclidean", n, r_bar, "ball", jet, lambda h: np.zeros_like(h))
+    return WarpingFunction("euclidean", n, r_bar, "ball", jet, _constant_curvature(n, 0.0))
 
 
 def spherical_warping(n: int, curvature: float = 1.0, r_bar: float | None = None) -> WarpingFunction:
@@ -246,10 +253,7 @@ def spherical_warping(n: int, curvature: float = 1.0, r_bar: float | None = None
             -sc * sc * np.cos(sc * r),
         )
 
-    # 1 - h'^2 = 1 - cos^2 = c h^2 identically
-    return WarpingFunction(
-        "sphere", n, r_bar, "ball", jet, lambda h: np.full_like(h, curvature)
-    )
+    return WarpingFunction("sphere", n, r_bar, "ball", jet, _constant_curvature(n, curvature))
 
 
 def hyperbolic_warping(n: int, curvature: float = 1.0, r_bar: float = 10.0) -> WarpingFunction:
@@ -266,10 +270,7 @@ def hyperbolic_warping(n: int, curvature: float = 1.0, r_bar: float = 10.0) -> W
             sc * sc * np.cosh(sc * r),
         )
 
-    # 1 - h'^2 = 1 - cosh^2 = -c h^2 identically
-    return WarpingFunction(
-        "hyperbolic", n, r_bar, "ball", jet, lambda h: np.full_like(h, -curvature)
-    )
+    return WarpingFunction("hyperbolic", n, r_bar, "ball", jet, _constant_curvature(n, -curvature))
 
 
 def _quintic_spline(x, y, derivatives: int):
@@ -315,42 +316,36 @@ def tabulated_warping(
 # pointwise curvature data
 
 
-def _curvature_jet(w: WarpingFunction, r):
-    """(h, h', h'', h''', curvature defect) at r from one warp jet.
+# the curvature record of one warp jet: the jet (h, h', h'', h'''), the curvature
+# defect (1 - h'^2)/h^2, the Ricci eigenvalues (radial, tangential), the Ricci gap
+# margin, the monotonicity quantity W and its radial slope
+_Curvature = namedtuple("_Curvature", "jet defect radial tangential gap value slope")
 
-    The defect is the ambient's evaluator of h where it has one, else
-    (1 - h'^2)/h^2.  A scalar h is a numpy float, so that a scalar at a
-    ball's center divides by zero as an array does, to inf or nan.
+
+def _curvature(w: WarpingFunction, r) -> _Curvature:
+    """The curvature record of the one warp jet at r.
+
+    The ambient's closed forms (``_closed_forms``) give the defect, the gap,
+    W and dW/dh where it has them; otherwise they come from the jet, where
+    the sphere factor's curvature 1 enters once, in the defect.  A scalar r
+    gives floats, computed from a numpy h so that a scalar at a ball's center
+    divides by zero as an array does, to inf or nan.
     """
-    h, hp, hpp, hppp = w.jet(r)
-    h = np.float64(h) if np.ndim(r) == 0 else h
-    defect = (1.0 - hp * hp) / (h * h) if w._defect is None else w._defect(h)
-    return h, hp, hpp, hppp, defect
-
-
-def _like(r, values) -> tuple:
-    """``values`` as floats for a scalar radius r, unchanged for an array."""
-    return tuple(map(float, values)) if np.ndim(r) == 0 else tuple(values)
-
-
-# Ricci eigenvalues (radial, tangential), gap margin, monotonicity quantity and its slope
-_CurvatureTerms = namedtuple("_CurvatureTerms", "radial tangential gap value slope")
-
-
-def _curvature_terms(n: int, jet) -> _CurvatureTerms:
-    h, hp, hpp, hppp, defect = jet
-    return _CurvatureTerms(
-        radial=-(n - 1) * hpp / h,
-        tangential=(n - 2) * defect - hpp / h,
-        gap=hpp / h + defect,
-        value=2.0 * hpp / h - (n - 2) * defect,
-        slope=2.0 * (h * hppp + (n - 3) * hp * hpp) / (h * h) + 2.0 * (n - 2) * (hp / h) * defect,
-    )
-
-
-def _curvature_terms_at(w: WarpingFunction, r) -> _CurvatureTerms:
-    """``_curvature_terms`` of the one warp jet at r, as floats for a scalar r."""
-    return _CurvatureTerms(*_like(r, _curvature_terms(w.dim, _curvature_jet(w, r))))
+    jet = w.jet(r)
+    _, hp, hpp, hppp = jet
+    scalar = isinstance(jet[0], float)  # the jet of a scalar r is floats
+    h = np.float64(jet[0]) if scalar else jet[0]
+    n = w.dim
+    if w._closed_forms is None:
+        defect = (1.0 - hp * hp) / (h * h)
+        gap = hpp / h + defect
+        value = 2.0 * hpp / h - (n - 2) * defect
+        slope = 2.0 * (h * hppp + (n - 3) * hp * hpp) / (h * h) + 2.0 * (n - 2) * (hp / h) * defect
+    else:
+        defect, gap, value, slope_h = w._closed_forms(h)
+        slope = slope_h * hp
+    values = (defect, -(n - 1) * hpp / h, (n - 2) * defect - hpp / h, gap, value, slope)
+    return _Curvature(jet, *(map(float, values) if scalar else values))
 
 
 def potential_and_field(w: WarpingFunction, r):
@@ -369,8 +364,8 @@ def ricci_eigenvalues(w: WarpingFunction, r):
     Returns (radial, tangential); radial has multiplicity 1 along d/dr and
     tangential has multiplicity n-1 on the sphere directions.
     """
-    terms = _curvature_terms_at(w, r)
-    return terms.radial, terms.tangential
+    curvature = _curvature(w, r)
+    return curvature.radial, curvature.tangential
 
 
 def monotonicity_quantity(w: WarpingFunction, r):
@@ -379,14 +374,13 @@ def monotonicity_quantity(w: WarpingFunction, r):
     The quantity is 2h''/h - (n-2)(1 - h'^2)/h^2, which equals
     -R/(n-1) for these ambients; the theorems need it non-decreasing.
     """
-    terms = _curvature_terms_at(w, r)
-    return terms.value, terms.slope
+    curvature = _curvature(w, r)
+    return curvature.value, curvature.slope
 
 
 def scalar_curvature(w: WarpingFunction, r):
     """Scalar curvature of the ambient at radius r."""
-    value, _ = monotonicity_quantity(w, r)
-    return -(w.dim - 1) * value
+    return -(w.dim - 1) * _curvature(w, r).value
 
 
 def ricci_gap_margin(w: WarpingFunction, r):
@@ -396,7 +390,7 @@ def ricci_gap_margin(w: WarpingFunction, r):
     unique smallest Ricci direction, which upgrades umbilic conclusions to
     genuine slice rigidity.
     """
-    return _curvature_terms_at(w, r).gap
+    return _curvature(w, r).gap
 
 
 def static_tensor(w: WarpingFunction, r):
@@ -407,11 +401,11 @@ def static_tensor(w: WarpingFunction, r):
     a literal zero so the cancellation itself is exercised.
     """
     n = w.dim
-    h, hp, hpp, hppp, _ = jet = _curvature_jet(w, r)
-    lap_f = hppp + (n - 1) * hpp * hp / h
-    radial = lap_f - hppp + hp * (-(n - 1) * hpp / h)
-    tangential = lap_f - hp * hpp / h + hp * _curvature_terms(n, jet).tangential
-    return _like(r, (radial, tangential))
+    curvature = _curvature(w, r)
+    _, hp, _, hppp = curvature.jet
+    hess = -hp * curvature.radial / (n - 1)  # h' h''/h, D^2 f on the sphere directions
+    lap_f = hppp + (n - 1) * hess
+    return lap_f - hppp + hp * curvature.radial, lap_f - hess + hp * curvature.tangential
 
 
 # ---------------------------------------------------------------------------
@@ -444,16 +438,6 @@ class ConditionReport:
     conclusion: str
 
 
-def _jet_gap_slope(w: WarpingFunction, r):
-    """(``_curvature_jet``, gap, slope of W) at r; with ``_margins`` the slope is dW/dh h'."""
-    jet = _curvature_jet(w, r)
-    if w._margins is None:
-        terms = _curvature_terms(w.dim, jet)
-        return jet, terms.gap, terms.slope
-    gap, _, slope_h = w._margins(jet[0])
-    return jet, gap, slope_h * jet[1]
-
-
 def check_conditions(w: WarpingFunction) -> ConditionReport:
     """Evaluate the structure conditions on CONDITION_GRID_SIZE Chebyshev radii.
 
@@ -471,7 +455,8 @@ def check_conditions(w: WarpingFunction) -> ConditionReport:
       reported as ``degenerate``: the strict hypothesis fails but every
       weaker conclusion survives.
 
-    Exact margins (``_margins``) give the gap and the slope (``_jet_gap_slope``).
+    The gap and the slope are the curvature record's (``_curvature``): the
+    ambient's closed forms where it has them.
 
     Pass/fail for the first three uses a -TOL_CONDITION slack on the minimum
     margin; the gap condition requires min margin > +TOL_CONDITION to count
@@ -485,9 +470,10 @@ def check_conditions(w: WarpingFunction) -> ConditionReport:
     else:
         reg_margin = -max(abs(h0), abs(hp0 - 1.0), abs(hpp0))
 
-    jet, gap, slope = _jet_gap_slope(w, radii)
-    margins = {"monotonicity": jet[1], "scalar_monotonicity": slope,
-               "ricci_gap": gap if w.variant == "boundary" else np.abs(gap)}
+    curvature = _curvature(w, radii)
+    gap = curvature.gap if w.variant == "boundary" else np.abs(curvature.gap)
+    margins = {"monotonicity": curvature.jet[1], "scalar_monotonicity": curvature.slope,
+               "ricci_gap": gap}
     min_margin = {"regularity": reg_margin}
     worst_radius = {"regularity": 0.0}
     for name, values in margins.items():
@@ -547,7 +533,7 @@ def scan_monotonicity_extrema(
 ) -> list[ExtremumRecord]:
     """Locate strict interior extrema of the monotonicity quantity.
 
-    Sign changes of the slope ``check_conditions`` reads (``_jet_gap_slope``)
+    Sign changes of the slope ``check_conditions`` reads (``_curvature``)
     on a 256-point Chebyshev grid are refined on it by Brent's method
     (``find_root``) to 1e-8 * r_bar.  At each extremum the record notes
     whether the two Ricci eigenvalues differ by more than 1e-9 there; an
@@ -555,20 +541,22 @@ def scan_monotonicity_extrema(
     constant-mean-curvature spheres, so such radii are flagged for
     downstream experiments.
 
-    Ambients with constant (often zero) monotonicity quantity produce slope
-    values at roundoff level that cross zero spuriously; sign changes whose
-    flanking slopes both fall below ``slope_floor`` are discarded as noise.
-    The default floor is 1e-7 of the ambient's ``curvature_scale`` divided
-    by r_bar, which suits closed-form profiles; tabulated profiles inherit the
-    noise of their samples through three spline derivatives, so callers who
-    know that noise level should raise the floor accordingly.
+    The space forms and the horizon families have closed forms, whose slope
+    is exactly 0 where W is constant.  Only tables and raw jet callables
+    take the slope from the jet, with values at roundoff level that cross
+    zero spuriously where W is constant; sign changes whose flanking slopes
+    both fall below ``slope_floor`` are discarded as noise.  The default
+    floor is 1e-7 of the ambient's ``curvature_scale`` divided by r_bar;
+    tabulated profiles inherit the noise of their samples through three
+    spline derivatives, so callers who know that noise level should raise
+    the floor accordingly.
 
     For ball ambients the innermost half-percent of the chart is excluded:
     the curvature quotients there are 0/0 limits of the warp, and sampled
     profiles cannot resolve them.
     """
     radii = _scan_radii(w)
-    slope = _jet_gap_slope(w, radii)[2]
+    slope = _curvature(w, radii).slope
     change = np.flatnonzero(np.sign(slope[:-1]) * np.sign(slope[1:]) < 0.0)  # slope products may overflow
     if change.size == 0:  # no sign change: the curvature scale is not needed
         return []
@@ -576,11 +564,11 @@ def scan_monotonicity_extrema(
         slope_floor = 1e-7 * w.curvature_scale / w.r_bar
     records = []
     for i in change[np.maximum(np.abs(slope[change]), np.abs(slope[change + 1])) > slope_floor]:
-        root = find_root(lambda r: _jet_gap_slope(w, r)[2], radii[i], radii[i + 1], xtol=1e-8 * w.r_bar)
+        root = find_root(lambda r: _curvature(w, r).slope, radii[i], radii[i + 1], xtol=1e-8 * w.r_bar)
         kind = "max" if slope[i] > 0 else "min"
-        terms = _curvature_terms_at(w, root)
-        distinct = abs(terms.radial - terms.tangential) > 1e-9
-        records.append(ExtremumRecord(float(root), kind, terms.value, distinct))
+        at = _curvature(w, root)
+        distinct = abs(at.radial - at.tangential) > 1e-9
+        records.append(ExtremumRecord(float(root), kind, at.value, distinct))
     return records
 
 

@@ -140,6 +140,13 @@ def test_oversized_full_grid_exits_2_before_allocating(tmp_path, capsys, monkeyp
     assert str((3 * 4096**3 + 35 * 4096**2) * 8) in err
 
 
+def test_full_mode_outside_dimension_3_exits_2(tmp_path, capsys):
+    # the full engine has dimension 3, and a surface needs the ambient's
+    code, _, err = run(["verify", "--n", "4", "--grid-mode", "full", "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err == "error: a full engine of dimension 3 cannot carry an ambient of dimension 4\n"
+
+
 def test_failed_condition_exits_3(tmp_path, capsys):
     code, _, _ = run(
         ["check", "--model", "sphere", "--curvature", "1.0", "--r-bar", "2.5",

@@ -180,35 +180,36 @@ def test_unreachable_volume_stops_the_solve(schw3):
 def test_one_grid_warp_jet_per_iteration(schw3):
     # the geometry report of each iterate carries h and h'; the solve makes
     # no other jet call on the grid.  Off the grid it takes h(0) once, and
-    # one scalar jet and one curvature defect per step at the mean radius;
-    # the verdict takes one of each.  The ambient keeps h(0): a second solve
-    # on it takes no jet at r = 0
-    calls, defects, inner = [], [], []
+    # one scalar jet and one call of the closed forms per step at the mean
+    # radius; the verdict takes one of each.  The ambient keeps h(0): a
+    # second solve on it takes no jet at r = 0
+    calls, forms, inner = [], [], []
 
     def counting(r):
         calls.append(np.ndim(r) > 0)
         inner.append(np.ndim(r) == 0 and r == 0.0)
         return schw3._jet(r)
 
-    def counting_defect(h):
-        defects.append(h)
-        return schw3._defect(h)
+    def counting_forms(h):
+        forms.append(np.ndim(h))
+        return schw3._closed_forms(h)
 
-    w = dataclasses.replace(schw3, _jet=counting, _defect=counting_defect)
+    w = dataclasses.replace(schw3, _jet=counting, _closed_forms=counting_forms)
     surface = perturb_slice(w, axisym_grid(3, 48), 2.0, [(2, 0, 0.05), (1, 0, 0.03)])
     result = find_cmc(surface)
     assert result.converged
     grid = sum(calls)
     assert grid <= result.iterations + 1
     assert len(calls) - grid <= result.iterations + 1
-    assert len(defects) <= result.iterations
     assert sum(inner) == 1
+    # one scalar record per step: every scalar jet off r = 0 reads the closed forms once
+    assert forms == [0] * (len(calls) - grid - 1)
 
     calls.clear()
-    defects.clear()
+    forms.clear()
     umbilicity_verdict(result, w)
     assert calls == [False]
-    assert len(defects) == 1
+    assert forms == [0]
 
     inner.clear()
     again = find_cmc(perturb_slice(w, axisym_grid(3, 48), 2.0, [(1, 0, 0.02)]))

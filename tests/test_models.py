@@ -6,6 +6,7 @@ the n=3, m=1 arc length from the horizon to s = 2 is
 sqrt(2) + log(1 + sqrt(2)).
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -31,7 +32,7 @@ from warpcmc import (
     scalar_curvature,
 )
 import warpcmc
-from warpcmc.models import _horizons, _omega_jet, _root_difference, _term_sum, _terms
+from warpcmc.models import _horizons, _monomial_forms, _omega_jet, _root_difference, _terms
 
 from conftest import kappa_max
 
@@ -175,16 +176,16 @@ def test_omega_tables_are_admissible_and_have_no_closed_form_horizon(tmp_path):
     assert admissibility("omega-table", 3, {}) == (True, "admissible")
     assert admissibility("omega-table", 5, {"path": "omega.txt"}) == (True, "admissible")
     assert not admissibility("omega-table", 2, {})[0]
-    # a table has no terms, so neither a closed-form defect nor exact margins
+    # a table has no terms, so no closed forms: its curvature comes from the jet
     s = np.linspace(1.0, 10.0, 40)
     np.savetxt(tmp_path / "omega.txt", np.column_stack((s, 1.0 - 1.0 / s)))
     table = make_model("omega-table", 3, path=str(tmp_path / "omega.txt"), knots=64)
     assert table.profile.terms == ()
-    assert table._defect is None and table._margins is None
+    assert table._closed_forms is None and table.profile._closed_forms is None
 
 
 def _full_polynomial(n, mass, kappa, charge2):
-    """omega, 1 - omega and the omega difference with all three terms written out."""
+    """omega, the closed forms and the omega difference with all three terms written out."""
     p, q = 2 - n, 4 - 2 * n
 
     def omega(s):
@@ -194,8 +195,15 @@ def _full_polynomial(n, mass, kappa, charge2):
             -mass * p * (p - 1) * s ** (p - 2) - 2.0 * kappa + charge2 * q * (q - 1) * s ** (q - 2),
         )
 
-    def one_minus_omega(s):
-        return mass * s**p + kappa * s**2 - charge2 * s**q
+    def closed_forms(s):
+        # (1 - omega)/s^2, the Ricci gap, W and dW/ds; kappa has no gap or slope
+        # term, the mass no W or slope term
+        return (
+            mass * s ** (p - 2) + kappa * s**0 - charge2 * s ** (q - 2),
+            mass * (1 - p / 2) * s ** (p - 2) - charge2 * (1 - q / 2) * s ** (q - 2),
+            -kappa * n * s**0 - charge2 * (n - 2) * s ** (q - 2),
+            charge2 * (2 * (n - 1) * (n - 2)) * s ** (q - 3),
+        )
 
     def difference(r, d):
         grow = np.log1p(d / r)
@@ -205,7 +213,7 @@ def _full_polynomial(n, mass, kappa, charge2):
             - kappa * d * (2.0 * r + d)
         )
 
-    return omega, one_minus_omega, difference
+    return omega, closed_forms, difference
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -215,17 +223,18 @@ def test_omega_evaluators_match_the_full_polynomial_bit_for_bit(n, kappa, charge
     # the term list leaves out the terms whose coefficient is 0, which would
     # only add an exact 0.0: the numbers must be the same, on arrays and on floats
     mass = 0.7
-    omega, one_minus_omega, difference = _full_polynomial(n, mass, kappa, charge2)
+    omega, closed_forms, difference = _full_polynomial(n, mass, kappa, charge2)
     terms = tuple((c, a) for c, a in ((mass, 2 - n), (kappa, 2), (-charge2, 4 - 2 * n)) if c)
     s = np.linspace(0.6, 4.0, 97)
     d = np.linspace(-0.3, 2.0, 97)
     for got, want in zip(_omega_jet(terms)(s), omega(s)):
         assert np.array_equal(got, want)
-    assert np.array_equal(_term_sum(terms, s), one_minus_omega(s))
+    for got, want in zip(_monomial_forms(terms, n)(s), closed_forms(s)):
+        assert np.array_equal(got, want)
     assert np.array_equal(_root_difference(terms, 0.9, d), difference(0.9, d))
     for x, y in zip(s.tolist(), d.tolist()):
         assert _omega_jet(terms)(x) == omega(x)
-        assert _term_sum(terms, x) == one_minus_omega(x)
+        assert _monomial_forms(terms, n)(x) == closed_forms(x)
         assert _root_difference(terms, 0.9, y) == difference(0.9, y)
 
 
@@ -332,14 +341,17 @@ def test_horizon_jet_is_regular_across_parameters(family, n):
 
 
 def test_omega_form_margins_match_warp_form(schw3, rn3):
+    # the omega form reads the closed forms; the reference is the warp form's
+    # jet route, the same ambient without them
     for w in (schw3, rn3, make_model("desitter-schwarzschild", 3, m=1.0, kappa=KAPPA_SMALL)):
         prof = w.profile
         s = np.linspace(prof.s_floor * 1.05, prof.s_max * 0.8, 40)
         margins = omega_condition_margins(prof, s)
         r = np.array([w.distance_of_area_radius(x) for x in s])
-        f, _ = potential_and_field(w, r)
-        value, slope = monotonicity_quantity(w, r)
-        gap = ricci_gap_margin(w, r)
+        jet_route = dataclasses.replace(w, _closed_forms=None)
+        f, _ = potential_and_field(jet_route, r)
+        value, slope = monotonicity_quantity(jet_route, r)
+        gap = ricci_gap_margin(jet_route, r)
         assert np.max(np.abs(margins["potential"] - f)) < 1e-7
         assert np.max(np.abs(margins["monotonicity_quantity"] - value)) < 1e-7
         assert np.max(np.abs(margins["monotonicity_slope"] - slope)) < 1e-7
@@ -391,12 +403,14 @@ def test_uncharged_scalar_monotonicity_slope_is_exactly_zero(family, params):
 
 @pytest.mark.parametrize("family, params", EXACT_CASES)
 def test_check_reads_the_exact_margins_of_the_jet_route_quantities(family, params):
-    # the exact gap and slope are the jet route's quantities at every check
-    # radius, to its roundoff relative to the curvature scale
+    # the exact gap and slope are the jet route's quantities, those of the
+    # same ambient without its closed forms, at every check radius, to the
+    # jet route's roundoff relative to the curvature scale
     w = make_model(family, 3, **params)
     report = check_conditions(w)
-    _, slope = monotonicity_quantity(w, report.radii)
-    gap = ricci_gap_margin(w, report.radii)
+    jet_route = dataclasses.replace(w, _closed_forms=None)
+    _, slope = monotonicity_quantity(jet_route, report.radii)
+    gap = ricci_gap_margin(jet_route, report.radii)
     tol = 1e-7 * w.curvature_scale
     assert np.max(np.abs(report.margins["ricci_gap"] - gap)) < tol
     assert np.max(np.abs(report.margins["scalar_monotonicity"] - slope)) < tol / w.r_bar

@@ -8,7 +8,6 @@ code paths and must agree.  The full-mode normal is checked against a
 reference that builds it in an explicit tangent frame of the sphere.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -151,6 +150,15 @@ def test_graph_surface_shape_guard(schw3):
         GraphSurface(schw3, axi, np.ones(7))
 
 
+@pytest.mark.parametrize("kind, n", [("full", 4), ("axisym", 4), ("axisym", 5)])
+def test_graph_surface_needs_the_engine_of_its_dimension(kind, n):
+    # one check for both engines: the full engine's dimension is 3
+    engine = full_sphere_grid(8) if kind == "full" else axisym_grid(3, 16)
+    assert engine.dim == 3
+    with pytest.raises(ParameterError, match=f"{kind} engine of dimension 3 .* dimension {n}$"):
+        GraphSurface(euclidean_warping(n), engine, np.ones(engine.grid_shape))
+
+
 def test_graph_out_of_chart_raises(schw3):
     axi = axisym_grid(3, 32)
     radii = np.full(axi.npoints, schw3.r_bar * 0.9)
@@ -261,19 +269,3 @@ def test_report_carries_the_warp_jet_bit_for_bit(schw3, mode):
     ):
         assert got.shape == engine.grid_shape
         assert np.array_equal(got, want)
-
-
-def test_identity_products_keep_the_bits_of_the_computed_ones(schw3):
-    # a graph takes the identity map's metric and triple product from one
-    # constant per engine; a copy of the identity jet, which is not the
-    # engine's object, takes them from the general sphere-map path
-    engine = full_sphere_grid(24)
-    radii = perturb_slice(schw3, engine, 2.0, [(2, 1, 0.1), (3, -2, 0.05)]).radii
-    radius_jet = engine.on_frame_jet(radii)
-    warp_jet = schw3.jet(radius_jet[0])
-    copy = tuple(np.copy(out) for out in engine.identity_jet)
-    kept, nu_kept = parametrized_geometry(engine, warp_jet, radius_jet, engine.identity_jet)
-    fresh, nu_fresh = parametrized_geometry(engine, warp_jet, radius_jet, copy)
-    assert np.array_equal(nu_kept, nu_fresh)
-    for field in dataclasses.fields(kept):
-        assert np.array_equal(getattr(kept, field.name), getattr(fresh, field.name)), field.name

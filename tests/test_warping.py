@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from warpcmc import (
     MODEL_FAMILIES,
@@ -39,7 +41,7 @@ from warpcmc import (
 )
 from warpcmc import models
 from warpcmc.errors import WarpcmcError
-from warpcmc.warping import _curvature_jet, find_root
+from warpcmc.warping import _curvature, find_root
 from conftest import bump_quantity
 
 
@@ -85,12 +87,75 @@ def test_euclidean_is_flat():
     ],
 )
 def test_space_form_gap_margin_vanishes(factory):
-    # the stable defect route cancels to a rounding or two of h''/h, far
-    # below any discretization scale; unit curvature cancels to the bit
+    # the closed forms make the gap an exact 0; the jet route without them
+    # cancels to a rounding or two of h''/h, far below any discretization scale
     w = factory()
     radii = chebyshev_radii(0.0, w.r_bar, 200)
-    assert np.max(np.abs(ricci_gap_margin(w, radii))) < 1e-12
-    assert np.max(np.abs(ricci_gap_margin(euclidean_warping(3), radii))) == 0.0
+    assert np.max(np.abs(ricci_gap_margin(w, radii))) == 0.0
+    jet_route = dataclasses.replace(w, _closed_forms=None)
+    assert np.max(np.abs(ricci_gap_margin(jet_route, radii[radii > 0.1 * w.r_bar]))) < 1e-12
+
+
+def _space_form(family, log_lam):
+    """Sectional curvature and model parameters of a space form scaled by lam = 10^log_lam.
+
+    The homothety takes curvature c to c / lam^2 and r_bar to lam r_bar; the
+    sphere's default chart, up to the equator, scales by itself.
+    """
+    curvature, lam = 10.0 ** (-2.0 * log_lam), 10.0**log_lam
+    return {
+        "euclidean": (0.0, {"r_bar": 10.0 * lam}),
+        "sphere": (curvature, {"curvature": curvature}),
+        "hyperbolic": (-curvature, {"curvature": curvature, "r_bar": 5.0 * lam}),
+    }[family]
+
+
+@pytest.mark.parametrize("family", ["euclidean", "sphere", "hyperbolic"])
+@pytest.mark.parametrize("n", [3, 4, 7])
+@pytest.mark.parametrize("log_lam", [-0.3, 2.0])
+def test_space_form_closed_forms_are_exact(family, n, log_lam):
+    # defect c, gap 0, W = -n c and a W slope of 0 at every radius, to the bit,
+    # on arrays and on floats; the jet route of the same ambient agrees to its
+    # roundoff away from the center, where its defect cancels
+    c, params = _space_form(family, log_lam)
+    w = make_model(family, n, **params)
+    radii = chebyshev_radii(0.0, w.r_bar, 200)
+    for r in (radii, float(radii[7])):
+        record = _curvature(w, r)
+        assert np.all(record.defect == c) and np.all(w.curvature_defect(r) == c)
+        assert np.all(record.gap == 0.0) and np.all(ricci_gap_margin(w, r) == 0.0)
+        value, slope = monotonicity_quantity(w, r)
+        assert np.all(value == -n * c) and np.all(slope == 0.0)
+        assert np.all(scalar_curvature(w, r) == -(n - 1) * (-n * c))
+    outer = radii[radii > 0.1 * w.r_bar]
+    jet_route = _curvature(dataclasses.replace(w, _closed_forms=None), outer)
+    closed = _curvature(w, outer)
+    scale = abs(c) + 1e-300
+    for name in ("defect", "radial", "tangential", "gap", "value"):
+        assert np.max(np.abs(getattr(jet_route, name) - getattr(closed, name))) < 1e-12 * scale, name
+    assert np.max(np.abs(jet_route.slope)) < 1e-12 * scale / w.r_bar
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(["euclidean", "sphere", "hyperbolic"]),
+    n=st.sampled_from([3, 4, 5, 7]),
+    log_lam=st.floats(min_value=-4.0, max_value=4.0),
+)
+# `check --model sphere --n 5 --curvature 100`, `--n 3 --curvature 1000` and
+# `check --model hyperbolic --n 5 --curvature 1e4 --r-bar 0.05`: the jet
+# route's W slope read -1.9e-9, -7.5e-9 and -1.9e-6 there, and "none"
+@example("sphere", 5, -1.0)
+@example("sphere", 3, -1.5)
+@example("hyperbolic", 5, -2.0)
+def test_space_forms_keep_their_verdict_at_every_scale(family, n, log_lam):
+    # a homothety changes no verdict: the closed forms make the gap and the
+    # slope exact zeros at every scale
+    _, params = _space_form(family, log_lam)
+    report = check_conditions(make_model(family, n, **params))
+    assert report.conclusion == "umbilic-only"
+    assert report.min_margin["ricci_gap"] == 0.0
+    assert report.min_margin["scalar_monotonicity"] == 0.0
 
 
 def test_schwarzschild_quantity_vanishes(schw3):
@@ -411,7 +476,7 @@ def test_ambient_constants_equal_what_their_call_sites_computed(family, n, tmp_p
     assert w.curvature_scale == float(scale)
     # one curvature path: the defect is the curvature jet's, bit for bit
     for r in (0.5 * w.r_bar, radii):
-        got, want = w.curvature_defect(r), _curvature_jet(w, r)[4]
+        got, want = w.curvature_defect(r), _curvature(w, r).defect
         assert np.asarray(got).tobytes() == np.asarray(want, dtype=float).tobytes()
     if family == "euclidean":
         assert w.curvature_scale == 0.0
@@ -445,29 +510,43 @@ def test_ambient_constants_are_taken_once(cosine_boundary):
     assert first[2] == potential_monotone_radius(cosine_boundary)
 
 
-CURVATURE_QUANTITIES = [ricci_gap_margin, monotonicity_quantity, ricci_eigenvalues, static_tensor]
+CURVATURE_QUANTITIES = [
+    ricci_gap_margin, monotonicity_quantity, ricci_eigenvalues, static_tensor, scalar_curvature
+]
 
 
 def test_each_curvature_quantity_looks_h_up_once(schw3, monkeypatch):
-    # one warp jet per call: the defect comes from the jet's h, not a second lookup
-    calls = []
+    # one curvature record per call: one warp jet, whose h the closed forms
+    # read once, with no second lookup
+    calls, forms = [], []
     lookup = models.HermiteTable.__call__
 
     def counting(table, r):
         calls.append(np.ndim(r))
         return lookup(table, r)
 
+    def counting_forms(h):
+        forms.append(np.ndim(h))
+        return schw3._closed_forms(h)
+
     monkeypatch.setattr(models.HermiteTable, "__call__", counting)
-    for quantity in CURVATURE_QUANTITIES:
+    w = dataclasses.replace(schw3, _closed_forms=counting_forms)
+    for quantity in CURVATURE_QUANTITIES + [lambda w, r: w.curvature_defect(r)]:
         for r in (0.5, np.linspace(0.1, 1.0, 5)):
             calls.clear()
-            quantity(schw3, r)
-            assert calls == [np.ndim(r)], quantity.__name__
+            forms.clear()
+            quantity(w, r)
+            assert calls == forms == [np.ndim(r)], quantity.__name__
     # the slope grid alone: the exact slope of Schwarzschild is 0, so no sign
     # changes and the curvature scale is never read
     calls.clear()
-    assert scan_monotonicity_extrema(dataclasses.replace(schw3)) == []
-    assert calls == [1]
+    forms.clear()
+    assert scan_monotonicity_extrema(w) == []
+    assert calls == forms == [1]
+    calls.clear()
+    forms.clear()
+    check_conditions(w)  # and h(0) once, for the regularity check
+    assert calls == [0, 1] and forms == [1]
 
 
 @pytest.mark.parametrize(
