@@ -8,8 +8,9 @@ no normal vector has to be rebuilt between steps.  The surface is the
 parametrization (r, y) that the nodes transport, and its geometry comes
 from the same kernel as a graph's (``surface.parametrized_geometry``):
 one frame jet of the radius and the sphere map, starting from the
-identity map of the graph the flow begins on.  Node states keep their
-components on the leading axis, the layout of the engines and the kernel.
+identity map of the graph the flow begins on.  A geodesic never leaves
+the totally geodesic (0, r_bar) x (great circle of its starting direction),
+so in both modes a node is one ODE in (r, angle), components leading.
 
 The payoff is a family of audited monotone quantities: the weighted
 curvature integral Q = (n-1) int f/H, the swept weighted volume it
@@ -76,10 +77,12 @@ class FlowExhausted(WarpcmcError):
 class FlowState:
     """Snapshot of the flow at one parameter time.
 
-    ``points`` and ``velocities`` hold the node coordinates and their
-    time derivatives, (K, *grid_shape) with components on the leading
-    axis: K = 4, (r, y) with y the unit sphere position, in full mode,
-    K = 2, (r, beta) with beta the polar angle, in axisymmetric mode.
+    ``points`` and ``velocities`` hold the node coordinates (r, angle) and
+    their time derivatives, (2, *grid_shape).  The angle is the polar angle
+    beta in axisymmetric mode, where ``circle`` is None.  In full mode it is
+    phi on the great circle y = cos(phi) y0 + sin(phi) e, ``circle`` = (y0, e)
+    as ``init_flow`` sets it: the identity map and the unit direction of the
+    starting sphere velocity (e_theta where that is 0), each (3, *grid_shape).
     ``report`` is the geometry of the current surface and ``active`` the
     mask of nodes still inside the smooth regime.  Deactivation is
     permanent; integral quantities only ever sum over active nodes.
@@ -93,6 +96,7 @@ class FlowState:
     t: float
     points: np.ndarray
     velocities: np.ndarray
+    circle: tuple | None
     report: GeometryReport
     q_value: float
     active: np.ndarray
@@ -131,17 +135,27 @@ class FlowTrace:
 # transported-parametrization geometry
 
 
-def _transported_geometry(engine, points, velocities, warp_jet):
+def _transported_geometry(engine, circle, points, velocities, warp_jet):
     """Geometry of the flowed surface; its velocity orients the normal.
 
     One frame jet of the stack (r, y) in full mode or (r, cos beta) in
     axisymmetric mode feeds the surface kernel; r enters at the node radii,
-    with ``warp_jet`` there.  beta itself is not smooth across the poles
-    in the polynomial basis, but cos(beta) is, and the meridian data
-    recover from it exactly.
+    with ``warp_jet`` there.  Full mode writes y = cos(phi) y0 + sin(phi) e, then
+    the orienting velocity (r', phi' (cos(phi) e - sin(phi) y0)), into one (4, *grid)
+    stack.  beta itself is not smooth across the poles in the polynomial
+    basis, but cos(beta) is, and the meridian data recover from it exactly.
     """
-    if engine.kind == "full":
-        jet = engine.on_frame_jet(points)
+    if circle is not None:
+        (y0, e), cos_p, sin_p = circle, np.cos(points[1]), np.sin(points[1])
+        stack = np.empty((4,) + cos_p.shape)
+        stack[0] = points[0]
+        np.add(np.multiply(cos_p, y0, out=stack[1:]), sin_p * e, out=stack[1:])
+        jet = engine.on_frame_jet(stack)
+        # the frame jet is done with the stack, which takes the orienting velocity
+        stack[0] = velocities[0]
+        np.subtract(np.multiply(cos_p, e, out=stack[1:]), sin_p * y0, out=stack[1:])
+        stack[1:] *= velocities[1]
+        velocities = stack
         sphere_jet = tuple(out[1:] for out in jet)
     else:
         jet = engine.on_frame_jet(np.stack([points[0], np.cos(points[1])]))
@@ -177,11 +191,15 @@ def init_flow(surface: GraphSurface) -> FlowState:
         raise HypothesisError(
             "conformal flow needs strictly positive mean curvature at the start"
         )
-    # the sphere coordinates of the identity map: y in full mode, beta = theta
-    sphere = engine.identity_jet[0] if engine.kind == "full" else engine.theta[None]
-    f = report.potential
-    points = np.concatenate([surface.radii[None], sphere])
-    vel = np.concatenate([(-f * report.nu_radial)[None], np.reshape(-f * nu_sphere, sphere.shape)])
+    f, circle = report.potential, None
+    angle, rate = engine.theta, -f * nu_sphere
+    if engine.kind == "full":
+        # each node starts at phi = 0 on the great circle through y0 along its sphere velocity
+        speed = np.sqrt(np.einsum("c...,c...->...", rate, rate))
+        e = np.where(speed > 0.0, rate / np.where(speed > 0.0, speed, 1.0), engine.identity_jet[1])
+        angle, rate, circle = np.zeros_like(speed), speed, (engine.identity_jet[0], e)
+    points = np.stack([surface.radii, angle])
+    vel = np.stack([-f * report.nu_radial, rate])
 
     active = np.ones(report.radii.shape, dtype=bool)
     frozen = np.zeros_like(active)
@@ -194,6 +212,7 @@ def init_flow(surface: GraphSurface) -> FlowState:
         t=0.0,
         points=points,
         velocities=vel,
+        circle=circle,
         report=report,
         q_value=q0,
         active=active,
@@ -214,19 +233,15 @@ def _clipped_jet(warping, points):
     return warping.jet(np.clip(points[0], 1e-4 * warping.r_bar, warping.r_bar * (1.0 - 1e-15)))
 
 
-def _rhs(warping, points, velocities, full: bool, jet=None):
-    """Geodesic right-hand side of the rescaled metric, from the clipped warp jet if given."""
+def _rhs(warping, points, velocities, jet=None):
+    """Rescaled-metric geodesic right-hand side in (r, angle), from the clipped warp jet if given."""
     h, hp, hpp, _ = _clipped_jet(warping, points) if jet is None else jet
     hp_safe = np.where(np.abs(hp) > 1e-300, hp, 1e-300)
     psi = -hpp / hp_safe
-    vr, vy = velocities[0], velocities[1:]
-    yy = np.einsum("c...,c...->...", vy, vy)
-    ar = h * hp * yy + psi * (h * h * yy - vr * vr)
-    ay = -(2.0 * (hp / h + psi) * vr) * vy
-    if full:
-        # the acceleration that keeps y on the unit sphere
-        ay = ay - yy * points[1:]
-    return velocities, np.concatenate([ar[None], ay])
+    vr, va = velocities
+    aa = va * va
+    ar = h * hp * aa + psi * (h * h * aa - vr * vr)
+    return velocities, np.stack([ar, -(2.0 * (hp / h + psi) * vr) * va])
 
 
 def _rk4_sum(x, hdt, k1, k2, k3, k4):
@@ -241,29 +256,24 @@ def _rk4_sum(x, hdt, k1, k2, k3, k4):
 
 def _integrate(state: FlowState, dt, nsub):
     """RK4 from the state over dt in nsub substeps, the first stage on the carried jet."""
-    warping, full = state.warping, state.engine.kind == "full"
-    p, v, jet = state.points, state.velocities, state.warp_jet
+    warping, p, v, jet = state.warping, state.points, state.velocities, state.warp_jet
     hdt = dt / nsub
     for _ in range(nsub):
-        k1p, k1v = _rhs(warping, p, v, full, jet)
+        k1p, k1v = _rhs(warping, p, v, jet)
         jet = None
-        k2p, k2v = _rhs(warping, p + 0.5 * hdt * k1p, v + 0.5 * hdt * k1v, full)
-        k3p, k3v = _rhs(warping, p + 0.5 * hdt * k2p, v + 0.5 * hdt * k2v, full)
-        k4p, k4v = _rhs(warping, p + hdt * k3p, v + hdt * k3v, full)
+        k2p, k2v = _rhs(warping, p + 0.5 * hdt * k1p, v + 0.5 * hdt * k1v)
+        k3p, k3v = _rhs(warping, p + 0.5 * hdt * k2p, v + 0.5 * hdt * k2v)
+        k4p, k4v = _rhs(warping, p + hdt * k3p, v + hdt * k3v)
         p = _rk4_sum(p, hdt, k1p, k2p, k3p, k4p)
         v = _rk4_sum(v, hdt, k1v, k2v, k3v, k4v)
-        if full:
-            p[1:] /= np.linalg.norm(p[1:], axis=0)
-            v[1:] -= np.einsum("c...,c...->...", v[1:], p[1:]) * p[1:]
     return p, v
 
 
 def _speed_ratio(jet, velocities):
     """|v|_g / f per node from the clipped warp jet at its points; 1 up to integration error."""
     h, hp, _, _ = jet
-    vr, vy = velocities[0], velocities[1:]
-    yy = np.einsum("c...,c...->...", vy, vy)
-    return np.sqrt(vr * vr + h * h * yy) / np.where(hp > 1e-300, hp, 1e-300)
+    vr, va = velocities
+    return np.sqrt(vr * vr + h * h * (va * va)) / np.where(hp > 1e-300, hp, 1e-300)
 
 
 def step(state: FlowState, dt: float, jacobian_cut: float = FLOW_JACOBIAN_CUT) -> FlowState:
@@ -309,7 +319,7 @@ def step(state: FlowState, dt: float, jacobian_cut: float = FLOW_JACOBIAN_CUT) -
         new = tuple(np.where(frozen, a, b) for a, b in zip(old, new))
     points, velocities, warp_jet = new[0], new[1], new[2:]
 
-    report = _transported_geometry(engine, points, velocities, warp_jet)
+    report = _transported_geometry(engine, state.circle, points, velocities, warp_jet)
     jac = report.area_density / state.initial_density
     active = (
         state.active

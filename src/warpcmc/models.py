@@ -19,7 +19,7 @@ the chart above the midpoint substitutes s = s_upper - eta^2 the same way.
 A horizon family, 1 - omega = sum c s^a, evaluates omega(root + d) -
 omega(root) term by term, so the integrand keeps full precision next to either root.
 
-F is tabulated once, by one 8-point Gauss-Legendre panel between consecutive
+F is tabulated once, by one 4-point Gauss-Legendre panel between consecutive
 knots equally spaced in xi (and eta).  A quintic Hermite interpolant through
 the knots (F(s_k), s_k), with the exact h' and h'' there, is resampled on a
 uniform r grid, and that ``HermiteTable`` is the only representation of h:
@@ -335,13 +335,14 @@ def load_omega_table(path, n: int, s_max: float | None = None) -> OmegaProfile:
 
 
 # Gauss-Legendre rules on [-1, 1].  A knot interval is about 1/2047 of the chart
-# in xi (or eta) and the integrand is analytic far beyond it, so 8 points reach
-# roundoff; the oracle keeps 32 points, sharing neither panels nor rule.
-_KNOT_RULE = leggauss(8)
+# in xi (or eta) and the integrand's nearest singularity lies about a third of
+# the chart away, so 4 points reach roundoff; the oracle keeps 32 points,
+# sharing neither panels nor rule.
+_KNOT_RULE = leggauss(4)
 _ORACLE_RULE = leggauss(32)
-# knot intervals per omega call while F is tabulated: 256 x 8 = 2048 nodes
+# knot intervals per omega call while F is tabulated: 512 x 4 = 2048 nodes
 # bounds the size of the temporaries a single omega evaluation allocates
-PANEL_BLOCK = 256
+PANEL_BLOCK = 512
 # a build peaks at 224 bytes per knot plus about 0.1 MB (tracemalloc, 1e4 to 1e6
 # knots, each kind of profile); the extra byte per knot covers that 0.1 MB
 BUILD_BYTES_PER_KNOT = 225
@@ -391,7 +392,7 @@ def _split_radius(profile: OmegaProfile):
 
 
 def _cumulative_arc_length(profile: OmegaProfile, root, sign, x):
-    """F(root + sign x_k^2) - F(root + sign x_0^2) for every k, an 8-point panel per interval."""
+    """F(root + sign x_k^2) - F(root + sign x_0^2) for every k, a 4-point panel per interval."""
     panel_sums = []
     at_root = profile.omega(np.asarray(root))
     for lo in range(0, x.size - 1, PANEL_BLOCK):
@@ -540,7 +541,7 @@ class OmegaBackedWarping(WarpingFunction):
 def omega_to_warping(profile: OmegaProfile, knots: int = 2048) -> OmegaBackedWarping:
     """Build the warped-form profile h from a horizon profile omega.
 
-    The arc length F is tabulated at ``knots`` area radii s_k, one 8-point
+    The arc length F is tabulated at ``knots`` area radii s_k, one 4-point
     Gauss-Legendre panel per knot interval in a variable that removes the
     square-root singularity at the nearer root of omega
     (``_arc_length_knots``); the oracle ``distance_of_area_radius`` uses

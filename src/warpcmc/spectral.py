@@ -96,10 +96,14 @@ def _jacobi_nodes(a2: float, count: int) -> np.ndarray:
 
 
 def _floor_coefficients(coeff: np.ndarray, axes) -> np.ndarray:
-    """Zero each field's coefficients below COEFFICIENT_FLOOR of its own peak."""
+    """Zero in place each field's coefficients below COEFFICIENT_FLOOR of its own peak over ``axes``."""
     magnitude = np.abs(coeff)
-    peak = magnitude.max(axis=axes, keepdims=True)
-    return np.where(magnitude < COEFFICIENT_FLOOR * peak, 0.0, coeff)
+    if axes == (0, 1):  # the full engine's (m, l, field): rows of a (field, m l) copy max faster
+        peak = np.ascontiguousarray(magnitude.reshape(-1, magnitude.shape[-1]).T).max(axis=1)
+    else:
+        peak = magnitude.max(axis=axes, keepdims=True)
+    np.putmask(coeff, magnitude < COEFFICIENT_FLOOR * peak, 0.0)
+    return coeff
 
 
 class SphericalHarmonicEngine:

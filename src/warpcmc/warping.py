@@ -270,6 +270,9 @@ def hyperbolic_warping(n: int, curvature: float = 1.0, r_bar: float = 10.0) -> W
             sc * sc * np.cosh(sc * r),
         )
 
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.all(np.isfinite(jet(r_bar))):
+            raise ParameterError(f"hyperbolic warp jet overflows at sqrt(curvature) r_bar = {sc * r_bar:g}")
     return WarpingFunction("hyperbolic", n, r_bar, "ball", jet, _constant_curvature(n, -curvature))
 
 

@@ -286,6 +286,17 @@ def test_non_numeric_omega_table_row_exits_2(tmp_path, capsys):
     assert err.startswith(f"error: {table}: ")
 
 
+def test_hyperbolic_chart_past_the_sinh_overflow_exits_2(tmp_path, capsys):
+    # sqrt(c) r_bar = 800 overflows sinh: refused with a typed error, no warning
+    # and no "none"; r_bar = 709 stays inside the float range and concludes
+    code, out, err = run(["check", "--model", "hyperbolic", "--r-bar", "800", "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "overflows" in err
+    code, out, _ = run(["check", "--model", "hyperbolic", "--r-bar", "709", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert "conclusion: umbilic-only" in out
+
+
 def test_kappa_bound_past_the_float_range_completes(tmp_path, capsys):
     # the kappa bound is omega at its peak, which takes no power of n
     code, out, _ = run(

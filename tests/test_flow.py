@@ -34,6 +34,7 @@ from warpcmc import (
     step,
 )
 from warpcmc import flow
+from warpcmc.surface import graph_geometry, parametrized_geometry
 from warpcmc.flow import TOL_FLOOR, _clipped_jet, _speed_ratio
 
 
@@ -127,28 +128,120 @@ def test_slice_flow_follows_radial_ode(schw3):
 
 
 def test_speed_is_conserved(schw3):
-    surface = perturb_slice(schw3, axisym_grid(3, 32), 2.0, [(2, 0, 0.1)])
-    state = init_flow(surface)
-    s0 = _speed(state)
-    assert np.max(np.abs(s0 - 1.0)) < 1e-13
-    for _ in range(20):
-        state = step(state, 0.01)
-    s1 = _speed(state)
-    assert np.max(np.abs(s1[state.active] - 1.0)) < 5e-10
+    for engine, modes in ((axisym_grid(3, 32), [(2, 0, 0.1)]), (full_sphere_grid(16), [(2, 1, 0.1)])):
+        state = init_flow(perturb_slice(schw3, engine, 2.0, modes))
+        s0 = _speed(state)
+        assert np.max(np.abs(s0 - 1.0)) < 1e-13
+        for _ in range(20):
+            state = step(state, 0.01)
+        s1 = _speed(state)
+        assert np.max(np.abs(s1[state.active] - 1.0)) < 5e-10
 
 
 def _speed(state):
-    # speed in the rescaled metric f^{-2} g: exactly 1 along the flow
+    # speed in the rescaled metric f^{-2} g: exactly 1 along the flow.  In both
+    # modes the angle's rate is the unit-sphere speed of the node's sphere point
     w = state.warping
-    r = state.points[0]
-    h, hp = w.jet(np.clip(r, 0.0, w.r_bar))[:2]
-    vr = state.velocities[0]
-    if state.points.shape[0] == 2:
-        vy = state.velocities[1]
-        return np.sqrt(vr * vr + h * h * vy * vy) / hp
-    vy = state.velocities[1:]
+    h, hp = w.jet(np.clip(state.points[0], 0.0, w.r_bar))[:2]
+    vr, va = state.velocities
+    return np.sqrt(vr * vr + h * h * va * va) / hp
+
+
+def test_full_slice_start_keeps_every_node_on_the_identity(schw3, monkeypatch):
+    # every sphere velocity of a slice start is exactly 0: each node's circle
+    # direction is e_theta, its angle stays 0 and the frame jet of every step
+    # gets the identity map bit for bit, while the radii follow dr/dt = -h'(r)
+    engine = full_sphere_grid(16)
+    state = init_flow(slice_surface(schw3, engine, 2.0))
+    y0, e_theta = engine.identity_jet[:2]
+    assert state.circle[0] is y0
+    assert np.array_equal(state.circle[1], e_theta)
+    assert not np.any(state.velocities[1])
+    stacks = []
+    frame_jet = engine.on_frame_jet
+
+    def spy(values):
+        stacks.append(values[1:].copy())
+        return frame_jet(values)
+
+    monkeypatch.setattr(engine, "on_frame_jet", spy)
+    t_end = 0.8
+    trace, final = run_flow(state, t_end)
+    assert len(stacks) == trace.times.size - 1
+    assert all(np.array_equal(y, y0) for y in stacks)
+    assert not np.any(final.points[1]) and not np.any(final.velocities[1])
+    sol = solve_ivp(
+        lambda t, r: [-schw3.jet(float(r[0]))[1]],
+        (0.0, t_end),
+        [2.0],
+        rtol=1e-12,
+        atol=1e-14,
+        dense_output=True,
+    )
+    assert np.max(final.points[0]) - np.min(final.points[0]) < 1e-10
+    f_oracle = np.array([schw3.jet(float(r))[1] for r in sol.sol(trace.times)[0]])
+    assert np.max(np.abs(np.nanmean(trace.per_node_f, axis=1) - f_oracle)) < 1e-8
+
+
+def _embedded_rhs(warping, p, v):
+    # the geodesic ODE with y embedded in R^3: the sphere-constraint acceleration -|y'|^2 y
+    h, hp, hpp, _ = _clipped_jet(warping, p)
+    psi = -hpp / hp
+    vr, vy = v[0], v[1:]
     yy = np.sum(vy * vy, axis=0)
-    return np.sqrt(vr * vr + h * h * yy) / hp
+    ar = h * hp * yy + psi * (h * h * yy - vr * vr)
+    return v, np.concatenate([ar[None], -(2.0 * (hp / h + psi) * vr) * vy - yy * p[1:]])
+
+
+def _embedded_substep(warping, p, v, hdt):
+    # one RK4 substep in (r, y), then y renormalised and v projected onto its tangent plane
+    k1 = _embedded_rhs(warping, p, v)
+    k2 = _embedded_rhs(warping, p + 0.5 * hdt * k1[0], v + 0.5 * hdt * k1[1])
+    k3 = _embedded_rhs(warping, p + 0.5 * hdt * k2[0], v + 0.5 * hdt * k2[1])
+    k4 = _embedded_rhs(warping, p + hdt * k3[0], v + hdt * k3[1])
+    p, v = ((x + hdt / 6.0 * (a + 2.0 * b + 2.0 * c + d)) for x, a, b, c, d in zip((p, v), k1, k2, k3, k4))
+    p[1:] /= np.sqrt(np.sum(p[1:] * p[1:], axis=0))
+    v[1:] -= np.sum(v[1:] * p[1:], axis=0) * p[1:]
+    return p, v
+
+
+@pytest.mark.parametrize("nlat", [16, 24])
+def test_circle_flow_matches_the_embedded_sphere_flow(schw3, nlat, monkeypatch):
+    # the great-circle ODE in (r, phi) against the embedded (r, y in S^2) RK4 it
+    # replaces, on a tesseral start over 25 steps with the substeps each step took;
+    # the reference starts from the graph at the velocity -f nu
+    engine = full_sphere_grid(nlat)
+    surface = perturb_slice(schw3, engine, 2.0, [(2, 1, 0.1), (3, -2, 0.05), (1, 1, 0.04)])
+    graph, nu_sphere = graph_geometry(schw3, engine, surface.radii)
+    f = graph.potential
+    p = np.concatenate([surface.radii[None], engine.identity_jet[0]])
+    v = np.concatenate([(-f * graph.nu_radial)[None], -f * nu_sphere])
+    state = init_flow(surface)
+    y0, e = state.circle
+    substeps = []
+    integrate = flow._integrate
+
+    def spy(state, dt, nsub):
+        substeps.append(nsub)
+        return integrate(state, dt, nsub)
+
+    monkeypatch.setattr(flow, "_integrate", spy)
+    dt = 0.02
+    for _ in range(25):
+        substeps.clear()
+        state = step(state, dt)
+        for _ in range(substeps[-1]):
+            p, v = _embedded_substep(schw3, p, v, dt / substeps[-1])
+    assert np.all(state.active)
+    phi = state.points[1]
+    y = np.cos(phi) * y0 + np.sin(phi) * e
+    assert np.max(np.abs(state.points[0] - p[0])) <= 1e-13 * np.max(p[0])
+    assert np.max(np.abs(y - p[1:])) <= 1e-13
+    jet = engine.on_frame_jet(p)
+    radius_jet, sphere_jet = (p[0],) + tuple(o[0] for o in jet[1:]), tuple(o[1:] for o in jet)
+    report, _ = parametrized_geometry(engine, schw3.jet(p[0]), radius_jet, sphere_jet, v)
+    q = 2.0 * engine.integrate(report.potential / report.mean_curvature * report.area_density)
+    assert abs(state.q_value - q) <= 1e-13 * abs(q)
 
 
 def test_perturbed_flow_audit_axisym(schw3):
@@ -298,27 +391,27 @@ def test_init_flow_report_is_the_graph_geometry(schw3, mode):
 
 @pytest.mark.parametrize("mode", ["full", "axisym"])
 def test_node_state_keeps_its_components_on_the_leading_axis(schw3, mode, monkeypatch):
-    # (r, y) in full mode and (r, beta) in axisymmetric mode, stacked first: the
-    # engines' layout, so a full step hands its points to the frame jet as they are
+    # (r, angle) in both modes, stacked first: the engines' layout.  A full step
+    # writes (r, y), y on the node's great circle, into one contiguous stack
     full = mode == "full"
     engine = full_sphere_grid(16) if full else axisym_grid(3, 32)
-    shape = (4 if full else 2, *engine.grid_shape)
+    shape = (2, *engine.grid_shape)
     state = init_flow(perturb_slice(schw3, engine, 2.0, [(2, 1 if full else 0, 0.1)]))
     assert state.points.shape == state.velocities.shape == shape
     stacks = []
     frame_jet = engine.on_frame_jet
 
     def spy(values):
-        stacks.append(values)
+        assert values.flags.c_contiguous
+        stacks.append(values.copy())
         return frame_jet(values)
 
     monkeypatch.setattr(engine, "on_frame_jet", spy)
     new = step(state, 0.01)
     assert new.points.shape == new.velocities.shape == shape
     (stack,) = stacks
-    assert stack.shape == shape
-    if full:
-        assert stack.flags.c_contiguous and stack is new.points
+    assert stack.shape == ((4,) if full else (2,)) + engine.grid_shape
+    assert np.array_equal(stack[0], new.points[0])
 
 
 @pytest.mark.parametrize("mode", ["full", "axisym"])

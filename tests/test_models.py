@@ -271,6 +271,37 @@ def test_omega_jets_follow_chain_rule(schw3):
         assert hpp == pytest.approx(0.5 * om1, rel=5e-10)
 
 
+def test_knots_match_the_32_point_rule(monkeypatch):
+    # 4 Gauss points per knot interval reach the 32-point knots to roundoff of
+    # F(s_max); next to merged horizons, kappa within 1e-13 of kappa_max, the
+    # integrand itself is ill-conditioned and both rules read ~2e-12
+    sets = [
+        ("schwarzschild", 3, {"m": 1.0}),
+        ("schwarzschild", 5, {"m": 0.01}),
+        ("schwarzschild", 3, {"m": 1e-3}),
+        ("desitter-schwarzschild", 5, {"kappa": -0.5}),
+        ("desitter-schwarzschild", 5, {"kappa": 0.4 * kappa_max(5, 1.0)}),
+        ("desitter-schwarzschild", 5, {"kappa": 0.99 * kappa_max(5, 1.0)}),
+        ("desitter-schwarzschild", 3, {"kappa": 0.9999 * kappa_max(3, 1.0)}),
+        ("desitter-schwarzschild", 3, {"kappa": 0.1}),
+        ("reissner-nordstrom", 5, {"q": 0.49}),
+        ("reissner-nordstrom", 3, {"m": 100.0, "q": 2.0}),
+        ("reissner-nordstrom", 5, {"q": 0.3}),
+        ("desitter-schwarzschild", 3, {"kappa": (1.0 - 1e-13) * kappa_max(3, 1.0)}),
+    ]
+    assert len(warpcmc.models._KNOT_RULE[0]) == 4
+    for k, (family, n, params) in enumerate(sets):
+        profile = make_model(family, n, knots=64, **params).profile
+        with monkeypatch.context() as patch:
+            f4, s4 = warpcmc.models._arc_length_knots(profile, 2048)
+            patch.setattr(warpcmc.models, "_KNOT_RULE", np.polynomial.legendre.leggauss(32))
+            patch.setattr(warpcmc.models, "PANEL_BLOCK", 64)
+            f32, s32 = warpcmc.models._arc_length_knots(profile, 2048)
+        assert np.array_equal(s4, s32)
+        tol = 5e-12 if k == len(sets) - 1 else 5e-16
+        assert np.max(np.abs(f4 - f32)) <= tol * f32[-1], (family, n, params)
+
+
 def test_arc_length_oracle(schw3):
     oracle = math.sqrt(2.0) + math.log(1.0 + math.sqrt(2.0))
     assert abs(schw3.distance_of_area_radius(2.0) - oracle) < 1e-10

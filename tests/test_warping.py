@@ -187,6 +187,39 @@ def test_static_tensor_radial_cancels_and_tangential_matches_slope(
         assert np.max(np.abs(tan - 0.5 * h * slope)) < 1e-10
 
 
+def test_static_tensor_is_half_h_times_the_monotonicity_slope_in_every_family(tmp_path):
+    # radial eigenvalue 0, tangential (h/2) dW/dr: sub-staticity is exactly the
+    # monotonicity condition H2, to 1e-12 of each ambient's curvature scale
+    s = np.linspace(1.0, 10.0, 2000)
+    np.savetxt(tmp_path / "omega.txt", np.column_stack([s, 1.0 - 1.0 / s]))
+    ambients = [
+        make_model("euclidean", 3),
+        make_model("sphere", 4),
+        make_model("hyperbolic", 5, curvature=1.3, r_bar=2.0),
+        make_model("schwarzschild", 5, m=0.01),
+        make_model("reissner-nordstrom", 4, q=0.3),
+        make_model("desitter-schwarzschild", 3, kappa=0.1),
+        make_model("desitter-schwarzschild", 4, kappa=-0.5),
+        make_model("omega-table", 3, path=str(tmp_path / "omega.txt")),
+    ]
+    assert sorted({w.name for w in ambients}) == sorted(MODEL_FAMILIES)
+    for w in ambients:
+        radii = np.linspace(0.01, 0.99, 97) * w.r_bar
+        rad, tan = static_tensor(w, radii)
+        _, slope = monotonicity_quantity(w, radii)
+        tol = 1e-12 * w.curvature_scale
+        assert np.max(np.abs(rad)) <= tol, w.name
+        assert np.max(np.abs(tan - 0.5 * w.jet(radii)[0] * slope)) <= tol, w.name
+
+
+def test_hyperbolic_chart_past_the_sinh_overflow_is_refused():
+    # sinh(x) overflows past x ~ 710.48; a chart reaching there is refused up front
+    for curvature, r_bar in ((1.0, 800.0), (1.0, 710.5), (4.0, 355.3), (1.0, math.inf)):
+        with pytest.raises(ParameterError, match="overflows"):
+            hyperbolic_warping(3, curvature=curvature, r_bar=r_bar)
+    assert check_conditions(hyperbolic_warping(3, r_bar=709.0)).conclusion == "umbilic-only"
+
+
 def test_schwarzschild_static_tensor_vanishes(schw3):
     radii = np.linspace(1e-3, schw3.r_bar * 0.999, 60)
     rad, tan = static_tensor(schw3, radii)
